@@ -130,31 +130,6 @@ fn check_store_json(j: &wyt_obs::Json) {
     assert!(hits >= 1, "BENCH_store.json: warm pass never hit the store");
 }
 
-/// Schema gate for the `"stream"` section every bench JSON carries (the
-/// streaming-lift probe, see `wyt_bench::stream_probe`): the streamed
-/// lift must have been byte-identical to the phased one, both wall times
-/// and the speedup must be recorded, and the deterministic batch/record
-/// counters must show the queue actually carried traffic.
-fn check_stream_section(name: &str, j: &wyt_obs::Json) {
-    let s = j.get("stream").unwrap_or_else(|| panic!("{name}: missing stream section"));
-    assert_eq!(
-        s.get("identical").and_then(|v| v.as_bool()),
-        Some(true),
-        "{name}: stream probe must record byte-identical artifacts"
-    );
-    let num =
-        |k: &str| s.get(k).and_then(|v| v.as_u64()).unwrap_or_else(|| panic!("{name}: stream.{k}"));
-    assert!(num("threads") >= 1, "{name}: stream.threads");
-    assert!(num("phased_ns") >= 1, "{name}: stream.phased_ns");
-    assert!(num("streamed_ns") >= 1, "{name}: stream.streamed_ns");
-    s.get("speedup")
-        .and_then(|v| v.as_f64())
-        .unwrap_or_else(|| panic!("{name}: stream.speedup must be a number"));
-    assert!(num("batches") >= 1, "{name}: stream probe pushed no batches");
-    assert!(num("records") >= 1, "{name}: stream probe recorded no transfers");
-    num("dedup_hits");
-}
-
 /// Load and parse a JSON file, exiting with a message on failure.
 fn load_json(path: &str) -> Result<wyt_obs::Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -368,7 +343,6 @@ fn main() -> ExitCode {
                 let bs =
                     bh.get("sites_healed").and_then(|v| v.as_u64()).expect("healing.sites_healed");
                 assert_eq!((br, bs), (0, 0), "{name}: the clean bench corpus must not heal");
-                check_stream_section(&name, &j);
                 if name == "BENCH_store.json" {
                     check_store_json(&j);
                     store_json = true;
@@ -403,7 +377,7 @@ fn main() -> ExitCode {
         eprintln!(
             "report check: {} stages ok, coverage {sym}+{res}={total}, degradations {}, \
              healing {rounds} round(s) / {healed_n} healed, {bench_jsons} bench JSONs clean \
-             (store + stream schemas ok)",
+             (store schema ok)",
             stages.len(),
             deg.len()
         );

@@ -219,81 +219,11 @@ where
     (results, ParMeta { threads, wall_ns, serial_wall_ns })
 }
 
-/// Probe the streaming trace→lift path (`wyt_lifter::stream`) on a fixed
-/// sample program: lift it phased and streamed, assert the artifacts are
-/// byte-identical, and return the `"stream"` section for the bench JSON —
-/// `phased_ns` vs `streamed_ns` wall times plus the deterministic
-/// per-producer counters (batch/record/dedup totals are functions of the
-/// program and inputs alone, so `report --diff` compares them exactly;
-/// queue-depth and stall counters are interleaving-dependent and stay
-/// obs-only).
-///
-/// Both lifts run with the obs sink routed to a discarded thread-local
-/// scope, so the probe never perturbs the surrounding run's `"obs"`
-/// section.
-///
-/// # Panics
-/// Panics if either lift fails or the streamed artifacts diverge from
-/// the phased ones.
-pub fn stream_probe() -> wyt_obs::Json {
-    use std::time::Instant;
-    let src = r#"
-        int mix(int x) { return (x * 5) ^ (x >> 2); }
-        int fold(int n) {
-            int i;
-            int acc = 0;
-            for (i = 0; i < n; i++) acc += mix(i) & 63;
-            return acc;
-        }
-        int main() {
-            int c = getchar();
-            printf("%d %d\n", fold(150 + (c & 15)), mix(c));
-            return fold(40) & 0x7f;
-        }
-    "#;
-    let img = compile(src, &Profile::gcc12_o3()).expect("stream probe compiles").stripped();
-    let inputs: Vec<Vec<u8>> = vec![vec![], b"7".to_vec(), b"~".to_vec()];
-    let threads = wyt_par::threads();
-    let ((identical, phased_ns, streamed_ns), snap) = wyt_obs::with_local(|| {
-        let was_observing = wyt_obs::observing();
-        wyt_obs::set_enabled(true);
-        wyt_lifter::stream::set_override(Some(false));
-        let t0 = Instant::now();
-        let phased = wyt_lifter::lift_image(&img, &inputs).expect("stream probe: phased lift");
-        let phased_ns = t0.elapsed().as_nanos() as u64;
-        wyt_lifter::stream::set_override(Some(true));
-        let t1 = Instant::now();
-        let streamed = wyt_lifter::lift_image(&img, &inputs).expect("stream probe: streamed lift");
-        let streamed_ns = t1.elapsed().as_nanos() as u64;
-        wyt_lifter::stream::set_override(None);
-        wyt_obs::set_enabled(was_observing);
-        let identical = streamed.trace == phased.trace
-            && streamed.cfg == phased.cfg
-            && streamed.funcs == phased.funcs
-            && format!("{:?}", streamed.module) == format!("{:?}", phased.module)
-            && format!("{:?}", streamed.meta) == format!("{:?}", phased.meta);
-        assert!(identical, "streaming lift diverged from the phased path on the probe program");
-        (identical, phased_ns, streamed_ns)
-    });
-    let c = |k: &str| snap.counters.get(k).copied().unwrap_or(0);
-    wyt_obs::Json::obj(vec![
-        ("identical", wyt_obs::Json::Bool(identical)),
-        ("threads", wyt_obs::Json::from(threads as u64)),
-        ("phased_ns", wyt_obs::Json::from(phased_ns)),
-        ("streamed_ns", wyt_obs::Json::from(streamed_ns)),
-        ("speedup", wyt_obs::Json::from(phased_ns as f64 / streamed_ns.max(1) as f64)),
-        ("batches", wyt_obs::Json::from(c("lift.stream.batches"))),
-        ("records", wyt_obs::Json::from(c("lift.stream.records"))),
-        ("dedup_hits", wyt_obs::Json::from(c("lift.stream.dedup_hits"))),
-    ])
-}
-
 /// Assemble the standard bench-JSON body: the bench's own rows, the
 /// stage-time breakdown (span totals and counters) accumulated in the
 /// observability sink over the run, the thread/wall-time record of the
-/// grid, the degradation/healing accumulators, the streaming-lift probe
-/// ([`stream_probe`]), and any bench-specific `extra` sections appended
-/// after the standard keys.
+/// grid, the degradation/healing accumulators, and any bench-specific
+/// `extra` sections appended after the standard keys.
 ///
 /// Report binaries call [`wyt_obs::set_enabled`] at startup so the
 /// recompiles they drive populate the sink; this serializes it.
@@ -316,7 +246,6 @@ pub fn bench_json_body(
                 ("sites_healed", wyt_obs::Json::from(healed)),
             ])
         }),
-        ("stream", stream_probe()),
     ];
     members.extend(extra);
     wyt_obs::Json::obj(members)

@@ -26,12 +26,10 @@
 //! assert_eq!(result.exit_code, 7);
 //! ```
 
-pub mod batch;
 pub mod ext;
 mod machine;
 mod memory;
 
-pub use batch::EdgeCache;
 pub use ext::{dispatch, parse_format, ArgSource, ExtId, ExtIo, ExtOutcome, FmtArg};
 pub use machine::{
     run_image, Flags, Machine, NullSink, RunResult, TraceSink, TransferKind, Trap, RETURN_SENTINEL,

@@ -55,8 +55,7 @@ pub struct MachBlock {
     pub end: BlockEnd,
 }
 
-/// The reconstructed CFG. `PartialEq` backs the streaming lift's
-/// incremental-vs-phased equality gates (see [`crate::stream`]).
+/// The reconstructed CFG.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MachCfg {
     /// Blocks keyed by start address.

@@ -20,7 +20,6 @@
 pub mod cfg;
 pub mod extdb;
 pub mod funcrec;
-pub mod stream;
 pub mod trace;
 pub mod translate;
 
@@ -101,9 +100,6 @@ pub fn lift_image_faulted(
     inputs: &[Vec<u8>],
     trace_fault: Option<&(dyn Fn(&mut Trace) + Sync)>,
 ) -> Result<Lifted, LiftPipelineError> {
-    if stream::enabled() {
-        return stream::stream_lift(img, inputs, trace_fault);
-    }
     let (mut trace, baseline_runs) = {
         let _s = wyt_obs::Span::enter("lift.trace");
         trace_image(img, inputs)

@@ -407,44 +407,6 @@ where
     })
 }
 
-/// Run `produce` and `consume` as an overlapped producer/consumer pair.
-///
-/// With a parallel pool ([`parallel`] is true), `consume` runs on a
-/// dedicated scoped thread — marked as a pool worker so nested parallel
-/// calls inside it stay serial-inline, with its own flight-recorder
-/// track above the worker ids — while `produce` runs on the caller's
-/// thread (and may itself fan out on the pool). Serially (one worker,
-/// or already inside a pool task), `produce` runs to completion first
-/// and `consume` after it.
-///
-/// Deadlock contract for a bounded queue between the two sides:
-/// `consume` must terminate once the producer side closes its end, and
-/// `produce` must never block on the consumer when no consumer thread
-/// exists (serial mode) — drain inline on overflow instead. Under that
-/// contract the pair cannot deadlock at any worker count, including 1.
-pub fn overlap<R: Send>(produce: impl FnOnce() -> R + Send, consume: impl FnOnce() + Send) -> R {
-    if !parallel() {
-        let r = produce();
-        consume();
-        return r;
-    }
-    std::thread::scope(|s| {
-        let h = std::thread::Builder::new()
-            .name("wyt-par-consumer".into())
-            .spawn_scoped(s, || {
-                let _g = PoolGuard::enter();
-                let _track = wyt_obs::trace::track_guard(MAX_THREADS as u32);
-                consume();
-            })
-            .expect("spawn overlap consumer");
-        let r = produce();
-        match h.join() {
-            Ok(()) => r,
-            Err(p) => std::panic::resume_unwind(p),
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,49 +485,6 @@ mod tests {
             par_indexed(256, task)
         };
         assert_eq!(serial, par);
-    }
-
-    #[test]
-    fn overlap_runs_consumer_alongside_parallel_producer() {
-        let _l = TEST_LOCK.lock().unwrap();
-        let _t = ThreadCount::set(4);
-        let produced = AtomicUsize::new(0);
-        let consumed = AtomicUsize::new(0);
-        let r = overlap(
-            || {
-                par_indexed(32, |_| produced.fetch_add(1, Ordering::SeqCst));
-                7
-            },
-            || {
-                assert!(in_pool(), "the consumer thread is pool-marked");
-                // Wait until the producer side is done, then observe it.
-                while produced.load(Ordering::SeqCst) < 32 {
-                    std::thread::yield_now();
-                }
-                consumed.store(produced.load(Ordering::SeqCst), Ordering::SeqCst);
-            },
-        );
-        assert_eq!(r, 7);
-        assert_eq!(consumed.load(Ordering::SeqCst), 32);
-    }
-
-    #[test]
-    fn overlap_serial_runs_producer_then_consumer() {
-        let _l = TEST_LOCK.lock().unwrap();
-        let _t = ThreadCount::set(1);
-        let order = Mutex::new(Vec::new());
-        let r = overlap(
-            || {
-                order.lock().unwrap().push("produce");
-                42
-            },
-            || order.lock().unwrap().push("consume"),
-        );
-        assert_eq!(r, 42);
-        // Serially the consumer must not require concurrent progress
-        // (it runs strictly after the producer returns): this call
-        // returning at all is the single-worker no-deadlock property.
-        assert_eq!(*order.lock().unwrap(), ["produce", "consume"]);
     }
 
     #[test]

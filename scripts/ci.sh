@@ -61,20 +61,8 @@ echo "==> parallel determinism gate (WYT_PAR=4)"
 WYT_PAR=4 cargo test -q --offline --workspace
 WYT_PAR=4 WYT_OBS=json cargo run --release --offline -q -p wyt-bench --bin report -- --check >/dev/null
 
-echo "==> streaming lift gate (WYT_STREAM=1: tests, report schema, fault hooks, diff drift)"
-WYT_STREAM=1 WYT_PAR=4 cargo test -q --offline --workspace
-WYT_STREAM=1 WYT_PAR=4 WYT_OBS=json \
-    cargo run --release --offline -q -p wyt-bench --bin report -- --check >/dev/null
-WYT_STREAM=1 WYT_FAULT=0xc0ffee cargo test -q --offline --test fault fault_smoke
-# Renaming a stream schema key in an otherwise-clean fresh bench JSON
-# must trip the diff gate (key-set drift is a hard failure).
-sed 's/"streamed_ns"/"streamed_time_ns"/' "$STORE_TMP/fresh/BENCH_figure7.json" \
-    > "$STORE_TMP/fresh/stream_mutated.json"
-if cargo run --release --offline -q -p wyt-bench --bin report -- \
-    --diff results/BENCH_figure7.json "$STORE_TMP/fresh/stream_mutated.json" 2>/dev/null; then
-    echo "FAIL: diff gate did not detect stream schema drift" >&2
-    exit 1
-fi
+echo "==> benchmark self-test (wyt-benchmark, its own Cargo package)"
+cargo test -q --offline --manifest-path wyt-benchmark/Cargo.toml
 
 echo "==> ingestion fuzz gate (pinned seed, every surface, crash-corpus replay)"
 WYT_FUZZ=0xf0cc5eed00000001 cargo run --release --offline -q -p wyt-testkit --bin wyt-fuzz -- \
@@ -83,15 +71,15 @@ cargo run --release --offline -q -p wyt-testkit --bin wyt-fuzz -- --replay tests
 WYT_PAR=4 cargo test -q --offline --test fuzz
 
 echo "==> panic-site budget (isa/emu/lifter non-test code; each allowed site"
-echo "    carries an INVARIANT comment — see DESIGN.md §16)"
-PANIC_BUDGET=11
+echo "    carries an INVARIANT comment — see DESIGN.md §15)"
+PANIC_BUDGET=7
 PANICS=$(for f in crates/isa/src/*.rs crates/emu/src/*.rs crates/lifter/src/*.rs; do
     awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print}' "$f"
 done | grep -cE '\.unwrap\(|\.expect\(|panic!\(|unreachable!\(')
 if [ "$PANICS" -ne "$PANIC_BUDGET" ]; then
     echo "FAIL: $PANICS panic sites in isa/emu/lifter non-test code (budget: $PANIC_BUDGET)." >&2
     echo "New input-reachable sites must become typed errors; true invariants need an" >&2
-    echo "INVARIANT comment and a budget bump reviewed in DESIGN.md §16." >&2
+    echo "INVARIANT comment and a budget bump reviewed in DESIGN.md §15." >&2
     exit 1
 fi
 

@@ -2,15 +2,9 @@
 //! bodies: identical runs pass, pure timing drift passes (or fails only
 //! past an explicit ratio bound), and counter or schema drift hard-fails.
 
-use std::sync::Mutex;
 use wyt_bench::diff::{diff_bench, render, DiffOptions};
 use wyt_bench::{bench_json_body, ParMeta};
 use wyt_obs::Json;
-
-/// `bench_json_body` runs the live streaming probe, which toggles the
-/// process-global stream override; tests in this binary run on multiple
-/// threads, so probe access must be serialized.
-static PROBE_LOCK: Mutex<()> = Mutex::new(());
 
 /// A bench body shaped like the committed `BENCH_*.json` artifacts.
 fn body(wall_ns: u64, cold_ns: u64, degradations: u64) -> Json {
@@ -20,28 +14,13 @@ fn body(wall_ns: u64, cold_ns: u64, degradations: u64) -> Json {
         ("warm_hit", Json::Bool(true)),
     ])]);
     let par = ParMeta { threads: 1, wall_ns, serial_wall_ns: None };
-    let mut b = {
-        let _l = PROBE_LOCK.lock().unwrap();
-        bench_json_body("store", rows, &par, vec![])
-    };
-    // The accumulator-backed `degradations` member and the wall-clock
-    // `stream` probe reflect process state; rewrite them so each test
-    // controls every varying member exactly.
+    let mut b = bench_json_body("store", rows, &par, vec![]);
+    // The accumulator-backed `degradations` member reflects process
+    // state; rewrite it so each test controls it exactly.
     if let Json::Obj(members) = &mut b {
         for (k, v) in members.iter_mut() {
             if k == "degradations" {
                 *v = Json::from(degradations);
-            } else if k == "stream" {
-                *v = Json::obj(vec![
-                    ("identical", Json::Bool(true)),
-                    ("threads", Json::from(1u64)),
-                    ("phased_ns", Json::from(1_000u64)),
-                    ("streamed_ns", Json::from(500u64)),
-                    ("speedup", Json::from(2.0)),
-                    ("batches", Json::from(1u64)),
-                    ("records", Json::from(8u64)),
-                    ("dedup_hits", Json::from(0u64)),
-                ]);
             }
         }
     }

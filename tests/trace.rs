@@ -26,16 +26,10 @@ int main() {
 "#;
 
 /// Run `f` with the pool pinned to `n` workers, then drop back to serial.
-/// Streaming is pinned off: its flight-recorder spans live on a consumer
-/// track whose event order is timing-dependent, which would break the
-/// byte-identical deterministic-tick gate below. Streaming determinism
-/// is gated on artifacts in `tests/stream.rs`.
 fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    wyt_lifter::stream::set_override(Some(false));
     wyt_par::set_threads(n);
     let r = f();
     wyt_par::set_threads(1);
-    wyt_lifter::stream::set_override(None);
     r
 }
 
