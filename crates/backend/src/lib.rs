@@ -26,7 +26,7 @@
 //!   lifted functions' original entries — untraced targets trap, faithful
 //!   to "what you trace is what you get".
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use wyt_ir::interp::layout_globals;
 use wyt_ir::{BinOp, BlockId, CmpOp, Function, InstId, InstKind, Module, Term, Val};
 use wyt_isa::asm::{Asm, Label};
@@ -100,7 +100,7 @@ struct FnLower<'m> {
     orig_addrs: &'m [Option<u32>],
     block_labels: HashMap<BlockId, Label>,
     pinned: HashMap<InstId, Reg>,
-    pinned_params: HashMap<u32, Reg>,
+    pinned_params: BTreeMap<u32, Reg>,
     alloca_off: HashMap<InstId, u32>,
     slot_base: u32,
     stage_base: u32,
@@ -349,8 +349,10 @@ impl<'m> FnLower<'m> {
     }
 }
 
-/// Compute loop-depth-weighted scores and pick pinned values.
-fn pick_pinned(f: &Function) -> (HashMap<InstId, Reg>, HashMap<u32, Reg>, Vec<Reg>, Vec<bool>) {
+/// Compute loop-depth-weighted scores and pick pinned values. Pinned
+/// params come back ordered by index, because the prologue loads them in
+/// map order and the emitted code must not depend on hash seeds.
+fn pick_pinned(f: &Function) -> (HashMap<InstId, Reg>, BTreeMap<u32, Reg>, Vec<Reg>, Vec<bool>) {
     let rpo = f.rpo();
     let mut order = HashMap::new();
     for (i, b) in rpo.iter().enumerate() {
@@ -411,7 +413,7 @@ fn pick_pinned(f: &Function) -> (HashMap<InstId, Reg>, HashMap<u32, Reg>, Vec<Re
     });
 
     let mut pinned = HashMap::new();
-    let mut pinned_params = HashMap::new();
+    let mut pinned_params = BTreeMap::new();
     let mut used = Vec::new();
     for (v, s) in cands {
         if used.len() >= PINNABLE.len() {
@@ -1363,6 +1365,45 @@ mod tests {
                 assert_eq!(site.func, id2.index() as u32);
             }
             other => panic!("expected a guard trap, got {other:?}"),
+        }
+    }
+
+    /// Lowering is a pure function of the module: a function whose
+    /// parameters are pinned to registers emits its parameter loads in
+    /// the same order on every call, whatever the hash seeds of the maps
+    /// each call builds.
+    #[test]
+    fn pinned_param_loads_lower_deterministically() {
+        let mut m = Module::new();
+        let mut f = Function::new("mix");
+        f.num_params = 3;
+        let mut acc = Val::Const(1);
+        for _ in 0..8 {
+            for p in 0..3 {
+                let x = f
+                    .push_inst(f.entry, InstKind::Bin { op: BinOp::Add, a: acc, b: Val::Param(p) });
+                acc = Val::Inst(x);
+            }
+        }
+        f.blocks[0].term = Term::Ret(Some(acc));
+        let mix = m.add_func(f);
+        let mut main = Function::new("main");
+        let args = vec![Val::Const(1), Val::Const(2), Val::Const(3)];
+        let c = main.push_inst(main.entry, InstKind::Call { f: mix, args });
+        main.blocks[0].term = Term::Ret(Some(Val::Inst(c)));
+        let id = m.add_func(main);
+        m.entry = Some(id);
+
+        let (_, pinned_params, _, _) = pick_pinned(&m.funcs[mix.index()]);
+        assert!(pinned_params.len() >= 2, "test premise: several params are pinned");
+        let first = lower_module(&m).unwrap();
+        assert_eq!(run_image(&first, vec![]).exit_code, 1 + 8 * (1 + 2 + 3));
+        for _ in 0..64 {
+            assert_eq!(
+                lower_module(&m).unwrap().text,
+                first.text,
+                "lowering must be deterministic"
+            );
         }
     }
 
