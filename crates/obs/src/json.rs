@@ -358,16 +358,19 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar; input is `&str`, so a
-                    // scalar always starts here.
-                    let Some(c) = std::str::from_utf8(&self.bytes[self.pos..])
-                        .ok()
-                        .and_then(|rest| rest.chars().next())
-                    else {
+                    // Consume the whole run up to the next `"` or `\`
+                    // (or the end of input) and validate it once, so a
+                    // string costs time linear in its length. Input is
+                    // `&str` and both delimiters are ASCII, so the run
+                    // starts and ends on char boundaries.
+                    let rest = &self.bytes[self.pos..];
+                    let len =
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    let Ok(run) = std::str::from_utf8(&rest[..len]) else {
                         return self.err("invalid utf-8 in string");
                     };
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    s.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -503,6 +506,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn roundtrips_values() {
@@ -584,6 +588,81 @@ mod tests {
         assert_eq!(err.kind, ParseErrorKind::TooLarge { size: 17, limit: 16 });
         // The size check runs before any parsing work.
         assert!(parse_limited(&"x".repeat(17), &limits).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Re-validating the rest of the document for every character
+        // made this parse take hours; linear, it takes well under a
+        // second even in a debug build. The parse runs on its own
+        // thread so that a regression fails at the bound instead of
+        // hanging the suite.
+        let big = "0123456789abcdef".repeat((8 << 20) / 16);
+        let mixed = "é ü € 𝄞 \"q\" \\ \n\t\r é / end";
+        let doc =
+            format!(r#"{{"text": "{big}", "mixed": "é ü € 𝄞 \"q\" \\ \n\t\r \u00e9 \/ end"}}"#);
+        let bound = Duration::from_secs(10);
+        let t0 = Instant::now();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(parse(&doc));
+        });
+        let parsed = rx.recv_timeout(bound).expect("8 MiB string parse exceeded its time bound");
+        assert!(t0.elapsed() < bound);
+        let want = Json::obj(vec![("text", Json::Str(big)), ("mixed", Json::from(mixed))]);
+        // Not `assert_eq!`: a failure would print 8 MiB twice.
+        assert!(parsed.unwrap() == want, "parsed value differs");
+    }
+
+    #[test]
+    fn chunked_string_scan_round_trips() {
+        // Inline splitmix64: wyt-obs sits below wyt-testkit's PRNG.
+        let mut state = 0x0b5e_5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..10_000 {
+            let len = next() % 24;
+            let s: String = (0..len)
+                .map(|_| {
+                    let r = next();
+                    let pick = (r >> 8) as u32;
+                    let code = match r % 7 {
+                        0 => 0x20 + pick % 0x5f,
+                        1 => pick % 0x20,
+                        2 => u32::from(b'"'),
+                        3 => u32::from(b'\\'),
+                        4 => 0x80 + pick % 0x780,
+                        5 => 0x800 + pick % 0xf800,
+                        _ => 0x10000 + pick % 0x10_0000,
+                    };
+                    char::from_u32(code).unwrap_or('\u{fffd}')
+                })
+                .collect();
+            let j = Json::obj(vec![(s.as_str(), Json::Arr(vec![Json::Str(s.clone())]))]);
+            assert_eq!(parse(&j.to_string()).unwrap(), j, "compact {s:?}");
+            assert_eq!(parse(&j.pretty()).unwrap(), j, "pretty {s:?}");
+        }
+    }
+
+    #[test]
+    fn string_errors_keep_their_positions() {
+        let cases: [(&str, usize, &str); 6] = [
+            (r#""abc"#, 4, "unterminated string"),
+            (r#"["ok", "é"#, 10, "unterminated string"),
+            (r#""ab\x""#, 4, "bad escape"),
+            (r#""é\u12""#, 4, "truncated \\u escape"),
+            (r#""\u12zz""#, 2, "bad \\u escape"),
+            (r#""ab\"#, 4, "bad escape"),
+        ];
+        for (text, pos, what) in cases {
+            let e = parse_limited(text, &JsonLimits::default()).unwrap_err();
+            assert_eq!(e, ParseError { pos, kind: ParseErrorKind::Syntax(what.to_string()) });
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! SHA-256, in-tree (FIPS 180-4). The store keys everything by content
 //! hash, and like every other crate in the workspace it must build
 //! `--offline` forever — so the compression function lives here rather
-//! than behind a dependency. Performance is irrelevant at store scale
-//! (entries are small JSON documents); correctness is pinned by the
-//! standard test vectors below.
+//! than behind a dependency. Every `get` hashes one entry's payload,
+//! and artifact entries reach hundreds of KB, so this sits on the warm
+//! read path; correctness is pinned by the standard test vectors below.
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,

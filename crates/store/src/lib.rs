@@ -665,7 +665,15 @@ fn check_entry_text(kind: &str, key: &str, text: &str) -> Result<Json, String> {
     if checksum != sha256_hex(payload.to_string().as_bytes()) {
         return Err("checksum mismatch".to_string());
     }
-    Ok(payload.clone())
+    // Move the payload out rather than deep-copying it: it is almost
+    // the whole document. First match, as `Json::get` found it above.
+    let Json::Obj(members) = entry else {
+        return Err("no payload".to_string());
+    };
+    members
+        .into_iter()
+        .find_map(|(k, v)| (k == "payload").then_some(v))
+        .ok_or_else(|| "no payload".to_string())
 }
 
 #[cfg(test)]
@@ -922,6 +930,40 @@ mod tests {
         let entries = s.entries().unwrap();
         assert_eq!(entries.len(), 1, "foreign files must not surface as entries");
         assert_eq!(s.evict_to(0).unwrap(), 1, "eviction ignores foreign files");
+        let _ = std::fs::remove_dir_all(s.root());
+    }
+
+    #[test]
+    fn large_hex_payload_round_trips_and_damage_is_caught() {
+        let s = tmp_store("large");
+        let key = Store::derive_key("artifact", vec![("n", Json::from(11u64))]);
+        let hex: String =
+            (0..1u32 << 20).map(|i| b"0123456789abcdef"[(i % 16) as usize] as char).collect();
+        let big = Json::obj(vec![
+            (
+                "image",
+                Json::obj(vec![("text", Json::from(hex.as_str())), ("entry", Json::from(4096u64))]),
+            ),
+            ("module", Json::obj(vec![("text", Json::from("define i32 @main() {\n  ret 0\n}\n"))])),
+        ]);
+        s.put("artifact", &key, 0, big.clone()).unwrap();
+        match s.get("artifact", &key) {
+            Lookup::Hit(p) => assert!(p == big, "1 MiB payload changed on the way back"),
+            other => panic!("expected hit: {other:?}"),
+        }
+
+        // One hex digit flipped deep inside the long string.
+        let path = s.path_for("artifact", &key);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.windows(9).position(|w| w == b"\"text\": \"").unwrap() + 9 + 700_001;
+        bytes[at] = if bytes[at] == b'0' { b'1' } else { b'0' };
+        std::fs::write(&path, &bytes).unwrap();
+        match s.get("artifact", &key) {
+            Lookup::Corrupt(why) => assert!(why.ends_with("checksum mismatch"), "{why}"),
+            other => panic!("expected corrupt: {other:?}"),
+        }
+        let text = String::from_utf8(bytes).unwrap();
+        assert_eq!(validate_entry_text("artifact", &key, &text).unwrap_err(), "checksum mismatch");
         let _ = std::fs::remove_dir_all(s.root());
     }
 

@@ -231,9 +231,11 @@ fn splice(rng: &mut Rng, bytes: &mut Vec<u8>, donor: &[u8]) {
 }
 
 /// Boost a "length field": either write an extreme 32-bit LE value
-/// over a random window (binary surfaces) or replace a run of ASCII
-/// digits with a huge number (JSON surfaces). Targets the classic
-/// trust-the-length overflow class.
+/// over a random window (binary surfaces), or, on JSON surfaces,
+/// replace a run of ASCII digits with a huge number or stretch a string
+/// literal to at least [`STRETCH_BYTES`]. Targets the classic
+/// trust-the-length overflow class and any scan that is super-linear
+/// in a string's length.
 fn length_boost(rng: &mut Rng, bytes: &mut Vec<u8>) {
     const BOOST: [u32; 6] = [u32::MAX, i32::MAX as u32, 1 << 31, 1 << 24, 0x8000_0001, 65_536];
     if bytes.len() >= 4 && rng.next_bool() {
@@ -241,16 +243,39 @@ fn length_boost(rng: &mut Rng, bytes: &mut Vec<u8>) {
         bytes[at..at + 4].copy_from_slice(&rng.choose(&BOOST).to_le_bytes());
         return;
     }
-    // Find a digit run starting at/after a random point and inflate it.
     if bytes.is_empty() {
         return;
     }
     let start = rng.range_usize(0, bytes.len());
+    if rng.next_bool() {
+        stretch_string(bytes, start);
+        return;
+    }
+    // Find a digit run starting at/after a random point and inflate it.
     if let Some(d0) = (start..bytes.len()).find(|&i| bytes[i].is_ascii_digit()) {
         let d1 = (d0..bytes.len()).take_while(|&i| bytes[i].is_ascii_digit()).last().unwrap_or(d0);
         let huge = format!("{}", u64::from(*rng.choose(&BOOST)) * 1_000_000_007);
         bytes.splice(d0..=d1, huge.bytes());
     }
+}
+
+/// Minimum length a stretched string literal reaches.
+const STRETCH_BYTES: usize = 256 << 10;
+
+/// Stretch the string literal opened by the first `"` at/after `start`:
+/// repeat its body (up to 64 bytes of it, or `a` when it is empty or
+/// holds an escape) right after the quote until [`STRETCH_BYTES`] have
+/// been inserted. Hex blobs stay hex, so the result still reaches the
+/// decoders behind the parser.
+fn stretch_string(bytes: &mut Vec<u8>, start: usize) {
+    let Some(q) = (start..bytes.len()).find(|&i| bytes[i] == b'"') else {
+        return;
+    };
+    let body: Vec<u8> =
+        bytes[q + 1..].iter().take_while(|&&b| b != b'"').take(64).copied().collect();
+    let unit: &[u8] = if body.is_empty() || body.contains(&b'\\') { b"a" } else { &body };
+    let fill: Vec<u8> = unit.iter().copied().cycle().take(STRETCH_BYTES).collect();
+    bytes.splice(q + 1..q + 1, fill);
 }
 
 /// Repeat a random chunk k times in place (bounded by the case cap) —
@@ -466,6 +491,28 @@ mod tests {
             assert_eq!(a, b);
             assert!(a.len() <= MAX_CASE_BYTES);
         }
+    }
+
+    #[test]
+    fn length_boost_stretches_string_literals() {
+        fn longest_str(j: &Json) -> usize {
+            match j {
+                Json::Str(s) => s.len(),
+                Json::Arr(items) => items.iter().map(longest_str).max().unwrap_or(0),
+                Json::Obj(members) => {
+                    members.iter().map(|(k, v)| k.len().max(longest_str(v))).max().unwrap_or(0)
+                }
+                _ => 0,
+            }
+        }
+        let corpus = corpus(Surface::Json);
+        let stretched = (0..200u64).any(|i| {
+            let mut bytes = corpus[0].clone();
+            length_boost(&mut Rng::new(mix(7, i)), &mut bytes);
+            let text = String::from_utf8(bytes).unwrap_or_default();
+            wyt_obs::json::parse(&text).is_ok_and(|j| longest_str(&j) >= STRETCH_BYTES)
+        });
+        assert!(stretched, "no seed stretched a string literal into valid JSON");
     }
 
     #[test]
