@@ -7,7 +7,7 @@
 //! `wyt_bench::timing` — no external benchmarking dependencies.
 
 use wyt_bench::timing::Bencher;
-use wyt_core::{recompile, Mode};
+use wyt_core::{recompile, Mode, Request};
 use wyt_lifter::lift_image;
 use wyt_minicc::{compile, Profile};
 
@@ -20,13 +20,17 @@ fn main() {
     let inputs = bench.train_inputs();
 
     report(b.measure("trace_and_lift", || lift_image(&img, &inputs).unwrap()));
-    report(
-        b.measure("recompile_nosymbolize", || recompile(&img, &inputs, Mode::NoSymbolize).unwrap()),
-    );
-    report(b.measure("recompile_wytiwyg", || recompile(&img, &inputs, Mode::Wytiwyg).unwrap()));
+    report(b.measure("recompile_nosymbolize", || {
+        recompile(&Request::new(&img, &inputs, Mode::NoSymbolize)).unwrap()
+    }));
+    report(b.measure("recompile_wytiwyg", || {
+        recompile(&Request::new(&img, &inputs, Mode::Wytiwyg)).unwrap()
+    }));
 
     let small = compile("int main() { return 7; }", &Profile::gcc12_o3()).unwrap().stripped();
-    report(b.measure("recompile_minimal", || recompile(&small, &[vec![]], Mode::Wytiwyg).unwrap()));
+    report(b.measure("recompile_minimal", || {
+        recompile(&Request::new(&small, &[vec![]], Mode::Wytiwyg)).unwrap()
+    }));
 
     let bench = wyt_spec::by_name("bzip2").expect("suite");
     let img = compile(bench.source, &Profile::gcc12_o3()).unwrap();

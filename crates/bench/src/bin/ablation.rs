@@ -17,7 +17,7 @@
 //! ```
 
 use wyt_bench::{build_input, emit_bench_json, geomean, native_cycles, ratio_json, timed_grid};
-use wyt_core::{recompile_with, validate, Mode};
+use wyt_core::{recompile, validate, Mode, Request};
 use wyt_emu::run_image;
 use wyt_minicc::Profile;
 use wyt_obs::Json;
@@ -57,8 +57,8 @@ fn main() {
             .map(|(mode, opt)| {
                 let stripped = img.stripped();
                 let inputs = bench.trace_inputs();
-                let out =
-                    recompile_with(&stripped, &inputs, *mode, *opt).map_err(|e| e.to_string())?;
+                let req = Request { opt: *opt, ..Request::new(&stripped, &inputs, *mode) };
+                let out = recompile(&req).map_err(|e| e.to_string())?;
                 validate(&stripped, &out.image, &inputs).map_err(|e| e.to_string())?;
                 let r = run_image(&out.image, bench.ref_input());
                 if !r.ok() {

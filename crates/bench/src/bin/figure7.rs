@@ -12,7 +12,7 @@
 //! ```
 
 use wyt_bench::{emit_bench_json, timed_grid};
-use wyt_core::{evaluate_accuracy, recompile, MatchKind, Mode};
+use wyt_core::{evaluate_accuracy, recompile, MatchKind, Mode, Request};
 use wyt_minicc::{compile, Profile};
 use wyt_obs::Json;
 
@@ -41,7 +41,7 @@ fn main() {
     let (accs, par) = timed_grid(&suite, |_, bench| {
         let full =
             compile(bench.source, &profile).unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-        let out = recompile(&full.stripped(), &bench.trace_inputs(), Mode::Wytiwyg)
+        let out = recompile(&Request::new(&full.stripped(), &bench.trace_inputs(), Mode::Wytiwyg))
             .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
         let report = evaluate_accuracy(
             &full,

@@ -27,7 +27,7 @@
 
 use std::process::ExitCode;
 use wyt_bench::diff::{diff_bench, render, DiffOptions};
-use wyt_core::{recompile, recompile_healing, Mode};
+use wyt_core::{recompile, Mode, Request};
 use wyt_minicc::{compile, Profile};
 use wyt_obs::OutputFormat;
 
@@ -226,7 +226,7 @@ fn main() -> ExitCode {
 
     let img = compile(SAMPLE, &Profile::gcc12_o3()).expect("sample compiles").stripped();
     let inputs = vec![Vec::new()];
-    let out = recompile(&img, &inputs, Mode::Wytiwyg).expect("sample recompiles");
+    let out = recompile(&Request::new(&img, &inputs, Mode::Wytiwyg)).expect("sample recompiles");
     let rep = &out.report;
 
     match fmt {
@@ -296,9 +296,11 @@ fn main() -> ExitCode {
         "#;
         let himg =
             compile(heal_src, &Profile::gcc12_o3()).expect("heal sample compiles").stripped();
-        let healed = recompile_healing(&himg, &[b"q".to_vec()], &[b"x".to_vec()])
-            .expect("heal sample heals");
-        let htext = healed.recompiled.report.to_json(true).to_string();
+        let (traced, held_out) = ([b"q".to_vec()], [b"x".to_vec()]);
+        let healing =
+            Request { held_out: Some(&held_out), ..Request::new(&himg, &traced, Mode::Wytiwyg) };
+        let healed = recompile(&healing).expect("heal sample heals");
+        let htext = healed.report.to_json(true).to_string();
         let hparsed = wyt_obs::json::parse(&htext).expect("healing report JSON must parse");
         let h = hparsed.get("healing").expect("healed report must have a healing section");
         let rounds = h.get("rounds").and_then(|v| v.as_u64()).expect("healing has rounds");

@@ -183,7 +183,7 @@ fn smoke_run(which: &str, out_dir: &Path) -> ExitCode {
     let mut sha_lines = String::new();
     let mut rows: Vec<Json> = Vec::new();
     for (i, (job, row)) in jobs.iter().zip(&rep.jobs).enumerate() {
-        let served = recompile_stored(&store, &job.image, &job.inputs, job.mode, job.opt, i as u64)
+        let (served, _) = recompile_stored(&store, &job.request(), i as u64)
             .unwrap_or_else(|e| panic!("{}: re-serve: {e}", job.name));
         sha_lines.push_str(&format!("{}  {}\n", image_digest(served.image()), job.name));
         rows.push(Json::obj(vec![
@@ -242,7 +242,7 @@ fn chaos_pass(
     let failed = report_errors(tag, &rep);
     let mut sha_lines = String::new();
     for (i, (job, _)) in jobs.iter().zip(&rep.jobs).enumerate() {
-        let served = recompile_stored(&store, &job.image, &job.inputs, job.mode, job.opt, i as u64)
+        let (served, _) = recompile_stored(&store, &job.request(), i as u64)
             .unwrap_or_else(|e| panic!("{}: re-serve: {e}", job.name));
         sha_lines.push_str(&format!("{}  {}\n", image_digest(served.image()), job.name));
     }

@@ -19,7 +19,7 @@ pub mod diff;
 pub mod timing;
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use wyt_core::{recompile, validate, Mode};
+use wyt_core::{recompile, validate, Mode, Request};
 use wyt_emu::run_image;
 use wyt_isa::image::Image;
 use wyt_minicc::{compile, Profile};
@@ -68,7 +68,7 @@ pub fn native_cycles(img: &Image, bench: &Benchmark) -> u64 {
 pub fn recompiled_cycles(img: &Image, bench: &Benchmark, mode: Mode) -> Result<u64, String> {
     let stripped = img.stripped();
     let inputs = bench.trace_inputs();
-    let out = recompile(&stripped, &inputs, mode).map_err(|e| e.to_string())?;
+    let out = recompile(&Request::new(&stripped, &inputs, mode)).map_err(|e| e.to_string())?;
     note_degradations(out.report.degradations.len());
     note_healing(&out.report);
     validate(&stripped, &out.image, &inputs).map_err(|e| e.to_string())?;

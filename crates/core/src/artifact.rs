@@ -26,7 +26,7 @@ use wyt_ir::InstId;
 use wyt_isa::image::{CodeReloc, FrameLayout, GtVar, GtVarKind, Image, Symbol};
 use wyt_isa::{GuardKind, GuardSite};
 use wyt_lifter::Trace;
-use wyt_obs::{GuardEvent, Json};
+use wyt_obs::{GuardEvent, HealingReport, Json};
 use wyt_opt::OptLevel;
 use wyt_store::{sha256_hex, Store};
 
@@ -502,11 +502,13 @@ pub struct StoredHealResult {
     pub events: Vec<GuardEvent>,
 }
 
-/// Encode a healing result as a `"healed"` payload.
-pub fn heal_payload(healed: &crate::healing::Healed) -> Json {
-    let r = &healed.report;
+/// Encode a healed recompilation (one whose `report.healing` is set) as
+/// a `"healed"` payload.
+pub fn heal_payload(healed: &Recompiled) -> Json {
+    let none = HealingReport::default();
+    let r = healed.report.healing.as_ref().unwrap_or(&none);
     Json::obj(vec![
-        ("image", image_to_json(&healed.recompiled.image)),
+        ("image", image_to_json(&healed.image)),
         ("inputs", inputs_to_json(&healed.inputs)),
         (
             "summary",
@@ -913,7 +915,9 @@ mod tests {
             }
         "#;
         let img = compile(src, &Profile::gcc12_o3()).unwrap().stripped();
-        let rec = crate::recompile(&img, &[b"q".to_vec()], crate::Mode::Wytiwyg).unwrap();
+        let rec =
+            crate::recompile(&crate::Request::new(&img, &[b"q".to_vec()], crate::Mode::Wytiwyg))
+                .unwrap();
         assert!(!rec.image.guard_sites.is_empty(), "untraced side must be guarded");
         let back = image_from_json(&image_to_json(&rec.image)).unwrap();
         assert_eq!(rec.image, back);
@@ -932,7 +936,8 @@ mod tests {
     fn artifact_and_facts_round_trip() {
         let img = compile(SRC, &Profile::gcc12_o3()).unwrap().stripped();
         let inputs = vec![Vec::new()];
-        let rec = crate::recompile(&img, &inputs, crate::Mode::Wytiwyg).unwrap();
+        let rec =
+            crate::recompile(&crate::Request::new(&img, &inputs, crate::Mode::Wytiwyg)).unwrap();
 
         let payload = artifact_payload(&rec);
         let art = artifact_from_json(&payload).unwrap();

@@ -242,6 +242,7 @@ pub fn recompile_secondwrite(
         vararg_obs: Some(obs),
         reused_funcs: BTreeSet::new(),
         baseline_runs: lifted.baseline_runs,
+        inputs: inputs.to_vec(),
         report: wyt_obs::PipelineReport {
             mode: "SecondWrite".into(),
             opt: "Full".into(),

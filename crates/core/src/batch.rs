@@ -1,11 +1,11 @@
 //! Recompilation-as-a-service: the store-backed pipeline frontend.
 //!
-//! [`recompile_stored`] and [`recompile_healing_stored`] wrap the plain
-//! and self-healing pipelines with a content-addressed [`Store`]: a
-//! second recompilation of the same (image, inputs, config) is a warm
-//! hit that skips tracing, lifting and refinement entirely, and healing
-//! runs persist their accumulated facts so later runs of the same image
-//! start from everything every previous run learned.
+//! [`recompile_stored`] puts a content-addressed [`Store`] in front of
+//! [`crate::recompile`]: a second recompilation of the same (image,
+//! inputs, config) is a warm hit that skips tracing, lifting and
+//! refinement entirely, and healing runs persist their accumulated facts
+//! so later runs of the same image start from everything every previous
+//! run learned.
 //!
 //! The safety contract is uniform: **a stored result is never trusted,
 //! only checked**. A warm candidate must decode structurally *and*
@@ -21,12 +21,12 @@
 
 use crate::artifact::{
     artifact_from_json, artifact_key, artifact_payload, facts_from_json, facts_key, facts_to_json,
-    heal_from_json, heal_key, heal_payload, StoredArtifact, StoredFacts,
+    heal_from_json, heal_key, heal_payload, StoredArtifact, StoredFacts, StoredHealResult,
 };
-use crate::healing::{recompile_healing_seeded, Healed};
 use crate::pipeline::{
-    recompile_with_faults, validate, FaultInjector, Mode, RecompileError, Recompiled,
+    recompile, recompile_seeded, validate, FaultInjector, Mode, RecompileError, Recompiled, Request,
 };
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use wyt_isa::image::Image;
 use wyt_obs::{mono_ns, HealingReport, Json, Span};
@@ -43,6 +43,9 @@ pub enum StoredOutcome {
     /// Cache hit: the stored image decoded and replay-validated; no
     /// tracing, lifting or refinement ran.
     Warm(Box<StoredArtifact>),
+    /// Cache hit for a healing request: the stored healed image
+    /// replay-validated over its recorded union input set.
+    WarmHealed(Box<StoredHealResult>),
 }
 
 impl StoredOutcome {
@@ -51,19 +54,54 @@ impl StoredOutcome {
         match self {
             StoredOutcome::Cold(r) => &r.image,
             StoredOutcome::Warm(a) => &a.image,
+            StoredOutcome::WarmHealed(h) => &h.image,
         }
     }
 
     /// `true` on a cache hit.
     pub fn warm(&self) -> bool {
-        matches!(self, StoredOutcome::Warm(_))
+        !matches!(self, StoredOutcome::Cold(_))
     }
 
-    /// Degraded-function count (a warm hit reports the producing run's).
+    /// Degraded-function count (a warm hit reports the producing run's;
+    /// a `"healed"` entry does not record it, so a healed hit reports 0).
     pub fn degradations(&self) -> u64 {
         match self {
             StoredOutcome::Cold(r) => r.report.degradations.len() as u64,
             StoredOutcome::Warm(a) => a.degradations,
+            StoredOutcome::WarmHealed(_) => 0,
+        }
+    }
+
+    /// The input set the image was validated against. `None` on a plain
+    /// warm hit, which was validated against the request's own inputs.
+    pub fn inputs(&self) -> Option<&[Vec<u8>]> {
+        match self {
+            StoredOutcome::Cold(r) => Some(&r.inputs),
+            StoredOutcome::Warm(_) => None,
+            StoredOutcome::WarmHealed(h) => Some(&h.inputs),
+        }
+    }
+
+    /// What healing did; `None` for a plain request. On a healed hit it
+    /// is synthesized from the stored summary: `rounds`/`funcs_relifted`
+    /// are 0 (nothing re-ran) and `funcs_reused == funcs_total` (every
+    /// function came from the store); `converged`, the site counts and
+    /// the event log are the producing run's.
+    pub fn healing(&self) -> Option<HealingReport> {
+        match self {
+            StoredOutcome::Cold(r) => r.report.healing.clone(),
+            StoredOutcome::Warm(_) => None,
+            StoredOutcome::WarmHealed(h) => Some(HealingReport {
+                rounds: 0,
+                converged: h.converged,
+                sites_healed: h.sites_healed,
+                sites_unhealed: h.sites_unhealed,
+                funcs_total: h.funcs_total,
+                funcs_relifted: 0,
+                funcs_reused: h.funcs_total,
+                events: h.events.clone(),
+            }),
         }
     }
 }
@@ -126,107 +164,14 @@ impl JobPhases {
     }
 }
 
-/// Recompile `img` through `store`: serve a validated warm hit if one
-/// exists, else run the pipeline cold and persist the result under
+/// Recompile `req` through `store`: serve a validated warm hit if one
+/// exists, else run [`recompile`] cold and persist the result under
 /// `stamp` (the FIFO eviction rank — callers use a job index or run
-/// counter).
+/// counter). Returns the outcome with its per-phase wall-time breakdown,
+/// so a warm hit's overhead (key + lookup + replay) is attributable.
 ///
-/// # Errors
-/// Returns a [`RecompileError`] only from the cold pipeline; store
-/// failures of any kind degrade to a cold recompile.
-pub fn recompile_stored(
-    store: &Store,
-    img: &Image,
-    inputs: &[Vec<u8>],
-    mode: Mode,
-    opt: OptLevel,
-    stamp: u64,
-) -> Result<StoredOutcome, RecompileError> {
-    recompile_stored_phased(store, img, inputs, mode, opt, stamp).map(|(o, _)| o)
-}
-
-/// [`recompile_stored`] plus the per-phase wall-time breakdown, so a
-/// warm hit's overhead (key + lookup + replay) is attributable.
-///
-/// # Errors
-/// Returns a [`RecompileError`] only from the cold pipeline; store
-/// failures of any kind degrade to a cold recompile.
-pub fn recompile_stored_phased(
-    store: &Store,
-    img: &Image,
-    inputs: &[Vec<u8>],
-    mode: Mode,
-    opt: OptLevel,
-    stamp: u64,
-) -> Result<(StoredOutcome, JobPhases), RecompileError> {
-    recompile_stored_phased_faulted(store, img, inputs, mode, opt, stamp, &FaultInjector::default())
-}
-
-/// [`recompile_stored_phased`] with a [`FaultInjector`] threaded into
-/// the cold pipeline — the chaos harness corrupts (or crashes) the
-/// trace of selected jobs through this to prove the batch supervisor
-/// isolates them.
-///
-/// # Errors
-/// Returns a [`RecompileError`] only from the cold pipeline; store
-/// failures of any kind degrade to a cold recompile.
-pub fn recompile_stored_phased_faulted(
-    store: &Store,
-    img: &Image,
-    inputs: &[Vec<u8>],
-    mode: Mode,
-    opt: OptLevel,
-    stamp: u64,
-    faults: &FaultInjector,
-) -> Result<(StoredOutcome, JobPhases), RecompileError> {
-    let _s = Span::enter("store.recompile");
-    let mut phases = JobPhases::default();
-    let t0 = mono_ns();
-    let key = artifact_key(img, inputs, mode, opt);
-    phases.key_ns = mono_ns() - t0;
-    let want_mode = format!("{mode:?}");
-    let want_opt = format!("{opt:?}");
-    let validate_ns = std::cell::Cell::new(0u64);
-    let t1 = mono_ns();
-    let cand = warm_candidate(store, "artifact", &key, artifact_from_json, |a: &StoredArtifact| {
-        a.mode == want_mode && a.opt == want_opt && {
-            let v0 = mono_ns();
-            let ok = validate(img, &a.image, inputs).is_ok();
-            validate_ns.set(validate_ns.get() + (mono_ns() - v0));
-            ok
-        }
-    });
-    phases.lookup_ns = mono_ns() - t1;
-    phases.validate_ns = validate_ns.get();
-    if let Some(art) = cand {
-        wyt_obs::counter("store.warm_serve", 1);
-        return Ok((StoredOutcome::Warm(Box::new(art)), phases));
-    }
-    let t2 = mono_ns();
-    let rec = recompile_with_faults(img, inputs, mode, opt, faults)?;
-    phases.recompile_ns = mono_ns() - t2;
-    let _ = store.put("artifact", &key, stamp, artifact_payload(&rec));
-    Ok((StoredOutcome::Cold(Box::new(rec)), phases))
-}
-
-/// The outcome of a store-backed healing run.
-#[derive(Debug)]
-pub struct StoredHeal {
-    /// The healed image.
-    pub image: Image,
-    /// The union input set the image is validated against.
-    pub inputs: Vec<Vec<u8>>,
-    /// Healing telemetry. On a warm hit this is synthesized from the
-    /// stored summary: `rounds`/`funcs_relifted` are 0 (nothing re-ran)
-    /// and `funcs_reused == funcs_total` (every function came from the
-    /// store); `converged`, the site counts and the event log are the
-    /// producing run's.
-    pub report: HealingReport,
-    /// `true` on a cache hit.
-    pub warm: bool,
-}
-
-/// Self-healing recompilation through `store`. Three tiers, best first:
+/// A plain request has one tier, the `"artifact"` entry. A healing
+/// request (`held_out` set) has three, best first:
 ///
 /// 1. **Warm result** — a `"healed"` entry for this exact request whose
 ///    image replay-validates over its recorded union input set.
@@ -235,76 +180,100 @@ pub struct StoredHeal {
 ///    extend the held-out set, and its merged trace + fact cache seed
 ///    the cold heal, so coverage and refinement work accumulate across
 ///    runs and across processes.
-/// 3. **Cold** — plain [`crate::recompile_healing_with`] semantics.
+/// 3. **Cold** — plain [`recompile`] semantics.
 ///
-/// Cold runs persist both the `"healed"` result and a merged `"facts"`
-/// entry (union of the run's inputs with any prior facts).
+/// Cold heals persist both the `"healed"` result and a merged `"facts"`
+/// entry (union of the run's inputs with any prior facts). Neither key
+/// includes the mode: heal through the store in [`Mode::Wytiwyg`].
 ///
 /// # Errors
-/// Returns a [`RecompileError`] only from the healing pipeline itself;
-/// store failures of any kind degrade to a colder tier.
-pub fn recompile_healing_stored(
+/// Returns a [`RecompileError`] only from the cold pipeline; store
+/// failures of any kind degrade to a colder tier.
+pub fn recompile_stored(
     store: &Store,
-    img: &Image,
-    traced: &[Vec<u8>],
-    held_out: &[Vec<u8>],
-    opt: OptLevel,
+    req: &Request,
     stamp: u64,
-) -> Result<StoredHeal, RecompileError> {
-    let _s = Span::enter("store.heal");
-    crate::ingest::check_image(img).map_err(RecompileError::Ingest)?;
-    let hkey = heal_key(img, traced, held_out, opt);
-    if let Some(h) = warm_candidate(store, "healed", &hkey, heal_from_json, |h| {
-        validate(img, &h.image, &h.inputs).is_ok()
-    }) {
+) -> Result<(StoredOutcome, JobPhases), RecompileError> {
+    let _s = Span::enter(if req.held_out.is_some() { "store.heal" } else { "store.recompile" });
+    let mut phases = JobPhases::default();
+    let t0 = mono_ns();
+    let key = match req.held_out {
+        None => artifact_key(req.image, req.inputs, req.mode, req.opt),
+        Some(held_out) => heal_key(req.image, req.inputs, held_out, req.opt),
+    };
+    phases.key_ns = mono_ns() - t0;
+    let validate_ns = Cell::new(0u64);
+    let replays = |image: &Image, inputs: &[Vec<u8>]| {
+        let v0 = mono_ns();
+        let ok = validate(req.image, image, inputs).is_ok();
+        validate_ns.set(validate_ns.get() + (mono_ns() - v0));
+        ok
+    };
+    let t1 = mono_ns();
+    let cand = match req.held_out {
+        None => {
+            let (want_mode, want_opt) = (format!("{:?}", req.mode), format!("{:?}", req.opt));
+            warm_candidate(store, "artifact", &key, artifact_from_json, |a: &StoredArtifact| {
+                a.mode == want_mode && a.opt == want_opt && replays(&a.image, req.inputs)
+            })
+            .map(|a| StoredOutcome::Warm(Box::new(a)))
+        }
+        Some(_) => {
+            warm_candidate(store, "healed", &key, heal_from_json, |h| replays(&h.image, &h.inputs))
+                .map(|h| StoredOutcome::WarmHealed(Box::new(h)))
+        }
+    };
+    phases.lookup_ns = mono_ns() - t1;
+    phases.validate_ns = validate_ns.get();
+    if let Some(warm) = cand {
         wyt_obs::counter("store.warm_serve", 1);
-        return Ok(StoredHeal {
-            report: HealingReport {
-                rounds: 0,
-                converged: h.converged,
-                sites_healed: h.sites_healed,
-                sites_unhealed: h.sites_unhealed,
-                funcs_total: h.funcs_total,
-                funcs_relifted: 0,
-                funcs_reused: h.funcs_total,
-                events: h.events,
-            },
-            image: h.image,
-            inputs: h.inputs,
-            warm: true,
-        });
+        return Ok((warm, phases));
     }
+    let t2 = mono_ns();
+    let rec = match req.held_out {
+        None => {
+            let rec = recompile(req)?;
+            phases.recompile_ns = mono_ns() - t2;
+            let _ = store.put("artifact", &key, stamp, artifact_payload(&rec));
+            rec
+        }
+        Some(held_out) => {
+            let fkey = facts_key(req.image, req.opt);
+            let prior: Option<StoredFacts> =
+                warm_candidate(store, wyt_store::FACTS_KIND, &fkey, facts_from_json, |_| true);
+            let rec = heal_seeded(req, held_out, prior.as_ref())?;
+            phases.recompile_ns = mono_ns() - t2;
+            let _ = store.put("healed", &key, stamp, heal_payload(&rec));
+            let facts = StoredFacts::of(&rec, &rec.inputs, prior.as_ref());
+            let _ = store.put(wyt_store::FACTS_KIND, &fkey, stamp, facts_to_json(&facts));
+            rec
+        }
+    };
+    Ok((StoredOutcome::Cold(Box::new(rec)), phases))
+}
 
-    // Tier 2: prior facts for this image, independent of input set.
-    let fkey = facts_key(img, opt);
-    let prior: Option<StoredFacts> =
-        warm_candidate(store, wyt_store::FACTS_KIND, &fkey, facts_from_json, |_| true);
+/// The facts and cold tiers of a stored heal: `prior`'s inputs (those
+/// the original image still handles cleanly) extend the held-out set,
+/// and its merged trace and fact cache seed the recompilation.
+fn heal_seeded(
+    req: &Request,
+    held_out: &[Vec<u8>],
+    prior: Option<&StoredFacts>,
+) -> Result<Recompiled, RecompileError> {
     let mut all_held: Vec<Vec<u8>> = held_out.to_vec();
-    if let Some(f) = &prior {
-        for i in &f.inputs {
-            // Only inputs the *original* image still handles cleanly may
-            // extend coverage — a poisoned input list must not be able
-            // to fail the run.
-            if !traced.contains(i)
-                && !all_held.contains(i)
-                && wyt_emu::run_image(img, i.clone()).ok()
-            {
-                all_held.push(i.clone());
-            }
+    for i in prior.map_or(&[][..], |f| &f.inputs) {
+        // Only inputs the *original* image still handles cleanly may
+        // extend coverage — a poisoned input list must not be able to
+        // fail the run.
+        if !req.inputs.contains(i)
+            && !all_held.contains(i)
+            && wyt_emu::run_image(req.image, i.clone()).ok()
+        {
+            all_held.push(i.clone());
         }
     }
-    let seed = prior.as_ref().map(|f| (&f.trace, &f.plan));
-    let healed: Healed =
-        recompile_healing_seeded(img, traced, &all_held, opt, &FaultInjector::default(), seed)?;
-    let _ = store.put("healed", &hkey, stamp, heal_payload(&healed));
-    let facts = StoredFacts::of(&healed.recompiled, &healed.inputs, prior.as_ref());
-    let _ = store.put(wyt_store::FACTS_KIND, &fkey, stamp, facts_to_json(&facts));
-    Ok(StoredHeal {
-        image: healed.recompiled.image,
-        inputs: healed.inputs,
-        report: healed.report,
-        warm: false,
-    })
+    let seed = prior.map(|f| (&f.trace, &f.plan));
+    recompile_seeded(&Request { held_out: Some(&all_held), ..*req }, seed)
 }
 
 /// One batch-queue entry: a binary plus the inputs to trace it with.
@@ -320,6 +289,13 @@ pub struct BatchJob {
     pub mode: Mode,
     /// Re-optimization level.
     pub opt: OptLevel,
+}
+
+impl BatchJob {
+    /// The job as a plain [`Request`].
+    pub fn request(&self) -> Request<'_> {
+        Request { opt: self.opt, ..Request::new(&self.image, &self.inputs, self.mode) }
+    }
 }
 
 /// Typed terminal state of one batch job under supervision.
@@ -534,15 +510,8 @@ pub fn run_batch_supervised(
         let t0 = mono_ns();
         let attempt = || {
             run_supervised(cfg.budget, || {
-                recompile_stored_phased_faulted(
-                    store,
-                    &job.image,
-                    &job.inputs,
-                    job.mode,
-                    job.opt,
-                    i as u64,
-                    &inject(i),
-                )
+                let faults = inject(i);
+                recompile_stored(store, &Request { faults: &faults, ..job.request() }, i as u64)
             })
         };
         let mut sup = attempt();

@@ -30,9 +30,14 @@
 //! The loop is bounded twice over: each round must strictly grow the
 //! trace (else it stops), and a hard round cap of `2·|held_out| + 4`
 //! backstops pathological inputs.
+//!
+//! [`crate::recompile`] runs the loop after its initial recompilation
+//! whenever the [`Request`] sets `held_out`; the healed [`Recompiled`]
+//! carries the union input set in `inputs` and the loop's account in
+//! `report.healing`.
 
 use crate::pipeline::{
-    recompile_from_lifted, FaultInjector, MismatchKind, Mode, RecompileError, Recompiled,
+    recompile_from_lifted, replay_fuel, MismatchKind, RecompileError, Recompiled, Request,
     ReusePlan, ValidateError,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -41,29 +46,13 @@ use wyt_ir::{FuncId, InstKind, Module};
 use wyt_isa::image::Image;
 use wyt_isa::{GuardKind, TrapCode};
 use wyt_lifter::{
-    cfg, funcrec, lift_from_trace, lift_image_faulted, trace_image, LiftPipelineError, Lifted,
-    LiftedMeta, Trace,
+    cfg, funcrec, lift_from_trace, trace_image, LiftPipelineError, Lifted, LiftedMeta, Trace,
 };
 use wyt_obs::{GuardEvent, HealingReport, Span};
-use wyt_opt::OptLevel;
 
 /// Fuel budget for native reference runs of held-out inputs (matches the
 /// oracle's native budget).
 const NATIVE_FUEL: u64 = 2_000_000;
-
-/// The result of a healing run.
-#[derive(Debug)]
-pub struct Healed {
-    /// The final recompilation. Its `report.healing` carries the same
-    /// [`HealingReport`] as [`Healed::report`].
-    pub recompiled: Recompiled,
-    /// The union input set the final image was traced and validated
-    /// against: the originally traced inputs plus every re-traced
-    /// offender, in healing order.
-    pub inputs: Vec<Vec<u8>>,
-    /// What the healing loop did.
-    pub report: HealingReport,
-}
 
 /// What happened when a held-out input was replayed on the recompiled
 /// image.
@@ -93,9 +82,8 @@ fn note_round_time(t0: Option<u64>) {
 /// Replay one held-out input on the recompiled image, with the same
 /// generously scaled fuel budget the pipeline's validation gate uses.
 fn replay(rec_img: &Image, native: &RunResult, input: &[u8]) -> Replay {
-    let budget = native.inst_count.saturating_mul(16) + 1_000_000;
     let mut m = Machine::new(rec_img, input.to_vec());
-    m.set_fuel(budget);
+    m.set_fuel(replay_fuel(native.inst_count));
     let r = m.run();
     // Watchdog preemption point (no-op outside a supervised batch job).
     wyt_par::supervise::charge_steps(r.inst_count);
@@ -227,7 +215,7 @@ pub(crate) fn full_reuse_plan(rec: &Recompiled) -> ReusePlan {
 /// trace no longer reconstructs or nothing survives the diff; a stale or
 /// poisoned fact can therefore at worst demote a function down the
 /// degradation ladder, never skip validation.
-fn seed_plan_from_prior(
+pub(crate) fn seed_plan_from_prior(
     img: &Image,
     prior_trace: &Trace,
     prior_plan: &ReusePlan,
@@ -263,92 +251,21 @@ fn seed_plan_from_prior(
     }
 }
 
-/// [`recompile_healing_with`] at full re-optimization.
-///
-/// # Errors
-/// Returns a [`RecompileError`] if the initial recompilation fails, a
-/// held-out input misbehaves on the *original* image, or a healing
-/// round's lift fails outright. A round that recompiles but cannot
-/// validate degrades per function (or ends the loop unconverged) instead
-/// of erroring.
-pub fn recompile_healing(
-    img: &Image,
-    traced: &[Vec<u8>],
-    held_out: &[Vec<u8>],
-) -> Result<Healed, RecompileError> {
-    recompile_healing_with(img, traced, held_out, OptLevel::Full)
-}
-
-/// Recompile `img` from `traced` inputs, then run the recompiled image
-/// on every `held_out` input and heal each guard trap: attribute it
-/// through the guard-site table, re-trace only the offending input,
-/// merge the delta into the stored trace, re-lift incrementally (reusing
-/// cached refinement facts for functions whose CFGs did not change) and
-/// re-validate against the union input set.
-///
-/// # Errors
-/// See [`recompile_healing`].
-pub fn recompile_healing_with(
-    img: &Image,
-    traced: &[Vec<u8>],
-    held_out: &[Vec<u8>],
-    opt: OptLevel,
-) -> Result<Healed, RecompileError> {
-    recompile_healing_seeded(img, traced, held_out, opt, &FaultInjector::default(), None)
-}
-
-/// [`recompile_healing_with`] under a [`FaultInjector`]. The injector's
-/// hooks apply to the initial lift *and* to every healing round: the
-/// trace hook corrupts each incremental re-trace delta before it is
-/// merged, and the vararg/regsave hooks fire inside every round's
-/// re-refinement — so a fault plan that withholds an input can also
-/// sabotage the healing of that very input. Healing must still never
+/// Run the recompiled image `rec` on every `held_out` input and heal
+/// each guard trap: attribute it through the guard-site table, re-trace
+/// only the offending input, merge the delta into the stored trace,
+/// re-lift incrementally (reusing cached refinement facts for functions
+/// whose CFGs did not change) and re-validate against the union input
+/// set. `req`'s fault hooks apply to every round: the trace hook corrupts
+/// each re-trace delta before it is merged, and the vararg/regsave hooks
+/// fire inside every round's re-refinement — healing must still never
 /// panic and never emit an unvalidated image.
-///
-/// # Errors
-/// See [`recompile_healing`].
-pub fn recompile_healing_faulted(
-    img: &Image,
-    traced: &[Vec<u8>],
+pub(crate) fn heal(
+    req: &Request,
     held_out: &[Vec<u8>],
-    opt: OptLevel,
-    faults: &FaultInjector,
-) -> Result<Healed, RecompileError> {
-    recompile_healing_seeded(img, traced, held_out, opt, faults, None)
-}
-
-/// The full-control healing entry point: [`recompile_healing_faulted`]
-/// optionally *seeded* with persisted facts from a previous run of the
-/// same image — `prior` carries that run's merged trace and its complete
-/// [`ReusePlan`]. Functions whose recovery is unchanged against the
-/// prior trace reuse their facts in the initial recompilation (visible
-/// as `funcs_reused` / `reused_funcs` even when zero healing rounds
-/// run); anything stale falls back to cold refinement per function.
-///
-/// # Errors
-/// See [`recompile_healing`].
-pub fn recompile_healing_seeded(
-    img: &Image,
-    traced: &[Vec<u8>],
-    held_out: &[Vec<u8>],
-    opt: OptLevel,
-    faults: &FaultInjector,
-    prior: Option<(&Trace, &ReusePlan)>,
-) -> Result<Healed, RecompileError> {
-    let _s = Span::enter("healing");
-    let mut rec = {
-        let lifted = {
-            let _s = Span::enter("lift");
-            let trace_fault: Option<&(dyn Fn(&mut Trace) + Sync)> = match &faults.trace {
-                Some(f) => Some(f.as_ref()),
-                None => None,
-            };
-            lift_image_faulted(img, traced, trace_fault).map_err(RecompileError::Lift)?
-        };
-        let seed = prior.and_then(|(pt, pp)| seed_plan_from_prior(img, pt, pp, &lifted));
-        recompile_from_lifted(img, traced, Mode::Wytiwyg, opt, faults, lifted, seed.as_ref())?
-    };
-    let mut inputs: Vec<Vec<u8>> = traced.to_vec();
+    mut rec: Recompiled,
+) -> Result<Recompiled, RecompileError> {
+    let img = req.image;
     let mut report = HealingReport::default();
     let mut relifted_addrs: BTreeSet<u32> = BTreeSet::new();
 
@@ -451,7 +368,7 @@ pub fn recompile_healing_seeded(
             let _s = Span::enter("healing.retrace");
             trace_image(img, std::slice::from_ref(&held_out[idx]))
         };
-        if let Some(f) = &faults.trace {
+        if let Some(f) = &req.faults.trace {
             f(&mut delta);
         }
         let mut merged = rec.trace.clone();
@@ -488,14 +405,14 @@ pub fn recompile_healing_seeded(
         // 4. Re-refine and re-validate over the union input set. The
         // inner degradation ladder absorbs per-function failures; only
         // an exhausted ladder ends the loop (with the last good image).
-        let mut new_inputs = inputs.clone();
+        let mut new_inputs = rec.inputs.clone();
         new_inputs.push(held_out[idx].clone());
         match recompile_from_lifted(
             img,
             &new_inputs,
-            Mode::Wytiwyg,
-            opt,
-            faults,
+            req.mode,
+            req.opt,
+            req.faults,
             lifted,
             Some(&plan),
         ) {
@@ -503,7 +420,6 @@ pub fn recompile_healing_seeded(
                 relifted_addrs.extend(relift.iter().copied());
                 report.sites_healed += 1;
                 wyt_obs::counter("guard.healed", 1);
-                inputs = new_inputs;
                 rec = new_rec;
                 note_round_time(round_t0);
             }
@@ -523,6 +439,6 @@ pub fn recompile_healing_seeded(
     report.funcs_total = final_addrs.len() as u64;
     report.funcs_relifted = relifted_addrs.intersection(&final_addrs).count() as u64;
     report.funcs_reused = rec.reused_funcs.len() as u64;
-    rec.report.healing = Some(report.clone());
-    Ok(Healed { recompiled: rec, inputs, report })
+    rec.report.healing = Some(report);
+    Ok(rec)
 }

@@ -18,31 +18,32 @@
 //! - [`symbolize`] — base-pointer replacement with allocas, signature
 //!   materialization, registers-to-SSA, emulated-stack removal (§4.2.6).
 //! - [`pipeline`] — the refinement-lifting driver (Fig. 4): [`recompile`]
-//!   runs trace → lift → refine → symbolize → re-optimize → lower.
+//!   runs one [`Request`] through trace → lift → refine → symbolize →
+//!   re-optimize → lower, and [`recompile_from_lifted`] runs everything
+//!   after the lift.
 //! - [`accuracy`] — the §6.3 evaluation: recovered layouts vs ground
 //!   truth, classified matched / oversized / undersized / missed.
 //! - [`baseline`] — a SecondWrite-like conservative *static* symbolizer
 //!   used as the comparison point in Table 1 / Fig. 6.
 //! - [`healing`] — the self-healing loop: guard-trap attribution,
 //!   incremental re-trace/re-lift with refinement-fact reuse, bounded
-//!   re-validation ([`recompile_healing`]).
+//!   re-validation (a [`Request`] with `held_out` set).
 //! - [`ingest`] — total ingestion frontends: typed, bounded decoders
 //!   for every byte stream entering the suite (fuzzed continuously by
 //!   the in-tree `wyt-fuzz` campaign).
 //! - [`artifact`] — stable JSON codecs between pipeline artifacts
 //!   (images, traces, refinement facts, healing results) and the
 //!   content-addressed `wyt-store`.
-//! - [`batch`] — recompilation-as-a-service: store-backed warm/cold
-//!   recompile and healing frontends ([`recompile_stored`],
-//!   [`recompile_healing_stored`]) and the deterministic batch driver
-//!   ([`run_batch`]).
+//! - [`batch`] — recompilation-as-a-service: the store-backed warm/cold
+//!   frontend for plain and healing requests ([`recompile_stored`]) and
+//!   the deterministic batch driver ([`run_batch`]).
 //!
 //! ```no_run
-//! use wyt_core::{recompile, Mode};
+//! use wyt_core::{recompile, Mode, Request};
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let image = wyt_minicc::compile("int main() { return 0; }",
 //!     &wyt_minicc::Profile::gcc12_o3())?.stripped();
-//! let out = wyt_core::recompile(&image, &[vec![]], Mode::Wytiwyg)?;
+//! let out = recompile(&Request::new(&image, &[vec![]], Mode::Wytiwyg))?;
 //! assert_eq!(wyt_emu::run_image(&out.image, vec![]).exit_code, 0);
 //! # Ok(())
 //! # }
@@ -66,15 +67,11 @@ pub use accuracy::{evaluate_accuracy, AccuracyReport, MatchKind};
 pub use artifact::{artifact_key, facts_key, heal_key, image_digest, StoredFacts};
 pub use baseline::{recompile_secondwrite, SecondWriteError};
 pub use batch::{
-    recompile_healing_stored, recompile_stored, run_batch, run_batch_supervised, BatchJob,
-    BatchJobResult, BatchReport, JobOutcome, StoredHeal, StoredOutcome, SuperviseConfig,
-};
-pub use healing::{
-    recompile_healing, recompile_healing_faulted, recompile_healing_seeded, recompile_healing_with,
-    Healed,
+    recompile_stored, run_batch, run_batch_supervised, BatchJob, BatchJobResult, BatchReport,
+    JobOutcome, StoredOutcome, SuperviseConfig,
 };
 pub use ingest::IngestError;
 pub use pipeline::{
-    recompile, recompile_from_lifted, recompile_with, recompile_with_faults, validate,
-    FaultInjector, MismatchKind, Mode, RecompileError, Recompiled, ReusePlan, ValidateError,
+    recompile, recompile_from_lifted, validate, FaultInjector, MismatchKind, Mode, RecompileError,
+    Recompiled, Request, ReusePlan, ValidateError,
 };

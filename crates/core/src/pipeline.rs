@@ -147,6 +147,47 @@ impl fmt::Debug for FaultInjector {
     }
 }
 
+/// No fault hooks: what [`Request::new`] points at.
+static NO_FAULTS: FaultInjector = FaultInjector { trace: None, vararg: None, regsave: None };
+
+/// One recompilation request: a binary, the inputs to trace it with, and
+/// how to recompile it. [`Request::new`] fills in full re-optimization,
+/// no faults and no healing; override a field with struct-update syntax:
+///
+/// ```no_run
+/// # use wyt_core::{Mode, Request};
+/// # fn f(image: &wyt_isa::image::Image, traced: &[Vec<u8>], held: &[Vec<u8>]) {
+/// let req = Request { held_out: Some(held), ..Request::new(image, traced, Mode::Wytiwyg) };
+/// # }
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Request<'a> {
+    /// The binary to recompile.
+    pub image: &'a Image,
+    /// Inputs to trace, refine and validate with.
+    pub inputs: &'a [Vec<u8>],
+    /// How to recompile.
+    pub mode: Mode,
+    /// Re-optimization level — the ablation knob separating *recovery*
+    /// (symbolization) from *exploitation* (the memory-optimization
+    /// pipeline it unlocks).
+    pub opt: OptLevel,
+    /// Stage-boundary corruption hooks (the `wyt-fault` harness); they
+    /// apply to the initial lift and to every healing round.
+    pub faults: &'a FaultInjector,
+    /// `Some` runs the self-healing loop over these held-out inputs
+    /// after the initial recompilation (see [`crate::healing`]); an
+    /// empty slice still heals.
+    pub held_out: Option<&'a [Vec<u8>]>,
+}
+
+impl<'a> Request<'a> {
+    /// A plain request: [`OptLevel::Full`], no faults, no healing.
+    pub fn new(image: &'a Image, inputs: &'a [Vec<u8>], mode: Mode) -> Request<'a> {
+        Request { image, inputs, mode, opt: OptLevel::Full, faults: &NO_FAULTS, held_out: None }
+    }
+}
+
 /// Everything a recompilation produces.
 #[derive(Debug)]
 pub struct Recompiled {
@@ -177,6 +218,10 @@ pub struct Recompiled {
     pub reused_funcs: BTreeSet<FuncId>,
     /// Original-trace run results (reference behaviour).
     pub baseline_runs: Vec<RunResult>,
+    /// The input set the image was validated against: the request's
+    /// inputs, or after healing the traced inputs plus every healed
+    /// offender, in healing order.
+    pub inputs: Vec<Vec<u8>>,
     /// Per-stage timing, IR size deltas and recovery-quality telemetry.
     pub report: PipelineReport,
 }
@@ -268,33 +313,6 @@ fn lift_counts(lifted: &Lifted) -> LiftCounts {
         funcs_recovered: lifted.funcs.funcs.len() as u64,
         tail_calls: lifted.funcs.funcs.values().map(|f| f.tail_calls.len() as u64).sum(),
     }
-}
-
-/// Recompile `img`, tracing with `inputs`.
-///
-/// # Errors
-/// Returns a [`RecompileError`] if any stage fails.
-pub fn recompile(
-    img: &Image,
-    inputs: &[Vec<u8>],
-    mode: Mode,
-) -> Result<Recompiled, RecompileError> {
-    recompile_with(img, inputs, mode, OptLevel::Full)
-}
-
-/// [`recompile`] with an explicit re-optimization level — the ablation
-/// knob separating *recovery* (symbolization) from *exploitation* (the
-/// memory-optimization pipeline it unlocks).
-///
-/// # Errors
-/// Returns a [`RecompileError`] if any stage fails.
-pub fn recompile_with(
-    img: &Image,
-    inputs: &[Vec<u8>],
-    mode: Mode,
-    opt: OptLevel,
-) -> Result<Recompiled, RecompileError> {
-    recompile_with_faults(img, inputs, mode, opt, &FaultInjector::default())
 }
 
 /// The rung a demoted function sits on and why it got there.
@@ -443,17 +461,23 @@ fn call_components(module: &Module, regs: &regsave::RegSaveInfo) -> BTreeMap<Fun
     out
 }
 
-/// Replay the recompiled image against the traced baseline runs. The
-/// fuel budget bounds runaway control flow (possible under fault
-/// injection), generously scaled from the slowest baseline run.
+/// Emulator fuel for replaying a recompiled image whose reference run
+/// retired `steps` instructions: generous for any faithful
+/// recompilation, yet runaway control flow (possible under fault
+/// injection, or in a poisoned store entry) ends in
+/// [`Trap::OutOfFuel`] instead of the emulator's default budget.
+pub(crate) fn replay_fuel(steps: u64) -> u64 {
+    steps.saturating_mul(16).saturating_add(1_000_000)
+}
+
+/// Replay the recompiled image against the original's `baseline` runs
+/// on `inputs`, with fuel scaled from the slowest baseline run.
 fn check_against_baseline(
     image: &Image,
     inputs: &[Vec<u8>],
     baseline: &[RunResult],
 ) -> Result<(), ValidateError> {
-    let _s = Span::enter("validate");
-    let budget =
-        baseline.iter().map(|r| r.inst_count).max().unwrap_or(0).saturating_mul(16) + 1_000_000;
+    let budget = replay_fuel(baseline.iter().map(|r| r.inst_count).max().unwrap_or(0));
     for (i, input) in inputs.iter().enumerate() {
         let a = &baseline[i];
         if !a.ok() {
@@ -470,10 +494,7 @@ fn check_against_baseline(
         // outside a supervised job).
         wyt_par::supervise::charge_steps(a.inst_count + b.inst_count);
         if !b.ok() {
-            return Err(ValidateError {
-                input: i,
-                kind: MismatchKind::RecompiledTrapped(b.trap.clone()),
-            });
+            return Err(ValidateError { input: i, kind: MismatchKind::RecompiledTrapped(b.trap) });
         }
         if a.exit_code != b.exit_code {
             return Err(ValidateError {
@@ -491,47 +512,83 @@ fn check_against_baseline(
     Ok(())
 }
 
-/// [`recompile_with`] plus a [`FaultInjector`] — the entry point the
-/// `wyt-fault` harness drives. With the default injector this is exactly
-/// [`recompile_with`].
+/// The pipeline's behavioural gate: [`check_against_baseline`] under the
+/// `validate` span.
+fn validation_gate(
+    image: &Image,
+    inputs: &[Vec<u8>],
+    baseline: &[RunResult],
+) -> Result<(), ValidateError> {
+    let _s = Span::enter("validate");
+    check_against_baseline(image, inputs, baseline)
+}
+
+/// Recompile `req.image`: check it against the ingestion limits, trace
+/// and lift it on `req.inputs`, then refine, symbolize, re-optimize,
+/// lower and validate ([`recompile_from_lifted`]). With `req.held_out`
+/// set, the result then goes through the self-healing loop
+/// ([`crate::healing`]).
 ///
 /// # Errors
 /// Returns a [`RecompileError`] if any stage fails module-wide; per-
 /// function failures demote the function down the degradation ladder
-/// instead (see [`PipelineReport::degradations`]).
-pub fn recompile_with_faults(
-    img: &Image,
-    inputs: &[Vec<u8>],
-    mode: Mode,
-    opt: OptLevel,
-    faults: &FaultInjector,
+/// instead (see [`PipelineReport::degradations`]). Healing also fails
+/// when a held-out input misbehaves on the *original* image or a healing
+/// round's lift fails outright; a round that recompiles but cannot
+/// validate degrades per function (or ends the loop unconverged).
+pub fn recompile(req: &Request) -> Result<Recompiled, RecompileError> {
+    recompile_seeded(req, None)
+}
+
+/// [`recompile`] seeded with persisted facts from a previous run of the
+/// same image: `prior` carries that run's merged trace and its complete
+/// [`ReusePlan`] (the store's facts tier). Functions whose recovery is
+/// unchanged against the prior trace reuse their facts in the initial
+/// recompilation; anything stale falls back to cold refinement.
+pub(crate) fn recompile_seeded(
+    req: &Request,
+    prior: Option<(&Trace, &ReusePlan)>,
 ) -> Result<Recompiled, RecompileError> {
-    crate::ingest::check_image(img).map_err(RecompileError::Ingest)?;
+    let _s = req.held_out.is_some().then(|| Span::enter("healing"));
+    crate::ingest::check_image(req.image).map_err(RecompileError::Ingest)?;
     let lifted = {
         let _s = Span::enter("lift");
-        let trace_fault: Option<&(dyn Fn(&mut Trace) + Sync)> = match &faults.trace {
-            Some(f) => Some(f.as_ref()),
-            None => None,
-        };
-        lift_image_faulted(img, inputs, trace_fault).map_err(RecompileError::Lift)?
+        let trace_fault = req.faults.trace.as_deref().map(|f| f as &(dyn Fn(&mut Trace) + Sync));
+        lift_image_faulted(req.image, req.inputs, trace_fault).map_err(RecompileError::Lift)?
     };
-    recompile_from_lifted(img, inputs, mode, opt, faults, lifted, None)
+    let seed = prior.and_then(|(trace, plan)| {
+        crate::healing::seed_plan_from_prior(req.image, trace, plan, &lifted)
+    });
+    let rec = recompile_from_lifted(
+        req.image,
+        req.inputs,
+        req.mode,
+        req.opt,
+        req.faults,
+        lifted,
+        seed.as_ref(),
+    )?;
+    match req.held_out {
+        Some(held_out) => crate::healing::heal(req, held_out, rec),
+        None => Ok(rec),
+    }
 }
 
 /// Recompile from an already-lifted program — the incremental entry
 /// point of the self-healing loop, which lifts from a merged trace
 /// itself ([`wyt_lifter::lift_from_trace`]) and passes a [`ReusePlan`]
 /// of cached refinement facts for unchanged functions. With `reuse:
-/// None` this is the tail of [`recompile_with_faults`] after lifting.
+/// None` this is the tail of [`recompile`] after lifting.
 ///
 /// `inputs` must be the inputs whose behaviour `lifted.baseline_runs`
 /// records (the refinement replays and the validation gate both run the
-/// lifted module against them).
+/// lifted module against them). The first argument, the image `lifted`
+/// came from, is not read: everything needed from it is in `lifted`.
 ///
 /// # Errors
 /// Returns a [`RecompileError`] if any stage fails module-wide.
 pub fn recompile_from_lifted(
-    img: &Image,
+    _img: &Image,
     inputs: &[Vec<u8>],
     mode: Mode,
     opt: OptLevel,
@@ -578,8 +635,7 @@ pub fn recompile_from_lifted(
             })?;
             // No ladder here: a divergence (possible only under fault
             // injection) is a structured error.
-            check_against_baseline(&image, inputs, &baseline_runs)
-                .map_err(RecompileError::Validate)?;
+            validation_gate(&image, inputs, &baseline_runs).map_err(RecompileError::Validate)?;
             Recompiled {
                 image,
                 module,
@@ -592,11 +648,11 @@ pub fn recompile_from_lifted(
                 vararg_obs: None,
                 reused_funcs: BTreeSet::new(),
                 baseline_runs,
+                inputs: inputs.to_vec(),
                 report: rep,
             }
         }
         Mode::Wytiwyg => recompile_wytiwyg(
-            img,
             inputs,
             opt,
             faults,
@@ -621,7 +677,6 @@ pub fn recompile_from_lifted(
 /// retry strictly demotes at least one function one rung.
 #[allow(clippy::too_many_arguments)]
 fn recompile_wytiwyg(
-    img: &Image,
     inputs: &[Vec<u8>],
     opt: OptLevel,
     faults: &FaultInjector,
@@ -632,7 +687,6 @@ fn recompile_wytiwyg(
     baseline_runs: Vec<RunResult>,
     reuse: Option<&ReusePlan>,
 ) -> Result<Recompiled, RecompileError> {
-    let _ = img;
     let mut all_fids: Vec<FuncId> = meta.func_by_addr.values().copied().collect();
     all_fids.push(meta.start);
     all_fids.sort_unstable();
@@ -845,7 +899,7 @@ fn recompile_wytiwyg(
         // Behavioural gate: the image must reproduce the traced baseline.
         // A divergence demotes (the refinements got something wrong for
         // these functions) until the ladder bottoms out.
-        if let Err(e) = check_against_baseline(&image, inputs, &baseline_runs) {
+        if let Err(e) = validation_gate(&image, inputs, &baseline_runs) {
             if step_module_demotion(
                 &mut demoted,
                 &all_fids,
@@ -877,6 +931,7 @@ fn recompile_wytiwyg(
             vararg_obs: Some(vararg_obs),
             reused_funcs: reused_fids.values().copied().collect(),
             baseline_runs,
+            inputs: inputs.to_vec(),
             report: rep,
         });
     }
@@ -965,7 +1020,10 @@ fn collect_call_targets(
 }
 
 /// Validate a recompiled image against the original on the given inputs:
-/// exit codes and outputs must match.
+/// exit codes and outputs must match. Each recompiled replay gets the
+/// pipeline's fuel budget, scaled from the slowest original run, so a
+/// candidate that loops is rejected as trapping with
+/// [`Trap::OutOfFuel`].
 ///
 /// # Errors
 /// Returns a [`ValidateError`] carrying the failing input index and the
@@ -975,31 +1033,7 @@ pub fn validate(
     recompiled: &Image,
     inputs: &[Vec<u8>],
 ) -> Result<(), ValidateError> {
-    for (i, input) in inputs.iter().enumerate() {
-        let a = wyt_emu::run_image(original, input.clone());
-        let b = wyt_emu::run_image(recompiled, input.clone());
-        // Safe preemption point for the batch watchdog: charge the
-        // retired steps of both replays against the job's fuel budget
-        // (a no-op outside a supervised job).
-        wyt_par::supervise::charge_steps(a.inst_count + b.inst_count);
-        if !a.ok() {
-            return Err(ValidateError { input: i, kind: MismatchKind::OriginalTrapped(a.trap) });
-        }
-        if !b.ok() {
-            return Err(ValidateError { input: i, kind: MismatchKind::RecompiledTrapped(b.trap) });
-        }
-        if a.exit_code != b.exit_code {
-            return Err(ValidateError {
-                input: i,
-                kind: MismatchKind::Exit { original: a.exit_code, recompiled: b.exit_code },
-            });
-        }
-        if a.output != b.output {
-            return Err(ValidateError {
-                input: i,
-                kind: MismatchKind::Output { original: a.output.len(), recompiled: b.output.len() },
-            });
-        }
-    }
-    Ok(())
+    let baseline: Vec<RunResult> =
+        inputs.iter().map(|input| wyt_emu::run_image(original, input.clone())).collect();
+    check_against_baseline(recompiled, inputs, &baseline)
 }

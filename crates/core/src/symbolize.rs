@@ -581,7 +581,7 @@ pub fn dead_cell_stores(module: &mut Module) {
 
 #[cfg(test)]
 mod tests {
-    use crate::{recompile, Mode};
+    use crate::{recompile, Mode, Request};
     use wyt_ir::{InstKind, Val};
     use wyt_lifter::is_emustack_addr;
     use wyt_minicc::{compile, Profile};
@@ -602,7 +602,7 @@ mod tests {
         "#;
         for p in [Profile::gcc44_o3(), Profile::gcc12_o3(), Profile::gcc12_o0()] {
             let img = compile(src, &p).unwrap().stripped();
-            let out = recompile(&img, &[vec![]], Mode::Wytiwyg).unwrap();
+            let out = recompile(&Request::new(&img, &[vec![]], Mode::Wytiwyg)).unwrap();
             for f in &out.module.funcs {
                 for b in f.rpo() {
                     for &i in &f.blocks[b.index()].insts {
@@ -636,7 +636,7 @@ mod tests {
             int main() { return add3(10, 20, 12); }
         "#;
         let img = compile(src, &Profile::gcc44_o3()).unwrap();
-        let out = recompile(&img.stripped(), &[vec![]], Mode::Wytiwyg).unwrap();
+        let out = recompile(&Request::new(&img.stripped(), &[vec![]], Mode::Wytiwyg)).unwrap();
         let fid = out.lifted_meta.func_by_addr[&img.symbol("add3").unwrap()];
         let f = &out.module.funcs[fid.index()];
         assert_eq!(f.num_params, 3, "three stack arguments recovered");
@@ -661,7 +661,7 @@ mod tests {
             int main() { return mix(4, 2); }
         "#;
         let img = compile(src, &Profile::gcc12_o3()).unwrap();
-        let out = recompile(&img.stripped(), &[vec![]], Mode::Wytiwyg).unwrap();
+        let out = recompile(&Request::new(&img.stripped(), &[vec![]], Mode::Wytiwyg)).unwrap();
         let fid = out.lifted_meta.func_by_addr[&img.symbol("mix").unwrap()];
         let f = &out.module.funcs[fid.index()];
         assert!(f.num_params >= 2, "ecx/edx arguments recovered: {}", f.num_params);

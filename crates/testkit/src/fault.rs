@@ -23,12 +23,11 @@ use crate::oracle::{observe_interp, observe_native, OracleConfig, TrapClass};
 use crate::rng::{mix, Rng};
 use wyt_core::regsave::{RegClass, RegSaveInfo, ESP_CELL, NUM_CELLS};
 use wyt_core::vararg::VarargObservations;
-use wyt_core::{recompile_healing_faulted, recompile_with_faults, FaultInjector};
+use wyt_core::{recompile, FaultInjector, Mode, Request};
 use wyt_emu::TransferKind;
 use wyt_ir::{FuncId, InstId};
 use wyt_lifter::Trace;
 use wyt_minicc::Profile;
-use wyt_opt::OptLevel;
 
 /// Environment variable selecting a fault-plan seed.
 pub const FAULT_ENV: &str = "WYT_FAULT";
@@ -280,9 +279,10 @@ pub fn check_source_under_fault(
     }
 
     let injector = plan.injector();
+    let traced = [input.to_vec()];
     let mut summary = String::new();
     for mode in &cfg.modes {
-        match recompile_with_faults(&img, &[input.to_vec()], *mode, OptLevel::Full, &injector) {
+        match recompile(&Request { faults: &injector, ..Request::new(&img, &traced, *mode) }) {
             // A structured error is an acceptable outcome under faults —
             // the contract only forbids panics and silent miscompiles.
             Err(e) => summary.push_str(&format!("{mode:?}: error: {e}\n")),
@@ -323,18 +323,18 @@ pub fn check_source_under_fault(
     // and whatever image survives must still be oracle-equivalent on the
     // inputs it was validated against.
     if plan.withholds_input() {
-        match recompile_healing_faulted(
-            &img,
-            &[Vec::new()],
-            &[input.to_vec()],
-            OptLevel::Full,
-            &injector,
-        ) {
+        let empty = [Vec::new()];
+        let healing = Request {
+            faults: &injector,
+            held_out: Some(&traced),
+            ..Request::new(&img, &empty, Mode::Wytiwyg)
+        };
+        match recompile(&healing) {
             Err(e) => summary.push_str(&format!("healing: error: {e}\n")),
             Ok(healed) => {
-                let r = &healed.report;
+                let r = healed.report.healing.as_ref().expect("a healing request reports healing");
                 if r.converged {
-                    let rec = observe_native(&healed.recompiled.image, input, derived_fuel);
+                    let rec = observe_native(&healed.image, input, derived_fuel);
                     if rec != native {
                         return Err(format!(
                             "[{}] seed {:#x}: healed image diverges:\n  \
@@ -347,7 +347,7 @@ pub fn check_source_under_fault(
                     // it must still reproduce the *traced* (empty-input)
                     // behaviour exactly, degraded or not.
                     let empty_native = observe_native(&img, b"", cfg.fuel);
-                    let rec = observe_native(&healed.recompiled.image, b"", derived_fuel);
+                    let rec = observe_native(&healed.image, b"", derived_fuel);
                     if rec != empty_native {
                         return Err(format!(
                             "[{}] seed {:#x}: unconverged healed image diverges on the \
@@ -362,7 +362,7 @@ pub fn check_source_under_fault(
                     r.sites_healed,
                     r.sites_unhealed,
                     r.converged,
-                    healed.recompiled.report.degradations.len()
+                    healed.report.degradations.len()
                 ));
             }
         }

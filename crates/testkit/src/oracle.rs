@@ -17,7 +17,7 @@
 //! different types ([`Trap`] vs [`InterpError`]); the class partition is
 //! exactly the behaviour the paper considers observable.
 
-use wyt_core::{recompile, Mode};
+use wyt_core::{recompile, Mode, Request};
 use wyt_emu::{Machine, RunResult, Trap};
 use wyt_ir::interp::{Interp, InterpError, InterpOutput, NoHooks};
 use wyt_ir::Module;
@@ -169,7 +169,7 @@ pub fn check_source(
 
     // Leg 3: the full recompile round-trip, per mode.
     for mode in &cfg.modes {
-        let out = recompile(&img, &[input.to_vec()], *mode)
+        let out = recompile(&Request::new(&img, &[input.to_vec()], *mode))
             .map_err(|e| format!("[{}] recompile ({mode:?}) failed: {e}", profile.name))?;
         let recompiled = observe_native(&out.image, input, derived_fuel);
         if recompiled != native {

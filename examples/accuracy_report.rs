@@ -6,7 +6,7 @@
 //! cargo run --release --example accuracy_report [benchmark]
 //! ```
 
-use wyt_core::{evaluate_accuracy, recompile, MatchKind, Mode};
+use wyt_core::{evaluate_accuracy, recompile, MatchKind, Mode, Request};
 use wyt_minicc::{compile, Profile};
 use wyt_spec::by_name;
 
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (LLVM's Stack Frame Layout analogue). The recompiler gets the
     // stripped copy only.
     let full = compile(bench.source, &profile)?;
-    let out = recompile(&full.stripped(), &bench.trace_inputs(), Mode::Wytiwyg)?;
+    let out = recompile(&Request::new(&full.stripped(), &bench.trace_inputs(), Mode::Wytiwyg))?;
 
     let report = evaluate_accuracy(
         &full,

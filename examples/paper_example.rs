@@ -13,7 +13,7 @@
 //! cargo run --release --example paper_example
 //! ```
 
-use wyt_core::{recompile, Mode};
+use wyt_core::{recompile, Mode, Request};
 use wyt_minicc::{compile, Profile};
 
 const FIG2: &str = r#"
@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("traced with f3 -> index 2 (full coverage)", vec![b"2".to_vec()]),
         ("traced with f3 -> index 0 only (partial coverage)", vec![b"0".to_vec()]),
     ] {
-        let out = recompile(&full.stripped(), &inputs, Mode::Wytiwyg)?;
+        let out = recompile(&Request::new(&full.stripped(), &inputs, Mode::Wytiwyg))?;
         let layout = out.layout.as_ref().unwrap();
         let fid = out.lifted_meta.func_by_addr.get(&f1_addr).expect("f1 lifted");
         println!("\n=== recovered layout of f1: {desc} ===");

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use wyt_core::{recompile, Mode};
+use wyt_core::{recompile, Mode, Request};
 use wyt_emu::run_image;
 use wyt_minicc::{compile, Profile};
 
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. The user provides representative inputs; tracing + refinement
     //    lifting + symbolization + re-optimization run automatically.
     let inputs: Vec<Vec<u8>> = vec![b"hello world".to_vec(), b"wytiwyg".to_vec()];
-    let out = recompile(&stripped, &inputs, Mode::Wytiwyg)?;
+    let out = recompile(&Request::new(&stripped, &inputs, Mode::Wytiwyg))?;
     println!("recompiled binary: {} bytes of text", out.image.text.len());
 
     // 3. Same behaviour on fresh inputs that exercise the traced paths.

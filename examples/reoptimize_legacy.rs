@@ -8,7 +8,7 @@
 //! cargo run --release --example reoptimize_legacy [benchmark]
 //! ```
 
-use wyt_core::{recompile, validate, Mode};
+use wyt_core::{recompile, validate, Mode, Request};
 use wyt_emu::run_image;
 use wyt_minicc::{compile, Profile};
 use wyt_spec::by_name;
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("native cycles:        {:>12}", native.cycles);
 
     // BinRec-style recompilation (no symbolization).
-    let nosym = recompile(&image, &trace_inputs, Mode::NoSymbolize)?;
+    let nosym = recompile(&Request::new(&image, &trace_inputs, Mode::NoSymbolize))?;
     validate(&image, &nosym.image, &trace_inputs).map_err(|e| format!("nosym: {e}"))?;
     let r0 = run_image(&nosym.image, ref_input.clone());
     println!(
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Full WYTIWYG.
-    let wyt = recompile(&image, &trace_inputs, Mode::Wytiwyg)?;
+    let wyt = recompile(&Request::new(&image, &trace_inputs, Mode::Wytiwyg))?;
     validate(&image, &wyt.image, &trace_inputs).map_err(|e| format!("wytiwyg: {e}"))?;
     let r1 = run_image(&wyt.image, ref_input);
     println!(

@@ -83,6 +83,18 @@ if [ "$PANICS" -ne "$PANIC_BUDGET" ]; then
     exit 1
 fi
 
+echo "==> entry-point budget (public recompile* functions in wyt-core non-test code:"
+echo "    recompile, recompile_from_lifted, recompile_stored, recompile_secondwrite)"
+ENTRY_BUDGET=4
+ENTRIES=$(for f in crates/core/src/*.rs; do
+    awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print}' "$f"
+done | grep -c 'pub fn recompile')
+if [ "$ENTRIES" -ne "$ENTRY_BUDGET" ]; then
+    echo "FAIL: $ENTRIES public recompile* functions in wyt-core (budget: $ENTRY_BUDGET)." >&2
+    echo "A new way to recompile is a new Request field, not another wrapper." >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

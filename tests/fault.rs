@@ -6,7 +6,8 @@
 //! classification). For every program and every fault plan the contract
 //! is:
 //!
-//! 1. `recompile_with_faults` never panics;
+//! 1. `recompile` on a `Request` carrying a `FaultInjector` never
+//!    panics;
 //! 2. it returns `Ok` — possibly with functions demoted down the
 //!    degradation ladder — or a structured `RecompileError`;
 //! 3. any image it does produce reproduces the native behaviour on the
@@ -19,9 +20,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use wyt_core::{recompile, recompile_healing_faulted, FaultInjector, Mode};
+use wyt_core::{recompile, FaultInjector, Mode, RecompileError, Recompiled, Request};
+use wyt_isa::image::Image;
 use wyt_minicc::{compile, Profile};
-use wyt_opt::OptLevel;
 use wyt_testkit::fault::env_seed;
 use wyt_testkit::progen::gen_prog;
 use wyt_testkit::rng::{mix, Rng};
@@ -129,6 +130,18 @@ const HEAL_SRC: &str = r#"
     }
 "#;
 
+/// Recompile `img` traced on `"q"` under `injector`, then heal it on the
+/// held-out `"x"`.
+fn heal_faulted(img: &Image, injector: &FaultInjector) -> Result<Recompiled, RecompileError> {
+    let traced = [b"q".to_vec()];
+    let held_out = [b"x".to_vec()];
+    recompile(&Request {
+        faults: injector,
+        held_out: Some(&held_out),
+        ..Request::new(img, &traced, Mode::Wytiwyg)
+    })
+}
+
 /// A trace hook that passes the initial lift through untouched and then
 /// empties every incremental re-trace delta. Healing sees "no new
 /// coverage" for a guard the input demonstrably reaches: it must stop
@@ -146,16 +159,10 @@ fn healing_with_starved_retrace_stops_unconverged() {
             t.ext_calls.clear();
         }
     }));
-    let healed = recompile_healing_faulted(
-        &img,
-        &[b"q".to_vec()],
-        &[b"x".to_vec()],
-        OptLevel::Full,
-        &injector,
-    )
-    .expect("starved healing must end structurally, not error");
+    let healed =
+        heal_faulted(&img, &injector).expect("starved healing must end structurally, not error");
     assert!(calls.load(Ordering::SeqCst) >= 2, "the delta hook never fired");
-    let r = &healed.report;
+    let r = healed.report.healing.as_ref().expect("a healing request reports healing");
     assert!(!r.converged, "an empty delta cannot heal a reachable guard");
     assert!(r.sites_unhealed >= 1);
     assert_eq!(r.sites_healed, 0);
@@ -163,11 +170,11 @@ fn healing_with_starved_retrace_stops_unconverged() {
     // The surviving image is the pre-healing one: exact on the traced
     // input, guard-trapping (not silently wrong) on the held-out one.
     let native = wyt_emu::run_image(&img, b"q".to_vec());
-    let got = wyt_emu::run_image(&healed.recompiled.image, b"q".to_vec());
+    let got = wyt_emu::run_image(&healed.image, b"q".to_vec());
     assert!(got.ok(), "traced input must still run clean: {:?}", got.trap);
     assert_eq!(got.exit_code, native.exit_code);
     assert_eq!(got.output, native.output);
-    let held = wyt_emu::run_image(&healed.recompiled.image, b"x".to_vec());
+    let held = wyt_emu::run_image(&healed.image, b"x".to_vec());
     assert!(!held.ok(), "the unhealed path must trap, never diverge silently");
 }
 
@@ -190,27 +197,21 @@ fn healing_with_poisoned_retrace_degrades_or_errors() {
             t.edges.insert((from, to + 1, wyt_emu::TransferKind::Call));
         }
     }));
-    match recompile_healing_faulted(
-        &img,
-        &[b"q".to_vec()],
-        &[b"x".to_vec()],
-        OptLevel::Full,
-        &injector,
-    ) {
+    match heal_faulted(&img, &injector) {
         Err(e) => {
             // A structured lift failure is an acceptable outcome.
             assert!(!e.to_string().is_empty());
         }
         Ok(healed) => {
-            if healed.report.converged {
+            if healed.report.healing.as_ref().is_some_and(|h| h.converged) {
                 let native = wyt_emu::run_image(&img, b"x".to_vec());
-                let got = wyt_emu::run_image(&healed.recompiled.image, b"x".to_vec());
+                let got = wyt_emu::run_image(&healed.image, b"x".to_vec());
                 assert!(got.ok(), "converged image trapped: {:?}", got.trap);
                 assert_eq!(got.exit_code, native.exit_code);
                 assert_eq!(got.output, native.output);
             } else {
                 let native = wyt_emu::run_image(&img, b"q".to_vec());
-                let got = wyt_emu::run_image(&healed.recompiled.image, b"q".to_vec());
+                let got = wyt_emu::run_image(&healed.image, b"q".to_vec());
                 assert!(got.ok());
                 assert_eq!(got.exit_code, native.exit_code);
                 assert_eq!(got.output, native.output);
@@ -238,7 +239,7 @@ fn clean_recompile_has_no_degradations() {
     "#;
     let img = compile(src, &Profile::gcc12_o3()).unwrap().stripped();
     for mode in [Mode::NoSymbolize, Mode::Wytiwyg] {
-        let out = recompile(&img, &[vec![]], mode).unwrap();
+        let out = recompile(&Request::new(&img, &[vec![]], mode)).unwrap();
         assert!(
             out.report.degradations.is_empty(),
             "{mode:?}: clean corpus must not degrade: {:?}",

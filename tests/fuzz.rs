@@ -16,8 +16,8 @@
 
 use std::path::Path;
 use wyt_core::{
-    run_batch, run_batch_supervised, BatchJob, FaultInjector, IngestError, JobOutcome, Mode,
-    RecompileError, SuperviseConfig,
+    recompile, run_batch, run_batch_supervised, BatchJob, FaultInjector, IngestError, JobOutcome,
+    Mode, RecompileError, Request, SuperviseConfig,
 };
 use wyt_isa::image::Image;
 use wyt_minicc::{compile, Profile};
@@ -144,9 +144,14 @@ fn hostile_image_yields_typed_error_row() {
     hostile.text_base = u32::MAX - 7;
     hostile.entry = hostile.text_base;
 
-    // Sanity: the refusal is the typed ingest error, not a panic.
-    let err = wyt_core::recompile(&hostile, &[vec![]], Mode::Wytiwyg).unwrap_err();
+    // Sanity: the refusal is the typed ingest error, not a panic — and
+    // a healing request passes the same ingestion rung before lifting.
+    let inputs = [vec![]];
+    let plain = Request::new(&hostile, &inputs, Mode::Wytiwyg);
+    let err = recompile(&plain).unwrap_err();
     assert!(matches!(err, RecompileError::Ingest(IngestError::Limit(_))), "{err}");
+    let err = recompile(&Request { held_out: Some(&[vec![1]]), ..plain }).unwrap_err();
+    assert!(matches!(err, RecompileError::Ingest(IngestError::Limit(_))), "healing: {err}");
 
     let good = compile("int main() { return 7; }", &Profile::gcc12_o3())
         .expect("good job compiles")

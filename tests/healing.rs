@@ -6,7 +6,7 @@
 //! byte-identical at any thread count.
 
 use std::sync::Mutex;
-use wyt_core::{recompile_healing, Mode};
+use wyt_core::{recompile, Mode, RecompileError, Recompiled, Request};
 use wyt_emu::Machine;
 use wyt_minicc::{compile, Profile};
 use wyt_testkit::{check_source, OracleConfig};
@@ -35,6 +35,15 @@ int main() {
 const TRACED: &[u8] = b"q";
 const HELD_OUT: &[u8] = b"x";
 
+/// Recompile `img` traced on `traced`, then heal it on `held_out`.
+fn heal(
+    img: &wyt_isa::image::Image,
+    traced: &[Vec<u8>],
+    held_out: &[Vec<u8>],
+) -> Result<Recompiled, RecompileError> {
+    recompile(&Request { held_out: Some(held_out), ..Request::new(img, traced, Mode::Wytiwyg) })
+}
+
 fn run(img: &wyt_isa::image::Image, input: &[u8]) -> wyt_emu::RunResult {
     let mut m = Machine::new(img, input.to_vec());
     m.set_fuel(8_000_000);
@@ -47,8 +56,8 @@ fn heals_untraced_branch_with_incremental_relift() {
     wyt_obs::set_enabled(false);
 
     let img = compile(SRC, &Profile::gcc12_o3()).unwrap();
-    let healed = recompile_healing(&img, &[TRACED.to_vec()], &[HELD_OUT.to_vec()]).unwrap();
-    let r = &healed.report;
+    let healed = heal(&img, &[TRACED.to_vec()], &[HELD_OUT.to_vec()]).unwrap();
+    let r = healed.report.healing.as_ref().expect("a healing request reports healing");
 
     // Converged within the smoke budget, with nothing left unhealed and
     // no degradation-ladder demotions.
@@ -56,9 +65,9 @@ fn heals_untraced_branch_with_incremental_relift() {
     assert!(r.rounds >= 1 && r.rounds <= 2, "one guard site, {} rounds", r.rounds);
     assert_eq!((r.sites_healed, r.sites_unhealed), (1, 0), "{r:?}");
     assert!(
-        healed.recompiled.report.degradations.is_empty(),
+        healed.report.degradations.is_empty(),
         "healing this program needs no demotions: {:?}",
-        healed.recompiled.report.degradations
+        healed.report.degradations
     );
 
     // (a) The guard event is attributed to the function that owns the
@@ -82,15 +91,12 @@ fn heals_untraced_branch_with_incremental_relift() {
     // (c) The healed image matches the original on the union input set.
     for input in [TRACED, HELD_OUT] {
         let native = run(&img, input);
-        let rec = run(&healed.recompiled.image, input);
+        let rec = run(&healed.image, input);
         assert!(native.ok(), "{:?}", native.trap);
         assert!(rec.ok(), "healed image trapped on {input:?}: {:?}", rec.trap);
         assert_eq!((rec.exit_code, &rec.output), (native.exit_code, &native.output));
     }
-    assert_eq!(run(&healed.recompiled.image, HELD_OUT).exit_code, 77);
-
-    // The report embedded in the pipeline report is the same one.
-    assert_eq!(healed.recompiled.report.healing.as_ref(), Some(r));
+    assert_eq!(run(&healed.image, HELD_OUT).exit_code, 77);
 
     // The union input set is the traced set plus the healed offender,
     // and the three-way oracle accepts the program on both inputs.
@@ -107,12 +113,12 @@ fn healing_preserves_previously_passing_inputs_byte_identically() {
     wyt_obs::set_enabled(false);
 
     let img = compile(SRC, &Profile::gcc12_o3()).unwrap();
-    let before = wyt_core::recompile(&img, &[TRACED.to_vec()], Mode::Wytiwyg).unwrap();
+    let before = recompile(&Request::new(&img, &[TRACED.to_vec()], Mode::Wytiwyg)).unwrap();
     let pre = run(&before.image, TRACED);
     assert!(pre.ok());
 
-    let healed = recompile_healing(&img, &[TRACED.to_vec()], &[HELD_OUT.to_vec()]).unwrap();
-    let post = run(&healed.recompiled.image, TRACED);
+    let healed = heal(&img, &[TRACED.to_vec()], &[HELD_OUT.to_vec()]).unwrap();
+    let post = run(&healed.image, TRACED);
     assert!(post.ok());
     assert_eq!(
         (post.exit_code, &post.output),
@@ -127,29 +133,26 @@ fn healing_is_idempotent_and_deterministic() {
     wyt_obs::set_enabled(false);
 
     let img = compile(SRC, &Profile::gcc12_o3()).unwrap();
-    let first = recompile_healing(&img, &[TRACED.to_vec()], &[HELD_OUT.to_vec()]).unwrap();
+    let first = heal(&img, &[TRACED.to_vec()], &[HELD_OUT.to_vec()]).unwrap();
 
     // Same arguments → byte-identical deterministic report (and image).
-    let again = recompile_healing(&img, &[TRACED.to_vec()], &[HELD_OUT.to_vec()]).unwrap();
-    assert_eq!(first.recompiled.image, again.recompiled.image);
+    let again = heal(&img, &[TRACED.to_vec()], &[HELD_OUT.to_vec()]).unwrap();
+    assert_eq!(first.image, again.image);
     assert_eq!(
-        first.recompiled.report.to_json_deterministic().to_string(),
-        again.recompiled.report.to_json_deterministic().to_string(),
+        first.report.to_json_deterministic().to_string(),
+        again.report.to_json_deterministic().to_string(),
         "healing must be deterministic"
     );
 
     // A second pass over the already-healed input set sees no guard
     // events: zero rounds, nothing healed, nothing re-lifted.
-    let second = recompile_healing(&img, &first.inputs, &[HELD_OUT.to_vec()]).unwrap();
-    let r = &second.report;
+    let second = heal(&img, &first.inputs, &[HELD_OUT.to_vec()]).unwrap();
+    let r = second.report.healing.as_ref().unwrap();
     assert!(r.converged);
     assert_eq!((r.rounds, r.sites_healed, r.sites_unhealed), (0, 0, 0), "{r:?}");
     assert_eq!(r.funcs_relifted, 0, "no guard event → no re-lift");
     assert!(r.events.is_empty());
-    assert_eq!(
-        second.recompiled.image, first.recompiled.image,
-        "re-healing a healed trace set is a no-op on the image"
-    );
+    assert_eq!(second.image, first.image, "re-healing a healed trace set is a no-op on the image");
 }
 
 #[test]
@@ -159,15 +162,15 @@ fn healing_reports_identical_serial_vs_parallel() {
 
     let img = compile(SRC, &Profile::gcc12_o3()).unwrap();
     wyt_par::set_threads(1);
-    let serial = recompile_healing(&img, &[TRACED.to_vec()], &[HELD_OUT.to_vec()]).unwrap();
+    let serial = heal(&img, &[TRACED.to_vec()], &[HELD_OUT.to_vec()]).unwrap();
     wyt_par::set_threads(4);
-    let par = recompile_healing(&img, &[TRACED.to_vec()], &[HELD_OUT.to_vec()]).unwrap();
+    let par = heal(&img, &[TRACED.to_vec()], &[HELD_OUT.to_vec()]).unwrap();
     wyt_par::set_threads(1);
 
-    assert_eq!(serial.recompiled.image, par.recompiled.image);
+    assert_eq!(serial.image, par.image);
     assert_eq!(
-        serial.recompiled.report.to_json_deterministic().to_string(),
-        par.recompiled.report.to_json_deterministic().to_string(),
+        serial.report.to_json_deterministic().to_string(),
+        par.report.to_json_deterministic().to_string(),
         "healing reports must be byte-identical at any thread count"
     );
 }
@@ -186,9 +189,9 @@ fn held_out_input_that_misbehaves_natively_is_rejected() {
     }
     "#;
     let img = compile(src, &Profile::gcc12_o3()).unwrap();
-    let err = recompile_healing(&img, &[b"q".to_vec()], &[b"x".to_vec()]);
+    let err = heal(&img, &[b"q".to_vec()], &[b"x".to_vec()]);
     assert!(
-        matches!(err, Err(wyt_core::RecompileError::Validate(_))),
+        matches!(err, Err(RecompileError::Validate(_))),
         "native misbehaviour must be a structured error: {err:?}"
     );
 }

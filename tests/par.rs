@@ -8,7 +8,7 @@
 //! so every test here serializes on one lock (as does the obs sink).
 
 use std::sync::Mutex;
-use wyt_core::{recompile, Mode};
+use wyt_core::{recompile, Mode, Request};
 use wyt_minicc::{compile, Profile};
 
 static PAR_LOCK: Mutex<()> = Mutex::new(());
@@ -41,10 +41,11 @@ fn serial_and_parallel_recompiles_are_byte_identical() {
     // and its counts land in the report.
     wyt_obs::set_enabled(true);
     wyt_obs::reset();
-    let serial = with_threads(1, || recompile(&img, &[vec![]], Mode::Wytiwyg).unwrap());
+    let serial =
+        with_threads(1, || recompile(&Request::new(&img, &[vec![]], Mode::Wytiwyg)).unwrap());
     let serial_obs = wyt_obs::snapshot();
     wyt_obs::reset();
-    let par = with_threads(4, || recompile(&img, &[vec![]], Mode::Wytiwyg).unwrap());
+    let par = with_threads(4, || recompile(&Request::new(&img, &[vec![]], Mode::Wytiwyg)).unwrap());
     let par_obs = wyt_obs::snapshot();
     wyt_obs::set_enabled(false);
     wyt_obs::reset();

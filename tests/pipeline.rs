@@ -4,7 +4,7 @@
 //! paper's headline properties (functionality, performance ordering,
 //! accuracy).
 
-use wyt_core::{recompile, validate, Mode};
+use wyt_core::{recompile, validate, Mode, Request};
 use wyt_emu::run_image;
 use wyt_minicc::{compile, Profile};
 
@@ -20,7 +20,7 @@ fn roundtrip(src: &str, train: &[&[u8]], check: &[&[u8]]) {
         let train: Vec<Vec<u8>> = train.iter().map(|i| i.to_vec()).collect();
         let check: Vec<Vec<u8>> = check.iter().map(|i| i.to_vec()).collect();
         for mode in [Mode::NoSymbolize, Mode::Wytiwyg] {
-            let out = recompile(&img, &train, mode)
+            let out = recompile(&Request::new(&img, &train, mode))
                 .unwrap_or_else(|e| panic!("{} / {mode:?}: {e}", p.name));
             validate(&img, &out.image, &check)
                 .unwrap_or_else(|e| panic!("{} / {mode:?}: {e}", p.name));
@@ -162,8 +162,8 @@ fn symbolization_beats_no_symbolization_on_o0() {
     let img = compile(src, &Profile::gcc12_o0()).unwrap().stripped();
     let input: Vec<Vec<u8>> = vec![vec![]];
     let native = run_image(&img, vec![]);
-    let nosym = recompile(&img, &input, Mode::NoSymbolize).unwrap();
-    let wyt = recompile(&img, &input, Mode::Wytiwyg).unwrap();
+    let nosym = recompile(&Request::new(&img, &input, Mode::NoSymbolize)).unwrap();
+    let wyt = recompile(&Request::new(&img, &input, Mode::Wytiwyg)).unwrap();
     let r_nosym = run_image(&nosym.image, vec![]);
     let r_wyt = run_image(&wyt.image, vec![]);
     assert_eq!(r_wyt.output, native.output);
@@ -202,7 +202,7 @@ fn legacy_binaries_get_reoptimized() {
     "#;
     let img = compile(src, &Profile::gcc44_o3()).unwrap().stripped();
     let native = run_image(&img, vec![]);
-    let wyt = recompile(&img, &[vec![]], Mode::Wytiwyg).unwrap();
+    let wyt = recompile(&Request::new(&img, &[vec![]], Mode::Wytiwyg)).unwrap();
     let r = run_image(&wyt.image, vec![]);
     assert_eq!(r.output, native.output);
     assert!(
@@ -229,7 +229,7 @@ fn accuracy_report_on_known_layout() {
         int main() { return work(11) & 0x7f; }
     "#;
     let full = compile(src, &Profile::gcc44_o3()).unwrap();
-    let out = recompile(&full.stripped(), &[vec![]], Mode::Wytiwyg).unwrap();
+    let out = recompile(&Request::new(&full.stripped(), &[vec![]], Mode::Wytiwyg)).unwrap();
     let report = wyt_core::evaluate_accuracy(
         &full,
         &out.lifted_meta,
@@ -256,7 +256,7 @@ fn untraced_paths_trap_in_recompiled_binary() {
         }
     "#;
     let img = compile(src, &Profile::gcc44_o3()).unwrap().stripped();
-    let out = recompile(&img, &[b"a".to_vec()], Mode::Wytiwyg).unwrap();
+    let out = recompile(&Request::new(&img, &[b"a".to_vec()], Mode::Wytiwyg)).unwrap();
     // Traced input fine:
     assert_eq!(run_image(&out.image, b"b".to_vec()).exit_code, 1);
     // Untraced branch traps (functionality is guaranteed for traced
@@ -264,7 +264,8 @@ fn untraced_paths_trap_in_recompiled_binary() {
     let r = run_image(&out.image, b"x".to_vec());
     assert!(r.trap.is_some(), "untraced path must trap, got {r:?}");
     // Incremental re-lifting fixes it:
-    let out2 = recompile(&img, &[b"a".to_vec(), b"x".to_vec()], Mode::Wytiwyg).unwrap();
+    let out2 =
+        recompile(&Request::new(&img, &[b"a".to_vec(), b"x".to_vec()], Mode::Wytiwyg)).unwrap();
     assert_eq!(run_image(&out2.image, b"x".to_vec()).exit_code, 42);
 }
 

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use wyt_core::{recompile, Mode, Recompiled};
+use wyt_core::{recompile, Mode, Recompiled, Request};
 use wyt_emu::Machine;
 use wyt_ir::interp::{Interp, NoHooks};
 use wyt_lifter::{EMU_STACK_BASE, EMU_STACK_SIZE};
@@ -30,7 +30,7 @@ int main() {
 
 fn recompiled(mode: Mode) -> Recompiled {
     let img = compile(SRC, &Profile::gcc44_o3()).unwrap().stripped();
-    recompile(&img, &[vec![]], mode).unwrap()
+    recompile(&Request::new(&img, &[vec![]], mode)).unwrap()
 }
 
 #[test]
@@ -183,7 +183,7 @@ fn machine_and_interp_guard_counters_agree_per_kind() {
     for (src, traced, held_out, kind) in cases {
         let img = compile(src, &Profile::gcc12_o3()).unwrap().stripped();
         wyt_obs::set_enabled(false);
-        let out = recompile(&img, &[traced.to_vec()], Mode::Wytiwyg).unwrap();
+        let out = recompile(&Request::new(&img, &[traced.to_vec()], Mode::Wytiwyg)).unwrap();
 
         wyt_obs::set_enabled(true);
         wyt_obs::reset();
@@ -220,7 +220,7 @@ fn machine_classification_agrees_with_partition_invariant() {
 
     let img = compile(SRC, &Profile::gcc44_o3()).unwrap().stripped();
     for mode in [Mode::NoSymbolize, Mode::Wytiwyg] {
-        let out = recompile(&img, &[vec![]], mode).unwrap();
+        let out = recompile(&Request::new(&img, &[vec![]], mode)).unwrap();
         let mut m = Machine::new(&out.image, vec![]);
         m.set_emu_stack_range(EMU_STACK_BASE, EMU_STACK_BASE + EMU_STACK_SIZE);
         let r = m.run();

@@ -17,9 +17,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use wyt_core::{
-    recompile_healing_stored, recompile_stored, run_batch, BatchJob, Mode, StoredOutcome,
-};
+use wyt_core::{recompile_stored, run_batch, BatchJob, Mode, Request, StoredOutcome};
 use wyt_minicc::{compile, Profile};
 use wyt_obs::Json;
 use wyt_opt::OptLevel;
@@ -52,6 +50,28 @@ impl Drop for TempStore {
     }
 }
 
+/// Recompile `img` through `store` in WYTIWYG mode, dropping the phases.
+fn stored(
+    store: &Store,
+    img: &wyt_isa::image::Image,
+    inputs: &[Vec<u8>],
+    stamp: u64,
+) -> StoredOutcome {
+    recompile_stored(store, &Request::new(img, inputs, Mode::Wytiwyg), stamp).unwrap().0
+}
+
+/// Heal `img` through `store`, dropping the phases.
+fn stored_heal(
+    store: &Store,
+    img: &wyt_isa::image::Image,
+    traced: &[Vec<u8>],
+    held_out: &[Vec<u8>],
+    stamp: u64,
+) -> StoredOutcome {
+    let req = Request { held_out: Some(held_out), ..Request::new(img, traced, Mode::Wytiwyg) };
+    recompile_stored(store, &req, stamp).unwrap().0
+}
+
 /// Compile the `i`-th pinned corpus program. Returns the stripped image
 /// and its input.
 fn corpus_image(i: u64) -> (wyt_isa::image::Image, Vec<u8>) {
@@ -69,11 +89,9 @@ fn warm_hits_serve_cold_images_across_corpus() {
     for i in 0..12u64 {
         let (img, input) = corpus_image(i);
         let inputs = vec![input];
-        let cold =
-            recompile_stored(&ts.store, &img, &inputs, Mode::Wytiwyg, OptLevel::Full, i).unwrap();
+        let cold = stored(&ts.store, &img, &inputs, i);
         assert!(!cold.warm(), "case {i}: first run must miss");
-        let warm =
-            recompile_stored(&ts.store, &img, &inputs, Mode::Wytiwyg, OptLevel::Full, i).unwrap();
+        let warm = stored(&ts.store, &img, &inputs, i);
         assert!(warm.warm(), "case {i}: second run must hit");
         assert!(
             matches!(warm, StoredOutcome::Warm(_)),
@@ -110,7 +128,7 @@ fn assert_falls_back_cold(
     let pristine = fs::read(&path).unwrap();
     let corrupt_before = ts.store.counters().corrupt;
     damage(&path);
-    let out = recompile_stored(&ts.store, img, inputs, Mode::Wytiwyg, OptLevel::Full, 0).unwrap();
+    let out = stored(&ts.store, img, inputs, 0);
     assert!(!out.warm(), "{what}: damaged entry must not serve warm");
     assert_eq!(out.image(), good_image, "{what}: cold fallback must still be correct");
     assert!(
@@ -119,7 +137,7 @@ fn assert_falls_back_cold(
     );
     // The cold fallback re-put a good entry; restore the pristine bytes
     // is unnecessary, but verify the heal: the next run hits warm again.
-    let again = recompile_stored(&ts.store, img, inputs, Mode::Wytiwyg, OptLevel::Full, 0).unwrap();
+    let again = stored(&ts.store, img, inputs, 0);
     assert!(again.warm(), "{what}: the fallback must overwrite the damaged entry");
     drop(pristine);
 }
@@ -138,8 +156,7 @@ fn corrupted_entries_degrade_to_cold() {
     let img = compile(src, &Profile::gcc12_o3()).unwrap().stripped();
     let inputs = vec![b"k".to_vec()];
     let ts = TempStore::new("corruption");
-    let cold =
-        recompile_stored(&ts.store, &img, &inputs, Mode::Wytiwyg, OptLevel::Full, 0).unwrap();
+    let cold = stored(&ts.store, &img, &inputs, 0);
     let good = cold.image().clone();
 
     // Bit flip inside the payload (the checksum catches it).
@@ -190,8 +207,7 @@ fn corrupted_entries_degrade_to_cold() {
     let other_src = "int main() { return getchar() == 'k' ? 3 : 4; }";
     let other_img = compile(other_src, &Profile::gcc12_o3()).unwrap().stripped();
     let other_ts = TempStore::new("poison-donor");
-    recompile_stored(&other_ts.store, &other_img, &inputs, Mode::Wytiwyg, OptLevel::Full, 0)
-        .unwrap();
+    stored(&other_ts.store, &other_img, &inputs, 0);
     let donor = fs::read_to_string(sole_artifact_path(&other_ts.store)).unwrap();
     let donor_payload = wyt_obs::json::parse(&donor).unwrap().get("payload").unwrap().clone();
     assert_falls_back_cold(
@@ -249,41 +265,40 @@ fn healing_facts_are_reused_across_runs() {
     let held = vec![b"x".to_vec()];
     let ts = TempStore::new("healing");
 
-    let run1 =
-        recompile_healing_stored(&ts.store, &img, &traced, &held, OptLevel::Full, 1).unwrap();
-    assert!(!run1.warm, "first heal must run cold");
-    assert!(run1.report.converged, "the held-out branch must heal");
-    assert!(run1.report.sites_healed >= 1);
+    let run1 = stored_heal(&ts.store, &img, &traced, &held, 1);
+    let heal1 = run1.healing().expect("a healing request reports healing");
+    assert!(!run1.warm(), "first heal must run cold");
+    assert!(heal1.converged, "the held-out branch must heal");
+    assert!(heal1.sites_healed >= 1);
 
-    let run2 =
-        recompile_healing_stored(&ts.store, &img, &traced, &held, OptLevel::Full, 2).unwrap();
-    assert!(run2.warm, "identical heal request must be a warm hit");
-    assert_eq!(run2.image, run1.image, "warm heal must serve the cold image");
-    assert!(run2.report.funcs_reused >= 1, "warm heal reuses every function");
-    assert_eq!(run2.report.funcs_reused, run2.report.funcs_total);
-    assert_eq!(run2.report.rounds, 0, "a warm hit runs no healing rounds");
-    assert_eq!(
-        run2.report.events.len(),
-        run1.report.events.len(),
-        "attribution provenance survives the store"
-    );
+    let run2 = stored_heal(&ts.store, &img, &traced, &held, 2);
+    let heal2 = run2.healing().expect("a healed hit reports healing");
+    assert!(run2.warm(), "identical heal request must be a warm hit");
+    assert!(matches!(run2, StoredOutcome::WarmHealed(_)), "served from the healed tier");
+    assert_eq!(run2.image(), run1.image(), "warm heal must serve the cold image");
+    assert!(heal2.funcs_reused >= 1, "warm heal reuses every function");
+    assert_eq!(heal2.funcs_reused, heal2.funcs_total);
+    assert_eq!(heal2.rounds, 0, "a warm hit runs no healing rounds");
+    assert_eq!(heal2.events.len(), heal1.events.len(), "attribution provenance survives the store");
 
     // A different request shape — nothing held out — misses the result
     // entry but finds the facts: the recorded inputs extend coverage and
     // the fact cache seeds the recompile, reconverging on the same image.
-    let run3 = recompile_healing_stored(&ts.store, &img, &traced, &[], OptLevel::Full, 3).unwrap();
-    assert!(!run3.warm);
-    assert!(run3.report.converged);
+    let run3 = stored_heal(&ts.store, &img, &traced, &[], 3);
+    let heal3 = run3.healing().expect("an empty held-out set still heals");
+    assert!(!run3.warm());
+    assert!(heal3.converged);
     assert_eq!(
-        run3.image, run1.image,
+        run3.image(),
+        run1.image(),
         "facts-seeded recompile must reproduce the accumulated-coverage image"
     );
+    let inputs3 = run3.inputs().expect("a cold heal records its union input set");
     assert!(
-        run3.inputs.contains(&b"x".to_vec()),
-        "persisted facts must extend the held-out set: {:?}",
-        run3.inputs
+        inputs3.contains(&b"x".to_vec()),
+        "persisted facts must extend the held-out set: {inputs3:?}"
     );
-    assert!(run3.report.funcs_reused >= 1, "persisted facts must seed reuse");
+    assert!(heal3.funcs_reused >= 1, "persisted facts must seed reuse");
 }
 
 /// Collect `(relative path, bytes)` of every file under a store root.

@@ -8,7 +8,7 @@
 //! lock (same discipline as `tests/par.rs`).
 
 use std::sync::Mutex;
-use wyt_core::{recompile, Mode, Recompiled};
+use wyt_core::{recompile, Mode, Recompiled, Request};
 use wyt_minicc::{compile, Profile};
 use wyt_obs::trace;
 
@@ -46,8 +46,9 @@ fn clean() {
 fn traced_recompile(threads: usize) -> (Vec<trace::TraceEvent>, Recompiled) {
     trace::reset();
     let img = compile(SRC, &Profile::gcc12_o3()).unwrap().stripped();
-    let rec =
-        with_threads(threads, || recompile(&img, &[vec![], b"x".to_vec()], Mode::Wytiwyg).unwrap());
+    let rec = with_threads(threads, || {
+        recompile(&Request::new(&img, &[vec![], b"x".to_vec()], Mode::Wytiwyg)).unwrap()
+    });
     (trace::drain(), rec)
 }
 

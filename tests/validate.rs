@@ -3,7 +3,8 @@
 //! miscompilation — wrong exit code, wrong output, or an outright trap —
 //! is rejected with a diagnostic naming the offending input.
 
-use wyt_core::{recompile, validate, MismatchKind, Mode};
+use wyt_core::{recompile, validate, MismatchKind, Mode, Request};
+use wyt_emu::Trap;
 use wyt_minicc::{compile, Profile};
 
 const SRC: &str = r#"
@@ -23,7 +24,7 @@ fn correct_recompilation_is_accepted() {
     let img = compile(SRC, &Profile::gcc12_o3()).expect("compile").stripped();
     let ins = inputs();
     for mode in [Mode::NoSymbolize, Mode::Wytiwyg] {
-        let out = recompile(&img, &ins, mode).expect("recompile");
+        let out = recompile(&Request::new(&img, &ins, mode)).expect("recompile");
         validate(&img, &out.image, &ins)
             .unwrap_or_else(|e| panic!("{mode:?} roundtrip must validate: {e}"));
     }
@@ -122,4 +123,26 @@ int main() {
     validate(&img, &diverges_on_seven, &inputs()).expect("divergence outside inputs is invisible");
     let err = validate(&img, &diverges_on_seven, &[vec![7]]).expect_err("input 7 exposes it");
     assert!(matches!(err.kind, MismatchKind::Exit { .. }), "{err}");
+}
+
+#[test]
+fn looping_recompilation_runs_out_of_fuel() {
+    // A candidate that never exits gets the pipeline's replay budget —
+    // scaled from the original's run — not the emulator's default one.
+    let img = compile(SRC, &Profile::gcc12_o3()).expect("compile").stripped();
+    let spins = compile(
+        r#"
+int main() {
+    int n = 0;
+    while (getchar() != 1000) n++;
+    return n & 0x7f;
+}
+"#,
+        &Profile::gcc12_o3(),
+    )
+    .expect("compile")
+    .stripped();
+    let err = validate(&img, &spins, &inputs()).expect_err("must reject a looping image");
+    assert_eq!(err.input, 0);
+    assert_eq!(err.kind, MismatchKind::RecompiledTrapped(Some(Trap::OutOfFuel)), "{err}");
 }
