@@ -27,6 +27,7 @@
 
 use std::process::ExitCode;
 use wyt_bench::diff::{diff_bench, render, DiffOptions};
+use wyt_core::batch::JOB_PHASES;
 use wyt_core::{recompile, Mode, Request};
 use wyt_minicc::{compile, Profile};
 use wyt_obs::OutputFormat;
@@ -61,9 +62,10 @@ const EXPECTED_STAGES: [&str; 11] = [
 
 /// Schema gate for `results/BENCH_store.json` (written by the
 /// `wyt-batch` binary): every row records a cold and a warm timing for
-/// one suite job, every warm pass must have hit, and the store counters
-/// must show cache traffic with zero corruption — a committed artifact
-/// claiming corrupt entries (or no hits at all) means the store broke.
+/// one suite job whose phases add up to it, every warm pass must have
+/// hit, and the store counters must show cache traffic with zero
+/// corruption — a committed artifact claiming corrupt entries (or no
+/// hits at all) means the store broke.
 fn check_store_json(j: &wyt_obs::Json) {
     assert_eq!(
         j.get("bench").and_then(|v| v.as_str()),
@@ -79,42 +81,56 @@ fn check_store_json(j: &wyt_obs::Json) {
             key.len() == 64 && key.bytes().all(|b| b.is_ascii_hexdigit()),
             "store row `{name}`: key is not a sha-256 hex digest: {key}"
         );
-        r.get("cold_ns").and_then(|v| v.as_u64()).expect("store row has cold_ns");
-        r.get("warm_ns").and_then(|v| v.as_u64()).expect("store row has warm_ns");
+        let cold_ns = r.get("cold_ns").and_then(|v| v.as_u64()).expect("store row has cold_ns");
+        let warm_ns = r.get("warm_ns").and_then(|v| v.as_u64()).expect("store row has warm_ns");
         assert_eq!(
             r.get("warm_hit").and_then(|v| v.as_bool()),
             Some(true),
             "store row `{name}`: the second pass must be a warm hit"
         );
-        // Per-phase breakdown: every job records where its wall time
-        // went, and a warm pass must not have recompiled anything.
-        for pk in ["cold_phases", "warm_phases"] {
+        // Per-phase breakdown: the phases are disjoint spans inside the
+        // job, so they add up to at most its wall time and `other_ns`
+        // holds exactly the rest; a warm pass recompiles and writes
+        // nothing.
+        for (pk, wall) in [("cold_phases", cold_ns), ("warm_phases", warm_ns)] {
             let p = r.get(pk).unwrap_or_else(|| panic!("store row `{name}` has {pk}"));
-            for field in ["key_ns", "lookup_ns", "validate_ns", "recompile_ns"] {
-                p.get(field)
+            let field = |f: &str| {
+                p.get(f)
                     .and_then(|v| v.as_u64())
-                    .unwrap_or_else(|| panic!("store row `{name}`: {pk}.{field}"));
+                    .unwrap_or_else(|| panic!("store row `{name}`: {pk}.{f}"))
+            };
+            let named: u64 = JOB_PHASES.iter().map(|&(_, key)| field(key)).sum();
+            assert!(
+                named <= wall,
+                "store row `{name}`: {pk} sum to {named} ns, more than the job's {wall} ns"
+            );
+            assert_eq!(
+                field("other_ns"),
+                wall - named,
+                "store row `{name}`: {pk}.other_ns must hold the remainder"
+            );
+            if pk == "warm_phases" {
+                assert_eq!(
+                    (field("cold_ns"), field("put_ns")),
+                    (0, 0),
+                    "store row `{name}`: a warm hit must not recompile or write"
+                );
             }
         }
-        assert_eq!(
-            r.get("warm_phases").and_then(|p| p.get("recompile_ns")).and_then(|v| v.as_u64()),
-            Some(0),
-            "store row `{name}`: a warm hit must not recompile"
-        );
     }
     // Latency histograms: the suite runs cold + warm, so every hist
     // must have samples and ordered quantiles.
-    let lat = j.get("latency").expect("BENCH_store.json: latency section");
+    let hists = j.get("obs").and_then(|o| o.get("hists")).expect("BENCH_store.json: obs.hists");
     for h in ["batch.job.cold", "batch.job.warm", "store.lookup", "store.put"] {
-        let hist = lat.get(h).unwrap_or_else(|| panic!("latency has {h}"));
+        let hist = hists.get(h).unwrap_or_else(|| panic!("obs.hists has {h}"));
         let get = |k: &str| {
-            hist.get(k).and_then(|v| v.as_u64()).unwrap_or_else(|| panic!("latency {h} has {k}"))
+            hist.get(k).and_then(|v| v.as_u64()).unwrap_or_else(|| panic!("obs.hists {h} has {k}"))
         };
-        assert!(get("count") >= 1, "latency {h}: no samples");
+        assert!(get("count") >= 1, "obs.hists {h}: no samples");
         let (p50, p90, p99, max) = (get("p50_ns"), get("p90_ns"), get("p99_ns"), get("max_ns"));
         assert!(
             p50 <= p90 && p90 <= p99 && p99 <= max,
-            "latency {h}: quantiles out of order ({p50}, {p90}, {p99}, {max})"
+            "obs.hists {h}: quantiles out of order ({p50}, {p90}, {p99}, {max})"
         );
     }
     let s = j.get("store").expect("BENCH_store.json: store counter section");

@@ -12,7 +12,8 @@
 //! **Default mode** builds every `wyt_spec` benchmark under GCC 12 -O3,
 //! runs the queue cold and then warm against a scratch store (or
 //! `WYT_STORE` if set), and writes `results/BENCH_store.json`: per-job
-//! cold/warm timings and hit flags plus the store's counter totals.
+//! cold/warm timings, their phase breakdowns and hit flags plus the
+//! store's counter totals.
 //! `report --check` gates the schema.
 //!
 //! **Smoke mode** (`--smoke cold|warm --out DIR`) runs a small fixed
@@ -79,13 +80,6 @@ fn report_errors(pass: &str, rep: &BatchReport) -> bool {
     any
 }
 
-/// The obs latency histograms (`batch.job.*`, `store.*`) as a JSON
-/// object, for the bench body's `latency` section.
-fn latency_json() -> Json {
-    let hists = wyt_obs::snapshot().hists;
-    Json::Obj(hists.iter().map(|(k, h)| (k.clone(), h.to_json())).collect())
-}
-
 /// Full-suite mode: cold pass, warm pass, `BENCH_store.json`.
 fn full_run() -> ExitCode {
     let (store, scratch) = match Store::open_env() {
@@ -121,8 +115,8 @@ fn full_run() -> ExitCode {
             ("cold_ns", Json::from(c.wall_ns)),
             ("warm_ns", Json::from(w.wall_ns)),
             ("warm_hit", Json::Bool(w.warm)),
-            ("cold_phases", c.phases.to_json()),
-            ("warm_phases", w.phases.to_json()),
+            ("cold_phases", c.phases_json()),
+            ("warm_phases", w.phases_json()),
         ]));
     }
     // Counter deltas over exactly this run, so a pre-warmed WYT_STORE
@@ -134,12 +128,7 @@ fn full_run() -> ExitCode {
     );
 
     let par = ParMeta { threads: warm.threads, wall_ns, serial_wall_ns: None };
-    let body = bench_json_body(
-        "store",
-        Json::Arr(rows),
-        &par,
-        vec![("store", counters.to_json()), ("latency", latency_json())],
-    );
+    let body = bench_json_body("store", Json::Arr(rows), &par, vec![("store", counters.to_json())]);
     let path = write_bench_json(&wyt_bench::bench_out_dir(), "store", &body);
     println!("wrote {}", path.display());
     if let Some(dir) = scratch {
@@ -183,7 +172,7 @@ fn smoke_run(which: &str, out_dir: &Path) -> ExitCode {
     let mut sha_lines = String::new();
     let mut rows: Vec<Json> = Vec::new();
     for (i, (job, row)) in jobs.iter().zip(&rep.jobs).enumerate() {
-        let (served, _) = recompile_stored(&store, &job.request(), i as u64)
+        let served = recompile_stored(&store, &job.request(), i as u64)
             .unwrap_or_else(|e| panic!("{}: re-serve: {e}", job.name));
         sha_lines.push_str(&format!("{}  {}\n", image_digest(served.image()), job.name));
         rows.push(Json::obj(vec![
@@ -242,7 +231,7 @@ fn chaos_pass(
     let failed = report_errors(tag, &rep);
     let mut sha_lines = String::new();
     for (i, (job, _)) in jobs.iter().zip(&rep.jobs).enumerate() {
-        let (served, _) = recompile_stored(&store, &job.request(), i as u64)
+        let served = recompile_stored(&store, &job.request(), i as u64)
             .unwrap_or_else(|e| panic!("{}: re-serve: {e}", job.name));
         sha_lines.push_str(&format!("{}  {}\n", image_digest(served.image()), job.name));
     }

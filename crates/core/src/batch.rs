@@ -26,7 +26,6 @@ use crate::artifact::{
 use crate::pipeline::{
     recompile, recompile_seeded, validate, FaultInjector, Mode, RecompileError, Recompiled, Request,
 };
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use wyt_isa::image::Image;
 use wyt_obs::{mono_ns, HealingReport, Json, Span};
@@ -106,6 +105,19 @@ impl StoredOutcome {
     }
 }
 
+/// The disjoint child spans [`recompile_stored`] opens, each with the
+/// key it takes in a batch row's phase breakdown
+/// ([`BatchJobResult::phases_json`]): deriving the content key, fetching
+/// and decoding store entries, replay-validating a warm candidate, the
+/// cold pipeline, and persisting its result.
+pub const JOB_PHASES: [(&str, &str); 5] = [
+    ("job.key", "key_ns"),
+    ("job.lookup", "lookup_ns"),
+    ("job.validate", "validate_ns"),
+    ("job.cold", "cold_ns"),
+    ("job.put", "put_ns"),
+];
+
 /// Fetch-decode-validate one store entry of `kind` at `key`, handing the
 /// decoded value to `check` for behavioural validation. Every failure
 /// path marks the entry corrupt and returns `None` (recompile cold).
@@ -116,59 +128,31 @@ fn warm_candidate<T>(
     decode: impl Fn(&Json) -> Result<T, String>,
     check: impl Fn(&T) -> bool,
 ) -> Option<T> {
-    match store.get(kind, key) {
-        Lookup::Hit(payload) => match decode(&payload) {
-            Ok(v) if check(&v) => Some(v),
-            Ok(_) => {
-                // Structurally sound but behaviourally wrong — a
-                // logically poisoned entry. Count it and recompile.
-                store.note_corrupt();
-                None
-            }
-            Err(_) => {
-                store.note_corrupt();
-                None
-            }
-        },
-        Lookup::Miss | Lookup::Corrupt(_) => None,
-    }
-}
-
-/// Wall-time breakdown of one store-backed recompilation, attributing
-/// where a job spent its time: deriving the content key, looking the
-/// entry up (decode included), replay-validating the warm candidate
-/// (a subset of the lookup time), and — on a miss — the cold pipeline.
-/// Pure timing data: excluded from every canonical deterministic form.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JobPhases {
-    /// Content-key derivation (hashing image + inputs + config).
-    pub key_ns: u64,
-    /// Store lookup: fetch, decode, and candidate checks.
-    pub lookup_ns: u64,
-    /// Replay validation of the warm candidate (included in
-    /// `lookup_ns`); 0 when no structurally-sound candidate existed.
-    pub validate_ns: u64,
-    /// Cold pipeline run; 0 on a warm hit.
-    pub recompile_ns: u64,
-}
-
-impl JobPhases {
-    /// `{key_ns, lookup_ns, validate_ns, recompile_ns}`.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("key_ns", Json::from(self.key_ns)),
-            ("lookup_ns", Json::from(self.lookup_ns)),
-            ("validate_ns", Json::from(self.validate_ns)),
-            ("recompile_ns", Json::from(self.recompile_ns)),
-        ])
+    let decoded = {
+        let _p = Span::enter("job.lookup");
+        match store.get(kind, key) {
+            Lookup::Hit(payload) => Some(decode(&payload)),
+            Lookup::Miss | Lookup::Corrupt(_) => None,
+        }
+    }?;
+    let _p = Span::enter("job.validate");
+    match decoded {
+        Ok(v) if check(&v) => Some(v),
+        // `Ok` here is structurally sound but behaviourally wrong — a
+        // logically poisoned entry. Either way: count it and recompile.
+        Ok(_) | Err(_) => {
+            store.note_corrupt();
+            None
+        }
     }
 }
 
 /// Recompile `req` through `store`: serve a validated warm hit if one
 /// exists, else run [`recompile`] cold and persist the result under
 /// `stamp` (the FIFO eviction rank — callers use a job index or run
-/// counter). Returns the outcome with its per-phase wall-time breakdown,
-/// so a warm hit's overhead (key + lookup + replay) is attributable.
+/// counter). Each step runs under one of the disjoint [`JOB_PHASES`]
+/// spans, so a warm hit's overhead (key + lookup + replay) is
+/// attributable from the span list.
 ///
 /// A plain request has one tier, the `"artifact"` entry. A healing
 /// request (`held_out` set) has three, best first:
@@ -193,23 +177,16 @@ pub fn recompile_stored(
     store: &Store,
     req: &Request,
     stamp: u64,
-) -> Result<(StoredOutcome, JobPhases), RecompileError> {
+) -> Result<StoredOutcome, RecompileError> {
     let _s = Span::enter(if req.held_out.is_some() { "store.heal" } else { "store.recompile" });
-    let mut phases = JobPhases::default();
-    let t0 = mono_ns();
-    let key = match req.held_out {
-        None => artifact_key(req.image, req.inputs, req.mode, req.opt),
-        Some(held_out) => heal_key(req.image, req.inputs, held_out, req.opt),
+    let key = {
+        let _p = Span::enter("job.key");
+        match req.held_out {
+            None => artifact_key(req.image, req.inputs, req.mode, req.opt),
+            Some(held_out) => heal_key(req.image, req.inputs, held_out, req.opt),
+        }
     };
-    phases.key_ns = mono_ns() - t0;
-    let validate_ns = Cell::new(0u64);
-    let replays = |image: &Image, inputs: &[Vec<u8>]| {
-        let v0 = mono_ns();
-        let ok = validate(req.image, image, inputs).is_ok();
-        validate_ns.set(validate_ns.get() + (mono_ns() - v0));
-        ok
-    };
-    let t1 = mono_ns();
+    let replays = |image: &Image, inputs: &[Vec<u8>]| validate(req.image, image, inputs).is_ok();
     let cand = match req.held_out {
         None => {
             let (want_mode, want_opt) = (format!("{:?}", req.mode), format!("{:?}", req.opt));
@@ -223,17 +200,17 @@ pub fn recompile_stored(
                 .map(|h| StoredOutcome::WarmHealed(Box::new(h)))
         }
     };
-    phases.lookup_ns = mono_ns() - t1;
-    phases.validate_ns = validate_ns.get();
     if let Some(warm) = cand {
         wyt_obs::counter("store.warm_serve", 1);
-        return Ok((warm, phases));
+        return Ok(warm);
     }
-    let t2 = mono_ns();
     let rec = match req.held_out {
         None => {
-            let rec = recompile(req)?;
-            phases.recompile_ns = mono_ns() - t2;
+            let rec = {
+                let _p = Span::enter("job.cold");
+                recompile(req)?
+            };
+            let _p = Span::enter("job.put");
             let _ = store.put("artifact", &key, stamp, artifact_payload(&rec));
             rec
         }
@@ -241,15 +218,18 @@ pub fn recompile_stored(
             let fkey = facts_key(req.image, req.opt);
             let prior: Option<StoredFacts> =
                 warm_candidate(store, wyt_store::FACTS_KIND, &fkey, facts_from_json, |_| true);
-            let rec = heal_seeded(req, held_out, prior.as_ref())?;
-            phases.recompile_ns = mono_ns() - t2;
+            let rec = {
+                let _p = Span::enter("job.cold");
+                heal_seeded(req, held_out, prior.as_ref())?
+            };
+            let _p = Span::enter("job.put");
             let _ = store.put("healed", &key, stamp, heal_payload(&rec));
             let facts = StoredFacts::of(&rec, &rec.inputs, prior.as_ref());
             let _ = store.put(wyt_store::FACTS_KIND, &fkey, stamp, facts_to_json(&facts));
             rec
         }
     };
-    Ok((StoredOutcome::Cold(Box::new(rec)), phases))
+    Ok(StoredOutcome::Cold(Box::new(rec)))
 }
 
 /// The facts and cold tiers of a stored heal: `prior`'s inputs (those
@@ -345,13 +325,36 @@ pub struct BatchJobResult {
     pub retried: bool,
     /// Wall time of the job (excluded from the canonical report).
     pub wall_ns: u64,
-    /// Per-phase wall-time breakdown (excluded from the canonical
-    /// report; zeroed for failed jobs).
-    pub phases: JobPhases,
+    /// Total time under each [`JOB_PHASES`] span, by span name, summed
+    /// over the job's attempts (excluded from the canonical report).
+    /// Read off the job's own span list, so empty when the run was not
+    /// observed.
+    pub phases: BTreeMap<&'static str, u64>,
     /// Degraded-function count.
     pub degradations: u64,
     /// Pipeline error, if the job failed.
     pub error: Option<String>,
+}
+
+impl BatchJobResult {
+    /// The phase breakdown as `{key_ns, lookup_ns, validate_ns, cold_ns,
+    /// put_ns, other_ns}`: the phases are disjoint spans inside the job,
+    /// so they sum to at most `wall_ns`, and `other_ns` is the rest.
+    /// `null` when the run was not observed.
+    pub fn phases_json(&self) -> Json {
+        if self.phases.is_empty() {
+            return Json::Null;
+        }
+        let mut members = Vec::new();
+        let mut named = 0;
+        for (span, key) in JOB_PHASES {
+            let ns = self.phases.get(span).copied().unwrap_or(0);
+            named += ns;
+            members.push((key.to_string(), Json::from(ns)));
+        }
+        members.push(("other_ns".to_string(), Json::from(self.wall_ns.saturating_sub(named))));
+        Json::Obj(members)
+    }
 }
 
 /// What a batch run did: per-job rows in queue order plus the store's
@@ -382,7 +385,7 @@ impl BatchReport {
                 for (row, job) in rows.iter_mut().zip(&self.jobs) {
                     if let Json::Obj(m) = row {
                         m.push(("wall_ns".to_string(), Json::from(job.wall_ns)));
-                        m.push(("phases".to_string(), job.phases.to_json()));
+                        m.push(("phases".to_string(), job.phases_json()));
                     }
                 }
             }
@@ -505,7 +508,7 @@ pub fn run_batch_supervised(
         });
     }
 
-    let run_one = |i: usize| -> BatchJobResult {
+    let run_job = |i: usize| -> BatchJobResult {
         let job = &jobs[i];
         let t0 = mono_ns();
         let attempt = || {
@@ -529,19 +532,18 @@ pub fn run_batch_supervised(
             warm: false,
             retried,
             wall_ns,
-            phases: JobPhases::default(),
+            phases: BTreeMap::new(),
             degradations: 0,
             error: None,
         };
         match sup {
-            Supervised::Ok(Ok((o, phases))) => {
+            Supervised::Ok(Ok(o)) => {
                 wyt_obs::record_hist(
                     if o.warm() { "batch.job.warm" } else { "batch.job.cold" },
                     wall_ns,
                 );
                 row.outcome = if o.warm() { JobOutcome::Warm } else { JobOutcome::Cold };
                 row.warm = o.warm();
-                row.phases = phases;
                 row.degradations = o.degradations();
             }
             Supervised::Ok(Err(e)) => row.error = Some(e.to_string()),
@@ -556,6 +558,20 @@ pub fn run_batch_supervised(
                 row.error = Some(payload);
             }
         }
+        row
+    };
+    // While observing, each job records into its own scope so its phase
+    // breakdown is read off its own spans; the scope then folds back.
+    let run_one = |i: usize| -> BatchJobResult {
+        if !wyt_obs::observing() {
+            return run_job(i);
+        }
+        let (mut row, snap) = wyt_obs::with_local(|| run_job(i));
+        let totals = snap.span_totals();
+        for (span, _) in JOB_PHASES {
+            row.phases.insert(span, totals.get(span).map_or(0, |t| t.0));
+        }
+        wyt_obs::fold(snap);
         row
     };
 

@@ -551,15 +551,19 @@ pub(crate) fn recompile_seeded(
 ) -> Result<Recompiled, RecompileError> {
     let _s = req.held_out.is_some().then(|| Span::enter("healing"));
     crate::ingest::check_image(req.image).map_err(RecompileError::Ingest)?;
-    let lifted = {
+    // Timed like `stage()` does: the clock pair sits inside the span.
+    let (lifted, lift_ns) = {
         let _s = Span::enter("lift");
+        let t0 = mono_ns();
         let trace_fault = req.faults.trace.as_deref().map(|f| f as &(dyn Fn(&mut Trace) + Sync));
-        lift_image_faulted(req.image, req.inputs, trace_fault).map_err(RecompileError::Lift)?
+        let lifted =
+            lift_image_faulted(req.image, req.inputs, trace_fault).map_err(RecompileError::Lift)?;
+        (lifted, mono_ns() - t0)
     };
     let seed = prior.and_then(|(trace, plan)| {
         crate::healing::seed_plan_from_prior(req.image, trace, plan, &lifted)
     });
-    let rec = recompile_from_lifted(
+    let mut rec = recompile_from_lifted(
         req.image,
         req.inputs,
         req.mode,
@@ -568,6 +572,11 @@ pub(crate) fn recompile_seeded(
         lifted,
         seed.as_ref(),
     )?;
+    // `recompile_from_lifted` only sees the lifted program, so its
+    // `lift` row covers just the unpacking; add the lift itself.
+    if let Some(row) = rec.report.stages.iter_mut().find(|s| s.name == "lift") {
+        row.wall_ns += lift_ns;
+    }
     match req.held_out {
         Some(held_out) => crate::healing::heal(req, held_out, rec),
         None => Ok(rec),

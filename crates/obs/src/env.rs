@@ -1,7 +1,7 @@
 //! Warn-and-default environment-variable parsing.
 //!
 //! Every tunable the service reads from the environment (`WYT_PAR`,
-//! `WYT_STORE_CAP`, `WYT_OBS_TRACE_CAP`, `WYT_JOB_BUDGET`, ...) goes
+//! `WYT_STORE_CAP`, `WYT_JOB_BUDGET`, ...) goes
 //! through these helpers: an unset variable yields the default silently,
 //! a malformed value yields the default with a one-time warning on
 //! stderr. A bad knob must never panic a long-running batch service

@@ -41,7 +41,7 @@ pub use report::{
 };
 pub use sink::{
     counter, enabled, fold, init_from_env, observing, record_hist, reset, set_enabled, snapshot,
-    with_local, OutputFormat, Snapshot, SpanRec,
+    with_local, OutputFormat, Snapshot,
 };
 pub use span::{fmt_ns, mono_ns, Span};
 

@@ -1,22 +1,26 @@
 //! The process-global sink: one state word, one registry of counters,
-//! span records and latency histograms.
+//! span events and latency histograms.
 //!
-//! The state is a single relaxed atomic `u32` with one bit per
-//! collector — bit 0 for this sink, bit 1 for the flight recorder
-//! ([`crate::trace`]) — so instrumentation sites in hot loops (the
-//! emulator's fetch/execute loop, the IR interpreter) pay one load and
-//! a predictable branch when everything is off. The registry behind it
-//! is a plain mutex: it is only ever touched when enabled, and
-//! contention stays negligible because parallel workers observe into
+//! The state is a single relaxed atomic `u32` with two bits — bit 0
+//! turns on the whole sink, bit 1 ([`crate::trace::set_enabled`]) span
+//! events alone — so instrumentation sites in hot loops (the emulator's
+//! fetch/execute loop, the IR interpreter) pay one load and a
+//! predictable branch when everything is off. The registry behind it is
+//! a plain mutex: it is only ever touched when enabled, and contention
+//! stays negligible because parallel workers observe into
 //! **thread-local scopes** instead: `wyt-par` wraps each task in
 //! [`with_local`] and [`fold`]s the captured snapshots back into the
 //! global registry in task order, keeping parallel observation streams
-//! deterministic. Trace events captured in a scope ride along in the
-//! snapshot and are folded into the calling thread's ring by the same
-//! mechanism, so the recorder inherits the determinism for free.
+//! deterministic.
+//!
+//! Spans are kept one way only: as the begin/end event list
+//! [`Snapshot::spans`]. Per-name totals ([`Snapshot::span_totals`]) and
+//! the Chrome export ([`crate::trace::to_chrome_json`]) are both
+//! computed from that list.
 
 use crate::hist::Hist;
-use crate::trace::TraceEvent;
+use crate::span::mono_ns;
+use crate::trace::{Phase, TraceEvent};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -24,7 +28,8 @@ use std::sync::Mutex;
 
 /// State bit: the counter/span/histogram sink is collecting.
 pub(crate) const SINK_ON: u32 = 1;
-/// State bit: the flight recorder ([`crate::trace`]) is collecting.
+/// State bit: span events are collecting, without counters or
+/// histograms ([`crate::trace`]).
 pub(crate) const TRACE_ON: u32 = 1 << 1;
 
 static STATE: AtomicU32 = AtomicU32::new(0);
@@ -45,19 +50,13 @@ pub(crate) fn set_state_bit(bit: u32, on: bool) {
 
 struct Registry {
     counters: BTreeMap<String, u64>,
-    spans: Vec<SpanRec>,
+    spans: Vec<TraceEvent>,
     hists: BTreeMap<String, Hist>,
-    events: Vec<TraceEvent>,
 }
 
 impl Registry {
     const fn empty() -> Registry {
-        Registry {
-            counters: BTreeMap::new(),
-            spans: Vec::new(),
-            hists: BTreeMap::new(),
-            events: Vec::new(),
-        }
+        Registry { counters: BTreeMap::new(), spans: Vec::new(), hists: BTreeMap::new() }
     }
 }
 
@@ -65,23 +64,9 @@ static REGISTRY: Mutex<Registry> = Mutex::new(Registry::empty());
 
 thread_local! {
     /// Innermost local observation scope on this thread, if any. When
-    /// installed, counters, spans, histogram samples and trace events
-    /// land here instead of the global registry / thread ring (see
-    /// [`with_local`]).
+    /// installed, counters, span events and histogram samples land here
+    /// instead of the global registry (see [`with_local`]).
     static LOCAL: RefCell<Option<Registry>> = const { RefCell::new(None) };
-}
-
-/// One completed span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanRec {
-    /// Span name as passed to [`crate::Span::enter`].
-    pub name: &'static str,
-    /// Start, nanoseconds since the process epoch.
-    pub start_ns: u64,
-    /// Duration in nanoseconds.
-    pub dur_ns: u64,
-    /// Nesting depth at entry (0 = top level).
-    pub depth: u32,
 }
 
 /// Is the global sink collecting?
@@ -90,14 +75,15 @@ pub fn enabled() -> bool {
     state() & SINK_ON != 0
 }
 
-/// Turn the global sink on or off (the flight recorder has its own
+/// Turn the global sink on or off (span events alone have their own
 /// switch, [`crate::trace::set_enabled`]).
 pub fn set_enabled(on: bool) {
     set_state_bit(SINK_ON, on);
 }
 
-/// Is any collector — sink or flight recorder — on? `wyt-par` uses
-/// this to decide whether tasks need local observation scopes.
+/// Is anything — the sink or span events alone — being collected?
+/// `wyt-par` uses this to decide whether tasks need local observation
+/// scopes.
 #[inline]
 pub fn observing() -> bool {
     state() != 0
@@ -166,41 +152,25 @@ pub fn record_hist(name: &str, ns: u64) {
     }
 }
 
-/// Record a completed span (called by [`crate::Span`]'s drop).
-pub(crate) fn record_span(name: &'static str, start_ns: u64, dur_ns: u64, depth: u32) {
-    if !enabled() {
-        return;
-    }
-    let rec = SpanRec { name, start_ns, dur_ns, depth };
+/// Append one span event, stamped now on this thread's track (called
+/// by [`crate::Span`], which has already checked the state word).
+pub(crate) fn record_span_event(name: &'static str, phase: Phase) {
+    let ev = TraceEvent { name, phase, ts_ns: mono_ns(), track: crate::trace::current_track() };
     let local = LOCAL.with(|l| {
         if let Some(reg) = l.borrow_mut().as_mut() {
-            reg.spans.push(rec.clone());
+            reg.spans.push(ev);
             true
         } else {
             false
         }
     });
     if !local {
-        crate::lock_ok(&REGISTRY).spans.push(rec);
+        crate::lock_ok(&REGISTRY).spans.push(ev);
     }
 }
 
-/// Push a trace event into the innermost local scope, if one is
-/// installed on this thread. Returns `false` when there is no scope
-/// (the caller then appends to its thread ring).
-pub(crate) fn push_local_event(ev: TraceEvent) -> bool {
-    LOCAL.with(|l| {
-        if let Some(reg) = l.borrow_mut().as_mut() {
-            reg.events.push(ev);
-            true
-        } else {
-            false
-        }
-    })
-}
-
 /// Run `f` with a fresh **local** observation scope on this thread:
-/// every counter, span, histogram sample and trace event it records is
+/// every counter, span event and histogram sample it records is
 /// captured privately and returned as a [`Snapshot`] instead of
 /// entering the global registry. Scopes nest; the innermost wins. The
 /// caller decides when (and in what order) to [`fold`] the snapshot
@@ -225,48 +195,30 @@ pub fn with_local<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {
         .with(|l| std::mem::replace(&mut *l.borrow_mut(), scope.prev.take()))
         .expect("local observation scope vanished");
     std::mem::forget(scope); // already restored
-    (
-        r,
-        Snapshot {
-            counters: mine.counters,
-            spans: mine.spans,
-            hists: mine.hists,
-            events: mine.events,
-        },
-    )
+    (r, Snapshot { counters: mine.counters, spans: mine.spans, hists: mine.hists })
 }
 
 /// Merge a snapshot captured by [`with_local`] into the current sink:
 /// the innermost local scope if one is installed on this thread,
-/// otherwise the global registry (trace events then go to this
-/// thread's ring, where the ring cap applies). Counter values add,
-/// histograms merge bucket-exactly; spans and events append in the
-/// snapshot's order. No-op when every collector is disabled.
+/// otherwise the global registry. Counter values add, histograms merge
+/// bucket-exactly; span events append in the snapshot's order. No-op
+/// when nothing is being collected.
 pub fn fold(snap: Snapshot) {
     if state() == 0 {
         return;
     }
-    let Snapshot { counters, spans, hists, events } = snap;
-    let mut pending = Some((counters, spans, hists, events));
+    let mut pending = Some(snap);
     LOCAL.with(|l| {
         if let Some(reg) = l.borrow_mut().as_mut() {
-            let (counters, spans, hists, events) = pending.take().unwrap();
-            merge(reg, counters, spans, hists);
-            reg.events.extend(events);
+            merge(reg, pending.take().unwrap());
         }
     });
-    if let Some((counters, spans, hists, events)) = pending {
-        merge(&mut crate::lock_ok(&REGISTRY), counters, spans, hists);
-        crate::trace::append_folded(events);
+    if let Some(snap) = pending {
+        merge(&mut crate::lock_ok(&REGISTRY), snap);
     }
 }
 
-fn merge(
-    reg: &mut Registry,
-    counters: BTreeMap<String, u64>,
-    spans: Vec<SpanRec>,
-    hists: BTreeMap<String, Hist>,
-) {
+fn merge(reg: &mut Registry, Snapshot { counters, spans, hists }: Snapshot) {
     for (k, v) in counters {
         *reg.counters.entry(k).or_insert(0) += v;
     }
@@ -281,31 +233,38 @@ fn merge(
 pub struct Snapshot {
     /// Counter totals, ordered by name.
     pub counters: BTreeMap<String, u64>,
-    /// Completed spans in completion order.
-    pub spans: Vec<SpanRec>,
+    /// Span begin/end events in record order (folded scopes in fold
+    /// order).
+    pub spans: Vec<TraceEvent>,
     /// Latency histograms, ordered by name.
     pub hists: BTreeMap<String, Hist>,
-    /// Trace events captured in a local scope ([`with_local`]); always
-    /// empty in global [`snapshot`]s — unscoped events live in the
-    /// flight recorder's rings and are read via [`crate::trace::drain`].
-    pub events: Vec<TraceEvent>,
 }
 
 impl Snapshot {
-    /// Aggregate spans by name: `name → (total ns, count)`, ordered by
-    /// name.
+    /// Aggregate completed spans by name: `name → (total ns, count)`,
+    /// ordered by name. Each end event closes the innermost open begin
+    /// on its track; a span still open at snapshot time is not counted.
     pub fn span_totals(&self) -> BTreeMap<&'static str, (u64, u64)> {
+        let mut open: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
         let mut out: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
-        for s in &self.spans {
-            let e = out.entry(s.name).or_insert((0, 0));
-            e.0 += s.dur_ns;
-            e.1 += 1;
+        for ev in &self.spans {
+            let stack = open.entry(ev.track).or_default();
+            match ev.phase {
+                Phase::Begin => stack.push(ev.ts_ns),
+                Phase::End => {
+                    if let Some(start) = stack.pop() {
+                        let e = out.entry(ev.name).or_insert((0, 0));
+                        e.0 += ev.ts_ns.saturating_sub(start);
+                        e.1 += 1;
+                    }
+                }
+            }
         }
         out
     }
 
     /// Render counters, aggregated spans and histograms as a JSON
-    /// object (trace events are not included — they export through
+    /// object (the span events themselves export through
     /// [`crate::trace::to_chrome_json`]).
     pub fn to_json(&self) -> crate::Json {
         use crate::Json;
@@ -333,12 +292,7 @@ impl Snapshot {
 /// Copy out the current registry contents.
 pub fn snapshot() -> Snapshot {
     let reg = crate::lock_ok(&REGISTRY);
-    Snapshot {
-        counters: reg.counters.clone(),
-        spans: reg.spans.clone(),
-        hists: reg.hists.clone(),
-        events: Vec::new(),
-    }
+    Snapshot { counters: reg.counters.clone(), spans: reg.spans.clone(), hists: reg.hists.clone() }
 }
 
 /// Clear the registry (the state word is untouched).
@@ -347,7 +301,6 @@ pub fn reset() {
     reg.counters.clear();
     reg.spans.clear();
     reg.hists.clear();
-    reg.events.clear();
 }
 
 #[cfg(test)]
@@ -355,7 +308,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::Span;
 
-    /// The whole suite shares the process-global sink and recorder, so
+    /// The whole suite shares the process-global sink, so
     /// every test module that pokes them serializes on this lock.
     pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -394,15 +347,21 @@ pub(crate) mod tests {
         assert_eq!(snap.counters.get("a"), Some(&5));
         assert_eq!(snap.counters.get("b"), Some(&1));
         assert_eq!(snap.hists.get("lat").map(crate::Hist::count), Some(2));
-        assert_eq!(snap.spans.len(), 2);
-        // Inner completes first and sits one level deeper.
-        assert_eq!(snap.spans[0].name, "inner");
-        assert_eq!(snap.spans[0].depth, 1);
-        assert_eq!(snap.spans[1].name, "outer");
-        assert_eq!(snap.spans[1].depth, 0);
-        assert!(snap.spans[1].dur_ns >= snap.spans[0].dur_ns);
+        // Begin outer, begin inner, end inner, end outer.
+        let names: Vec<_> = snap.spans.iter().map(|e| (e.name, e.phase)).collect();
+        assert_eq!(
+            names,
+            [
+                ("outer", Phase::Begin),
+                ("inner", Phase::Begin),
+                ("inner", Phase::End),
+                ("outer", Phase::End)
+            ]
+        );
         let totals = snap.span_totals();
         assert_eq!(totals.get("outer").map(|t| t.1), Some(1));
+        assert_eq!(totals.get("inner").map(|t| t.1), Some(1));
+        assert!(totals["outer"].0 >= totals["inner"].0, "outer encloses inner");
         reset();
         assert!(snapshot().counters.is_empty());
         assert!(snapshot().hists.is_empty());
@@ -426,7 +385,7 @@ pub(crate) mod tests {
         assert!(snapshot().hists.is_empty());
         // ...until the caller folds it, additively.
         assert_eq!(snap.counters.get("inner"), Some(&2));
-        assert_eq!(snap.spans.len(), 1);
+        assert_eq!(snap.spans.len(), 2);
         fold(snap.clone());
         fold(snap);
         let merged = snapshot();
@@ -434,7 +393,7 @@ pub(crate) mod tests {
         reset();
         assert_eq!(merged.counters.get("inner"), Some(&4));
         assert_eq!(merged.counters.get("global"), Some(&1));
-        assert_eq!(merged.spans.len(), 2);
+        assert_eq!(merged.span_totals().get("scoped").map(|t| t.1), Some(2));
         assert_eq!(merged.hists.get("lat").map(crate::Hist::count), Some(2));
     }
 
@@ -490,8 +449,6 @@ pub(crate) mod tests {
             let _s = Span::enter("quiet");
             counter("c", 1);
             record_hist("h", 1);
-            crate::trace::instant("i");
-            let _g = crate::trace::guard("g");
         }
         let after = crate::testalloc::allocations();
         assert_eq!(after, before, "disabled instrumentation must not allocate");

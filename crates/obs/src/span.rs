@@ -1,7 +1,7 @@
 //! The monotonic clock wrapper and the RAII span guard.
 
 use crate::sink;
-use std::cell::Cell;
+use crate::trace::Phase;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -15,60 +15,36 @@ pub fn mono_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-thread_local! {
-    /// Nesting depth of live spans on this thread (for tree rendering).
-    static DEPTH: Cell<u32> = const { Cell::new(0) };
-}
-
-/// An RAII timing span. [`Span::enter`] starts it, dropping it records
-/// `(name, start, duration, depth)` into the global sink, and — when
-/// the flight recorder is on — begin/end events into [`crate::trace`].
+/// An RAII timing span: [`Span::enter`] writes a begin event into the
+/// sink's span list and dropping the guard writes the matching end
+/// event (see [`crate::trace::TraceEvent`]).
 ///
-/// When every collector is disabled the guard is inert: no clock read,
+/// When nothing is being collected the guard is inert: no clock read,
 /// no lock, just one relaxed atomic load and a branch.
 #[must_use = "a span measures until it is dropped"]
 pub struct Span {
     name: &'static str,
-    /// `None` when the sink was disabled at entry.
-    start_ns: Option<u64>,
-    /// The flight recorder was on at entry; emit the end event at drop.
-    traced: bool,
-    depth: u32,
+    /// The begin event was recorded; record the end event at drop.
+    on: bool,
 }
 
 impl Span {
-    /// Start a span named `name` (no-op when every collector is
-    /// disabled).
+    /// Start a span named `name` (no-op when nothing is being
+    /// collected).
     pub fn enter(name: &'static str) -> Span {
-        let state = sink::state();
-        if state == 0 {
-            return Span { name, start_ns: None, traced: false, depth: 0 };
+        let on = sink::state() != 0;
+        if on {
+            sink::record_span_event(name, Phase::Begin);
         }
-        let traced = state & sink::TRACE_ON != 0;
-        if traced {
-            crate::trace::begin(name);
-        }
-        if state & sink::SINK_ON == 0 {
-            return Span { name, start_ns: None, traced, depth: 0 };
-        }
-        let depth = DEPTH.with(|d| {
-            let v = d.get();
-            d.set(v + 1);
-            v
-        });
-        Span { name, start_ns: Some(mono_ns()), traced, depth }
+        Span { name, on }
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if self.traced {
-            crate::trace::end(self.name);
+        if self.on {
+            sink::record_span_event(self.name, Phase::End);
         }
-        let Some(start) = self.start_ns else { return };
-        DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        let dur = mono_ns().saturating_sub(start);
-        sink::record_span(self.name, start, dur, self.depth);
     }
 }
 

@@ -1,52 +1,33 @@
-//! The flight recorder: bounded per-thread rings of timestamped span
-//! begin/end and instant events, exported as Chrome trace-event JSON.
+//! The span timeline: every [`crate::Span`] writes a begin/end event
+//! pair into the sink's one span list ([`crate::Snapshot::spans`]), and
+//! this module exports that list as Chrome trace-event JSON.
 //!
-//! Recording follows the same discipline as the counter sink:
-//!
-//! - **Disabled means free.** Every entry point checks one relaxed
-//!   atomic (the `TRACE_ON` bit of the sink's combined state word) and
-//!   returns before touching the clock or any allocation.
-//! - **Lock-free on the hot path, deterministic at drain.** Each thread
-//!   appends to its own ring (a `thread_local` the thread owns; the
-//!   registry mutex is only taken once, at ring creation). Events
-//!   recorded inside a [`crate::with_local`] scope — which is how
-//!   `wyt-par` wraps every task — are captured in the scope and folded
-//!   back in task-index order, so the merged stream a drain sees is
-//!   byte-identical between a serial run and a `WYT_PAR=4` run. Direct
-//!   (unscoped) appends land in the calling thread's ring; [`drain`]
-//!   merges rings by `(ring id, seq)`.
-//! - **Bounded.** Rings cap at [`set_capacity`] events (default 65536);
-//!   appends past the cap drop the *oldest* event, count it in a global
-//!   accumulator surfaced as `obs.trace.dropped`, and keep going.
+//! There is no second collector. The `TRACE_ON` bit of the sink's state
+//! word ([`set_enabled`]) turns on span events without counters or
+//! histograms, so a trace export does not pay for the sink; with the
+//! sink on, spans are recorded anyway. Spans recorded inside a
+//! [`crate::with_local`] scope — which is how `wyt-par` wraps every
+//! task — are folded back in task-index order, so the list is the same
+//! for a serial run and a `WYT_PAR=4` run.
 //!
 //! Two export modes ([`to_chrome_json`]):
 //!
-//! - wall-clock (default): real `ts` microseconds, one Chrome track per
-//!   recorded track id (`wyt-par` workers claim their worker index via
+//! - wall-clock: real `ts` microseconds, one Chrome track per recorded
+//!   track id (`wyt-par` workers claim their worker index via
 //!   [`track_guard`]), with `thread_name` metadata per track;
-//! - deterministic (`WYT_OBS_TRACE_DETERMINISTIC=1`): logical ticks —
-//!   `ts` is the event's index in the merged stream, every event on
-//!   track 0 — so two runs with identical event streams export
-//!   byte-identical JSON.
+//! - deterministic: logical ticks — `ts` is the event's index in the
+//!   list, every event on track 0 — so two runs with identical span
+//!   lists export byte-identical JSON.
 
 use crate::json::Json;
 use crate::sink;
-use crate::span::mono_ns;
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::cell::Cell;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Environment variable naming the Chrome-trace output path.
 pub const ENV: &str = "WYT_OBS_TRACE";
-/// Environment variable selecting logical-tick (deterministic) export.
-pub const DETERMINISTIC_ENV: &str = "WYT_OBS_TRACE_DETERMINISTIC";
-/// Environment variable overriding the per-thread ring capacity.
-pub const CAP_ENV: &str = "WYT_OBS_TRACE_CAP";
-
-const DEFAULT_CAP: usize = 1 << 16;
 
 /// Event kind, mapping onto Chrome trace-event phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,8 +36,6 @@ pub enum Phase {
     Begin,
     /// Span end (`"ph": "E"`).
     End,
-    /// Point-in-time marker (`"ph": "i"`).
-    Instant,
 }
 
 impl Phase {
@@ -64,84 +43,41 @@ impl Phase {
         match self {
             Phase::Begin => "B",
             Phase::End => "E",
-            Phase::Instant => "i",
         }
     }
 }
 
-/// One recorded event.
+/// One span event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Static event name (span or instant label).
+    /// Span name as passed to [`crate::Span::enter`].
     pub name: &'static str,
-    /// Begin/end/instant.
+    /// Begin or end.
     pub phase: Phase,
     /// Nanoseconds since the process epoch at record time.
     pub ts_ns: u64,
-    /// Track id: 0 = main thread, `wyt-par` workers use their worker
-    /// index, other threads get fresh ids.
+    /// Track id: the first thread to record gets 0, `wyt-par` workers
+    /// use their worker index, other threads get fresh ids.
     pub track: u32,
-    /// Per-thread sequence number at record time.
-    pub seq: u64,
 }
 
-static DETERMINISTIC: AtomicBool = AtomicBool::new(false);
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAP);
-static DROPPED: AtomicU64 = AtomicU64::new(0);
-static NEXT_TRACK: AtomicU64 = AtomicU64::new(0);
-static NEXT_RING: AtomicU64 = AtomicU64::new(0);
-
-struct Ring {
-    id: u64,
-    buf: VecDeque<TraceEvent>,
-}
-
-static RINGS: Mutex<Vec<Arc<Mutex<Ring>>>> = Mutex::new(Vec::new());
+static NEXT_TRACK: AtomicU32 = AtomicU32::new(0);
 
 thread_local! {
-    static MY_RING: RefCell<Option<Arc<Mutex<Ring>>>> = const { RefCell::new(None) };
-    static SEQ: Cell<u64> = const { Cell::new(0) };
     static TRACK: Cell<Option<u32>> = const { Cell::new(None) };
 }
 
-/// Is the flight recorder collecting?
-#[inline]
-pub fn enabled() -> bool {
-    sink::state() & sink::TRACE_ON != 0
-}
-
-/// Turn the flight recorder on or off.
+/// Turn span events on or off independently of the sink.
 pub fn set_enabled(on: bool) {
     sink::set_state_bit(sink::TRACE_ON, on);
 }
 
-/// Select logical-tick export (see module docs).
-pub fn set_deterministic(on: bool) {
-    DETERMINISTIC.store(on, Ordering::Relaxed);
-}
-
-/// Is logical-tick export selected?
-pub fn deterministic() -> bool {
-    DETERMINISTIC.load(Ordering::Relaxed)
-}
-
-/// Set the per-thread ring capacity (applies to live rings on their
-/// next append).
-pub fn set_capacity(cap: usize) {
-    CAPACITY.store(cap.max(1), Ordering::Relaxed);
-}
-
-/// Events dropped to ring caps since startup (or the last [`reset`]).
-pub fn dropped() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
-}
-
 /// The calling thread's track id, assigning a fresh one on first use.
-fn current_track() -> u32 {
+pub(crate) fn current_track() -> u32 {
     TRACK.with(|t| match t.get() {
         Some(id) => id,
         None => {
-            let id = NEXT_TRACK.fetch_add(1, Ordering::Relaxed) as u32;
+            let id = NEXT_TRACK.fetch_add(1, Ordering::Relaxed);
             t.set(Some(id));
             id
         }
@@ -166,134 +102,6 @@ impl Drop for TrackGuard {
     }
 }
 
-fn push_ring(ev: TraceEvent) {
-    MY_RING.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        if slot.is_none() {
-            let ring = Arc::new(Mutex::new(Ring {
-                id: NEXT_RING.fetch_add(1, Ordering::Relaxed),
-                buf: VecDeque::new(),
-            }));
-            crate::lock_ok(&RINGS).push(Arc::clone(&ring));
-            *slot = Some(ring);
-        }
-        let ring = slot.as_ref().unwrap();
-        let mut ring = crate::lock_ok(&**ring);
-        let cap = CAPACITY.load(Ordering::Relaxed);
-        while ring.buf.len() >= cap {
-            ring.buf.pop_front();
-            DROPPED.fetch_add(1, Ordering::Relaxed);
-            sink::counter("obs.trace.dropped", 1);
-        }
-        ring.buf.push_back(ev);
-    });
-}
-
-/// Record one event (no-op when disabled). Lands in the innermost local
-/// observation scope if one is installed, else in this thread's ring.
-#[inline]
-pub(crate) fn record(name: &'static str, phase: Phase) {
-    if !enabled() {
-        return;
-    }
-    let ev = TraceEvent {
-        name,
-        phase,
-        ts_ns: mono_ns(),
-        track: current_track(),
-        seq: SEQ.with(|s| {
-            let v = s.get();
-            s.set(v + 1);
-            v
-        }),
-    };
-    if sink::push_local_event(ev) {
-        return;
-    }
-    push_ring(ev);
-}
-
-/// Append events folded out of a local scope into this thread's ring,
-/// preserving order and applying the ring cap (called by
-/// [`sink::fold`] when no outer scope is installed).
-pub(crate) fn append_folded(events: Vec<TraceEvent>) {
-    for ev in events {
-        push_ring(ev);
-    }
-}
-
-/// Record a span-begin event.
-#[inline]
-pub fn begin(name: &'static str) {
-    record(name, Phase::Begin);
-}
-
-/// Record a span-end event.
-#[inline]
-pub fn end(name: &'static str) {
-    record(name, Phase::End);
-}
-
-/// Record an instant (point-in-time) event.
-#[inline]
-pub fn instant(name: &'static str) {
-    record(name, Phase::Instant);
-}
-
-/// RAII trace-only span: begin at construction, end at drop. Inert
-/// (one atomic load) when the recorder is off — `wyt-par` wraps every
-/// task in one of these.
-#[must_use = "the span ends when the guard drops"]
-pub struct Guard {
-    name: Option<&'static str>,
-}
-
-/// Enter a trace-only span named `name`.
-pub fn guard(name: &'static str) -> Guard {
-    if !enabled() {
-        return Guard { name: None };
-    }
-    begin(name);
-    Guard { name: Some(name) }
-}
-
-impl Drop for Guard {
-    fn drop(&mut self) {
-        if let Some(name) = self.name {
-            end(name);
-        }
-    }
-}
-
-/// Drain every ring: rings ordered by creation id, events within a
-/// ring in append order — i.e. the merged stream is ordered by
-/// `(thread, seq)`. Rings are emptied; the dropped count is untouched.
-pub fn drain() -> Vec<TraceEvent> {
-    let handles: Vec<Arc<Mutex<Ring>>> = crate::lock_ok(&RINGS).clone();
-    let mut keyed: Vec<(u64, Arc<Mutex<Ring>>)> = handles
-        .into_iter()
-        .map(|h| {
-            let id = crate::lock_ok(&*h).id;
-            (id, h)
-        })
-        .collect();
-    keyed.sort_by_key(|(id, _)| *id);
-    let mut out = Vec::new();
-    for (_, h) in keyed {
-        out.extend(crate::lock_ok(&*h).buf.drain(..));
-    }
-    out
-}
-
-/// Empty every ring and zero the dropped counter (tests).
-pub fn reset() {
-    let handles: Vec<Arc<Mutex<Ring>>> = crate::lock_ok(&RINGS).clone();
-    for h in handles {
-        crate::lock_ok(&*h).buf.clear();
-    }
-    DROPPED.store(0, Ordering::Relaxed);
-}
-
 fn track_name(track: u32) -> String {
     if track == 0 {
         "main".to_string()
@@ -302,15 +110,15 @@ fn track_name(track: u32) -> String {
     }
 }
 
-/// Render events as a Chrome trace-event JSON object
+/// Render span events as a Chrome trace-event JSON object
 /// (`chrome://tracing` / Perfetto compatible).
 ///
 /// Wall-clock mode groups events by track (one Chrome `tid` per track,
 /// named via `thread_name` metadata), stable-sorting each track by
 /// timestamp so per-track `ts` is monotone. Deterministic mode keeps
-/// the merged-stream order, substitutes the stream index for `ts`, puts
-/// everything on track 0 and emits no metadata — byte-identical across
-/// runs with identical event streams.
+/// the list order, substitutes the list index for `ts`, puts everything
+/// on track 0 and emits no metadata — byte-identical across runs with
+/// identical span lists.
 pub fn to_chrome_json(events: &[TraceEvent], deterministic: bool) -> Json {
     let mut out: Vec<Json> = Vec::new();
     if deterministic {
@@ -341,59 +149,42 @@ pub fn to_chrome_json(events: &[TraceEvent], deterministic: bool) -> Json {
     Json::obj(vec![
         ("traceEvents", Json::Arr(out)),
         ("displayTimeUnit", Json::from("ms")),
-        (
-            "otherData",
-            Json::obj(vec![
-                ("obs.trace.dropped", Json::from(dropped())),
-                ("deterministic", Json::Bool(deterministic)),
-            ]),
-        ),
+        ("otherData", Json::obj(vec![("deterministic", Json::Bool(deterministic))])),
     ])
 }
 
 fn event_json(name: &str, phase: Phase, ts: Json, track: u32) -> Json {
-    let mut m = vec![
-        ("name".to_string(), Json::from(name)),
-        ("ph".to_string(), Json::from(phase.ph())),
-        ("ts".to_string(), ts),
-        ("pid".to_string(), Json::from(0u64)),
-        ("tid".to_string(), Json::from(u64::from(track))),
-    ];
-    if phase == Phase::Instant {
-        m.push(("s".to_string(), Json::from("t")));
-    }
-    Json::Obj(m)
+    Json::obj(vec![
+        ("name", Json::from(name)),
+        ("ph", Json::from(phase.ph())),
+        ("ts", ts),
+        ("pid", Json::from(0u64)),
+        ("tid", Json::from(u64::from(track))),
+    ])
 }
 
-/// Drain every ring and write the Chrome trace JSON to `path`
+/// Write the sink's span list to `path` as wall-clock Chrome trace JSON
 /// (pretty-printed, newline-terminated).
 ///
 /// # Errors
 ///
 /// Propagates the underlying filesystem write error.
 pub fn write_chrome(path: &Path) -> io::Result<()> {
-    let events = drain();
-    let j = to_chrome_json(&events, deterministic());
+    let j = to_chrome_json(&crate::snapshot().spans, false);
     std::fs::write(path, format!("{}\n", j.pretty()))
 }
 
-/// Read `WYT_OBS_TRACE` (+ `WYT_OBS_TRACE_DETERMINISTIC`,
-/// `WYT_OBS_TRACE_CAP`), enable the recorder when a path is set, and
+/// Read `WYT_OBS_TRACE`, turn span events on when a path is set, and
 /// return that path.
 pub fn init_from_env() -> Option<PathBuf> {
     let path = std::env::var_os(ENV).map(PathBuf::from)?;
-    if let Some(n) = crate::env::env_usize_opt(CAP_ENV) {
-        set_capacity(n);
-    }
-    set_deterministic(std::env::var(DETERMINISTIC_ENV).as_deref() == Ok("1"));
     set_enabled(true);
     Some(path)
 }
 
-/// [`init_from_env`] wrapped in a guard that drains and writes the
-/// trace on drop — report binaries install one at the top of `main` so
-/// the export happens however they exit. Inert when `WYT_OBS_TRACE` is
-/// unset.
+/// [`init_from_env`] wrapped in a guard that writes the trace on drop —
+/// report binaries install one at the top of `main` so the export
+/// happens however they exit. Inert when `WYT_OBS_TRACE` is unset.
 pub fn flush_guard_from_env() -> FlushGuard {
     FlushGuard { path: init_from_env() }
 }
@@ -488,7 +279,6 @@ pub fn validate_chrome(j: &Json) -> Result<ChromeStats, String> {
                     ));
                 }
             },
-            "i" => {}
             other => return Err(format!("event {i}: unknown phase {other:?}")),
         }
     }
@@ -504,98 +294,103 @@ pub fn validate_chrome(j: &Json) -> Result<ChromeStats, String> {
 mod tests {
     use super::*;
     use crate::sink::tests::TEST_LOCK;
+    use crate::Span;
 
     fn clean() {
+        crate::set_enabled(false);
         set_enabled(false);
-        set_deterministic(false);
-        set_capacity(DEFAULT_CAP);
-        reset();
+        crate::reset();
     }
 
-    #[test]
-    fn disabled_recorder_records_nothing() {
-        let _l = TEST_LOCK.lock().unwrap();
-        clean();
-        begin("a");
-        end("a");
-        instant("x");
-        let _g = guard("g");
-        assert!(drain().is_empty());
-    }
-
-    #[test]
-    fn events_record_in_order_with_sequence_numbers() {
-        let _l = TEST_LOCK.lock().unwrap();
+    /// Record spans with only the trace bit on; return the span list.
+    fn traced(f: impl FnOnce()) -> Vec<TraceEvent> {
         clean();
         set_enabled(true);
+        f();
+        let evs = crate::snapshot().spans;
+        clean();
+        evs
+    }
+
+    #[test]
+    fn disabled_spans_record_nothing() {
+        let _l = TEST_LOCK.lock().unwrap();
+        clean();
         {
-            let _g = guard("outer");
-            instant("mark");
+            let _s = Span::enter("quiet");
         }
-        let evs = drain();
-        clean();
-        assert_eq!(evs.len(), 3);
-        assert_eq!((evs[0].name, evs[0].phase), ("outer", Phase::Begin));
-        assert_eq!((evs[1].name, evs[1].phase), ("mark", Phase::Instant));
-        assert_eq!((evs[2].name, evs[2].phase), ("outer", Phase::End));
-        assert!(evs[0].seq < evs[1].seq && evs[1].seq < evs[2].seq);
+        assert!(crate::snapshot().spans.is_empty());
     }
 
     #[test]
-    fn wraparound_drops_oldest_and_counts() {
+    fn span_emits_begin_and_end_without_the_sink() {
         let _l = TEST_LOCK.lock().unwrap();
-        clean();
-        set_enabled(true);
-        set_capacity(8);
-        let before = dropped();
-        for _ in 0..20 {
-            instant("tick");
-        }
-        let evs = drain();
-        let dropped_now = dropped() - before;
-        clean();
-        assert_eq!(evs.len(), 8, "ring holds exactly its capacity");
-        assert_eq!(dropped_now, 12, "drops are counted");
-        // The survivors are the *newest* 8: their seqs are consecutive
-        // and end at the last append.
-        for w in evs.windows(2) {
-            assert_eq!(w[1].seq, w[0].seq + 1);
-        }
-    }
-
-    #[test]
-    fn local_scope_captures_trace_events() {
-        let _l = TEST_LOCK.lock().unwrap();
-        clean();
-        set_enabled(true);
-        let ((), snap) = crate::with_local(|| {
-            instant("inside");
+        let evs = traced(|| {
+            let _outer = Span::enter("outer");
+            let _inner = Span::enter("inner");
         });
-        assert!(drain().is_empty(), "scoped events stay out of the ring until folded");
-        assert_eq!(snap.events.len(), 1);
-        crate::fold(snap);
-        let evs = drain();
+        let got: Vec<_> = evs.iter().map(|e| (e.name, e.phase)).collect();
+        assert_eq!(
+            got,
+            [
+                ("outer", Phase::Begin),
+                ("inner", Phase::Begin),
+                ("inner", Phase::End),
+                ("outer", Phase::End)
+            ]
+        );
+        assert!(evs.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+    }
+
+    #[test]
+    fn trace_bit_records_spans_but_no_counters() {
+        let _l = TEST_LOCK.lock().unwrap();
         clean();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].name, "inside");
+        set_enabled(true);
+        crate::counter("c", 1);
+        crate::record_hist("h", 1);
+        let ((), snap) = crate::with_local(|| {
+            let _s = Span::enter("scoped");
+            crate::counter("c", 1);
+        });
+        assert!(crate::snapshot().spans.is_empty(), "scoped spans stay out until folded");
+        crate::fold(snap);
+        let snap = crate::snapshot();
+        clean();
+        assert_eq!(snap.spans.len(), 2);
+        assert!(snap.counters.is_empty() && snap.hists.is_empty());
+    }
+
+    /// Far more nested spans than any fixed-size buffer would hold: the
+    /// export stays balanced because nothing is ever dropped.
+    #[test]
+    fn many_nested_spans_export_balanced() {
+        let _l = TEST_LOCK.lock().unwrap();
+        let evs = traced(|| {
+            let _outer = Span::enter("outer");
+            for _ in 0..40_000 {
+                let _inner = Span::enter("inner");
+            }
+        });
+        assert_eq!(evs.len(), 80_002);
+        for det in [false, true] {
+            let stats = validate_chrome(&to_chrome_json(&evs, det)).expect("export validates");
+            assert_eq!(stats.max_depth, 2);
+        }
     }
 
     #[test]
     fn deterministic_export_uses_logical_ticks() {
         let _l = TEST_LOCK.lock().unwrap();
-        clean();
-        set_enabled(true);
-        begin("a");
-        instant("m");
-        end("a");
-        let evs = drain();
-        clean();
+        let evs = traced(|| {
+            let _a = Span::enter("a");
+        });
         let j = to_chrome_json(&evs, true);
         let arr = match j.get("traceEvents") {
             Some(Json::Arr(a)) => a,
             _ => panic!("no traceEvents"),
         };
-        assert_eq!(arr.len(), 3);
+        assert_eq!(arr.len(), 2);
         for (i, ev) in arr.iter().enumerate() {
             assert_eq!(ev.get("ts"), Some(&Json::Num(i as f64)), "logical tick");
             assert_eq!(ev.get("tid"), Some(&Json::Num(0.0)), "single track");
@@ -606,14 +401,10 @@ mod tests {
     #[test]
     fn wall_clock_export_validates_with_metadata() {
         let _l = TEST_LOCK.lock().unwrap();
-        clean();
-        set_enabled(true);
-        {
-            let _g = guard("outer");
-            let _h = guard("inner");
-        }
-        let evs = drain();
-        clean();
+        let evs = traced(|| {
+            let _g = Span::enter("outer");
+            let _h = Span::enter("inner");
+        });
         let j = to_chrome_json(&evs, false);
         let stats = validate_chrome(&j).expect("wall-clock export validates");
         assert_eq!(stats.events, 4);
@@ -630,29 +421,19 @@ mod tests {
             ]),
         )]);
         assert!(validate_chrome(&bad_nest).is_err());
+        let orphan_end = Json::obj(vec![(
+            "traceEvents",
+            Json::Arr(vec![event_json("a", Phase::End, Json::from(0u64), 0)]),
+        )]);
+        assert!(validate_chrome(&orphan_end).is_err());
         let backwards = Json::obj(vec![(
             "traceEvents",
             Json::Arr(vec![
-                event_json("m", Phase::Instant, Json::from(5u64), 0),
-                event_json("m", Phase::Instant, Json::from(1u64), 0),
+                event_json("m", Phase::Begin, Json::from(5u64), 0),
+                event_json("m", Phase::End, Json::from(1u64), 0),
             ]),
         )]);
         assert!(validate_chrome(&backwards).is_err());
         assert!(validate_chrome(&Json::obj(vec![])).is_err());
-    }
-
-    #[test]
-    fn span_guard_emits_begin_and_end_when_tracing() {
-        let _l = TEST_LOCK.lock().unwrap();
-        clean();
-        set_enabled(true);
-        {
-            let _s = crate::Span::enter("traced");
-        }
-        let evs = drain();
-        clean();
-        assert_eq!(evs.len(), 2, "Span::enter feeds the recorder even with the sink off");
-        assert_eq!((evs[0].name, evs[0].phase), ("traced", Phase::Begin));
-        assert_eq!((evs[1].name, evs[1].phase), ("traced", Phase::End));
     }
 }

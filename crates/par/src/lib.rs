@@ -43,11 +43,9 @@
 //! process-global per-slot accumulator ([`worker_profile`] /
 //! [`worker_profile_delta`]); the pipeline brackets a recompile and
 //! reports the delta as the `par.workers` utilization section of its
-//! report. Workers also pin their slot id as their flight-recorder
-//! track ([`wyt_obs::trace::track_guard`]) and every task runs inside a
-//! `par.task` trace span — emitted identically on the serial-inline
-//! paths, so the recorder's event stream is independent of the thread
-//! count.
+//! report. Workers also pin their slot id as their span track
+//! ([`wyt_obs::trace::track_guard`]), so the wall-clock trace export
+//! shows one track per worker.
 //!
 //! ## Configuration
 //!
@@ -245,15 +243,6 @@ pub fn worker_profile_delta(base: &[wyt_obs::WorkerStat]) -> Vec<wyt_obs::Worker
         .collect()
 }
 
-/// Run one task with the uniform trace wrapper: every execution path —
-/// pooled, serial-inline, nested — emits the same `par.task` span into
-/// the flight recorder, so serial and parallel event streams match.
-#[inline]
-fn run_task<R>(i: usize, f: impl FnOnce(usize) -> R) -> R {
-    let _t = wyt_obs::trace::guard("par.task");
-    f(i)
-}
-
 /// Run `f(i)` for every `i in 0..n` and return the results **in index
 /// order**. Runs inline (serially, on the caller's thread, with no sink
 /// scoping) when `n <= 1`, the configured worker count is 1, or the
@@ -265,16 +254,16 @@ where
 {
     let t = threads().min(n);
     if t <= 1 || in_pool() {
-        return (0..n).map(|i| run_task(i, &f)).collect();
+        return (0..n).map(&f).collect();
     }
 
     let obs = wyt_obs::observing();
     let run_one = |i: usize| -> Done<R> {
         if obs {
-            let (result, snap) = wyt_obs::with_local(|| run_task(i, &f));
+            let (result, snap) = wyt_obs::with_local(|| f(i));
             Done { index: i, result, obs: Some(snap) }
         } else {
-            Done { index: i, result: run_task(i, &f), obs: None }
+            Done { index: i, result: f(i), obs: None }
         }
     };
 
@@ -324,8 +313,8 @@ fn worker<R>(
     run_one: &(impl Fn(usize) -> Done<R> + Sync),
 ) -> Vec<Done<R>> {
     let _g = PoolGuard::enter();
-    // The worker's slot id is its flight-recorder track, so the trace
-    // export gets one Chrome track per worker.
+    // The worker's slot id is its span track, so the trace export gets
+    // one Chrome track per worker.
     let _track = wyt_obs::trace::track_guard(id as u32);
     let prof = wyt_obs::observing();
     let t_start = prof.then(wyt_obs::mono_ns);
@@ -396,9 +385,7 @@ where
     F: Fn(usize, T) -> R + Sync,
 {
     if !parallel() || items.len() <= 1 {
-        // Same uniform trace wrapper as the pooled path, so the event
-        // stream is independent of the thread count.
-        return items.into_iter().enumerate().map(|(i, x)| run_task(i, |i| f(i, x))).collect();
+        return items.into_iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
     par_indexed(slots.len(), |i| {
@@ -563,11 +550,14 @@ mod tests {
         let run = |threads: usize| {
             let _t = ThreadCount::set(threads);
             wyt_obs::trace::set_enabled(true);
-            wyt_obs::trace::reset();
-            par_indexed(24, |i| std::hint::black_box(i));
-            let evs = wyt_obs::trace::drain();
+            wyt_obs::reset();
+            par_indexed(24, |i| {
+                let _s = wyt_obs::Span::enter("task");
+                std::hint::black_box(i)
+            });
+            let evs = wyt_obs::snapshot().spans;
             wyt_obs::trace::set_enabled(false);
-            wyt_obs::trace::reset();
+            wyt_obs::reset();
             evs.iter().map(|e| (e.name, e.phase)).collect::<Vec<_>>()
         };
         let serial = run(1);

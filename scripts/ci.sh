@@ -44,6 +44,12 @@ echo "==> trace-export smoke gate (WYT_OBS_TRACE -> well-formed Chrome trace)"
 WYT_OBS_TRACE="$STORE_TMP/trace.json" WYT_OBS=json WYT_PAR=4 \
     cargo run --release --offline -q -p wyt-bench --bin report >/dev/null
 cargo run --release --offline -q -p wyt-bench --bin report -- --check-trace "$STORE_TMP/trace.json"
+# The batch path too: job-phase spans on worker tracks must nest.
+WYT_OBS_TRACE="$STORE_TMP/batch-trace.json" WYT_PAR=4 WYT_STORE="$STORE_TMP/trace-store" \
+    cargo run --release --offline -q -p wyt-bench --bin wyt-batch -- \
+    --smoke cold --out "$STORE_TMP/trace-cold" >/dev/null
+cargo run --release --offline -q -p wyt-bench --bin report -- \
+    --check-trace "$STORE_TMP/batch-trace.json"
 
 echo "==> bench diff self-gate (fresh figure7 vs committed: counter drift fails)"
 WYT_BENCH_OUT="$STORE_TMP/fresh" cargo run --release --offline -q -p wyt-bench --bin figure7 >/dev/null

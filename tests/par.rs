@@ -60,7 +60,8 @@ fn serial_and_parallel_recompiles_are_byte_identical() {
         serial_obs.counters, par_obs.counters,
         "sink counters must fold to the serial totals"
     );
-    let names = |s: &wyt_obs::Snapshot| s.spans.iter().map(|r| r.name).collect::<Vec<_>>();
+    let names =
+        |s: &wyt_obs::Snapshot| s.spans.iter().map(|e| (e.name, e.phase)).collect::<Vec<_>>();
     assert_eq!(
         names(&serial_obs),
         names(&par_obs),

@@ -133,6 +133,24 @@ fn coverage_counts_partition_stack_references() {
     assert!(a.exec.retired > 0);
 }
 
+/// The `lift` stage row times the lift itself: it can never be shorter
+/// than the trace replay nested inside the lift.
+#[test]
+fn lift_stage_row_covers_the_traced_lift() {
+    let _l = SINK_LOCK.lock().unwrap();
+    wyt_obs::set_enabled(true);
+    wyt_obs::reset();
+    let rep = recompiled(Mode::Wytiwyg).report;
+    let totals = wyt_obs::snapshot().span_totals();
+    wyt_obs::set_enabled(false);
+    wyt_obs::reset();
+
+    let (trace_ns, traces) = totals["lift.trace"];
+    assert_eq!(traces, 1, "one recompile traces once");
+    let lift_ns = rep.stage("lift").expect("lift row").wall_ns;
+    assert!(lift_ns >= trace_ns, "lift row {lift_ns} ns < its lift.trace span {trace_ns} ns");
+}
+
 /// Guard-trap counters under `prefix` (`emu` / `interp`), e.g.
 /// `{"branch": 1}` — the names are part of the obs contract.
 fn guard_counters(snap: &wyt_obs::Snapshot, prefix: &str) -> BTreeMap<String, u64> {

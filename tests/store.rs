@@ -50,17 +50,17 @@ impl Drop for TempStore {
     }
 }
 
-/// Recompile `img` through `store` in WYTIWYG mode, dropping the phases.
+/// Recompile `img` through `store` in WYTIWYG mode.
 fn stored(
     store: &Store,
     img: &wyt_isa::image::Image,
     inputs: &[Vec<u8>],
     stamp: u64,
 ) -> StoredOutcome {
-    recompile_stored(store, &Request::new(img, inputs, Mode::Wytiwyg), stamp).unwrap().0
+    recompile_stored(store, &Request::new(img, inputs, Mode::Wytiwyg), stamp).unwrap()
 }
 
-/// Heal `img` through `store`, dropping the phases.
+/// Heal `img` through `store`.
 fn stored_heal(
     store: &Store,
     img: &wyt_isa::image::Image,
@@ -69,7 +69,7 @@ fn stored_heal(
     stamp: u64,
 ) -> StoredOutcome {
     let req = Request { held_out: Some(held_out), ..Request::new(img, traced, Mode::Wytiwyg) };
-    recompile_stored(store, &req, stamp).unwrap().0
+    recompile_stored(store, &req, stamp).unwrap()
 }
 
 /// Compile the `i`-th pinned corpus program. Returns the stripped image

@@ -1,16 +1,17 @@
-//! Flight-recorder gates: the deterministic-tick Chrome export must be
-//! byte-identical between a serial and a `WYT_PAR=4` run of the same
-//! recompilation, and the wall-clock export must validate (monotone
-//! per-track timestamps, balanced span nesting) with per-worker tracks
-//! and stage spans in the order the `PipelineReport` records.
+//! Trace-export gates: the deterministic-tick Chrome export of the span
+//! list must be byte-identical between a serial and a `WYT_PAR=4` run of
+//! the same recompilation, and the wall-clock export must validate
+//! (monotone per-track timestamps, balanced span nesting) with
+//! per-worker tracks and stage spans in the order the `PipelineReport`
+//! records.
 //!
-//! Recorder state is process-global, so every test serializes on one
+//! The span list is process-global, so every test serializes on one
 //! lock (same discipline as `tests/par.rs`).
 
 use std::sync::Mutex;
 use wyt_core::{recompile, Mode, Recompiled, Request};
 use wyt_minicc::{compile, Profile};
-use wyt_obs::trace;
+use wyt_obs::{trace, Span};
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
@@ -36,20 +37,19 @@ fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 fn clean() {
     wyt_obs::set_enabled(false);
     trace::set_enabled(false);
-    trace::set_deterministic(false);
-    trace::reset();
     wyt_obs::reset();
 }
 
-/// One traced recompile at `threads` workers: returns the drained event
-/// stream and the recompilation it came from.
+/// One traced recompile at `threads` workers, starting from an empty
+/// span list: returns the recorded span events and the recompilation
+/// they came from.
 fn traced_recompile(threads: usize) -> (Vec<trace::TraceEvent>, Recompiled) {
-    trace::reset();
+    wyt_obs::reset();
     let img = compile(SRC, &Profile::gcc12_o3()).unwrap().stripped();
     let rec = with_threads(threads, || {
         recompile(&Request::new(&img, &[vec![], b"x".to_vec()], Mode::Wytiwyg)).unwrap()
     });
-    (trace::drain(), rec)
+    (wyt_obs::snapshot().spans, rec)
 }
 
 #[test]
@@ -57,7 +57,6 @@ fn deterministic_tick_export_is_byte_identical_serial_vs_parallel() {
     let _l = TRACE_LOCK.lock().unwrap();
     clean();
     trace::set_enabled(true);
-    trace::set_deterministic(true);
 
     let (serial_events, _) = traced_recompile(1);
     let serial = trace::to_chrome_json(&serial_events, true).to_string();
@@ -77,16 +76,17 @@ fn deterministic_tick_export_is_byte_identical_serial_vs_parallel() {
 fn wall_clock_export_validates_with_worker_tracks_and_stage_order() {
     let _l = TRACE_LOCK.lock().unwrap();
     clean();
-    // Sink + recorder: the full pipeline (including the sink-gated
+    // Sink + span events: the full pipeline (including the sink-gated
     // coverage replay) runs, and worker profiling is live.
     wyt_obs::set_enabled(true);
     trace::set_enabled(true);
 
-    let (mut events, rec) = traced_recompile(4);
-    // A broad fan-out so several pool workers execute at least one task
-    // each and claim their per-worker tracks.
+    let (_, rec) = traced_recompile(4);
+    // A broad fan-out so several pool workers execute at least one
+    // task span each on their per-worker tracks.
     with_threads(4, || {
         wyt_par::par_indexed(256, |i| {
+            let _s = Span::enter("task");
             let mut acc = i as u64;
             for _ in 0..2_000 {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -94,7 +94,7 @@ fn wall_clock_export_validates_with_worker_tracks_and_stage_order() {
             acc
         })
     });
-    events.extend(trace::drain());
+    let events = wyt_obs::snapshot().spans;
     clean();
 
     let j = trace::to_chrome_json(&events, false);
@@ -122,10 +122,9 @@ fn flush_guard_writes_a_validating_trace_file() {
     let _l = TRACE_LOCK.lock().unwrap();
     clean();
     trace::set_enabled(true);
-    trace::set_deterministic(true);
     {
-        let _g = trace::guard("outer");
-        trace::instant("mark");
+        let _g = Span::enter("outer");
+        let _m = Span::enter("mark");
     }
     let dir = std::env::temp_dir().join(format!("wyt-trace-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -136,10 +135,12 @@ fn flush_guard_writes_a_validating_trace_file() {
     let text = std::fs::read_to_string(&path).unwrap();
     let j = wyt_obs::json::parse(&text).expect("trace file parses");
     let stats = trace::validate_chrome(&j).expect("trace file validates");
-    assert_eq!(stats.events, 3);
+    assert_eq!(stats.events, 4);
+    assert_eq!(stats.max_depth, 2);
     assert_eq!(
         j.get("otherData").and_then(|o| o.get("deterministic")).and_then(|d| d.as_bool()),
-        Some(true)
+        Some(false),
+        "the file export carries wall-clock timestamps"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
