@@ -25,7 +25,7 @@ use wyt_emu::TransferKind;
 use wyt_ir::InstId;
 use wyt_isa::image::{CodeReloc, FrameLayout, GtVar, GtVarKind, Image, Symbol};
 use wyt_isa::{GuardKind, GuardSite};
-use wyt_lifter::Trace;
+use wyt_lifter::{ExtCall, Trace};
 use wyt_obs::{GuardEvent, HealingReport, Json};
 use wyt_opt::OptLevel;
 use wyt_store::{sha256_hex, Store};
@@ -276,7 +276,8 @@ fn kind_of(c: u64) -> DecodeResult<TransferKind> {
 }
 
 /// Encode a merged [`Trace`]: edges as `[from, to, kind]` triples in
-/// `BTreeSet` order, external call sites as `[pc, import_index]` pairs.
+/// `BTreeSet` order, external call sites as `[pc, import_index, arity]`
+/// triples.
 pub fn trace_to_json(t: &Trace) -> Json {
     Json::obj(vec![
         (
@@ -299,8 +300,12 @@ pub fn trace_to_json(t: &Trace) -> Json {
             Json::Arr(
                 t.ext_calls
                     .iter()
-                    .map(|(pc, idx)| {
-                        Json::Arr(vec![Json::from(u64::from(*pc)), Json::from(u64::from(*idx))])
+                    .map(|(pc, call)| {
+                        Json::Arr(vec![
+                            Json::from(u64::from(*pc)),
+                            Json::from(u64::from(call.import)),
+                            Json::from(u64::from(call.arity)),
+                        ])
                     })
                     .collect(),
             ),
@@ -330,14 +335,20 @@ pub fn trace_from_json(j: &Json) -> DecodeResult<Trace> {
     }
     for e in get_arr(j, "ext_calls")? {
         let e = want(e.as_arr(), "ext call")?;
-        if e.len() != 2 {
+        if e.len() != 3 {
             return Err("artifact decode: ext call arity".to_string());
         }
         let pc = want(e[0].as_u64(), "ext call pc")?;
         let idx = want(e[1].as_u64(), "ext call idx")?;
+        let arity = want(e[2].as_u64(), "ext call args")?;
         t.ext_calls.insert(
             u32::try_from(pc).map_err(|_| "artifact decode: ext pc range".to_string())?,
-            u16::try_from(idx).map_err(|_| "artifact decode: ext idx range".to_string())?,
+            ExtCall {
+                import: u16::try_from(idx)
+                    .map_err(|_| "artifact decode: ext idx range".to_string())?,
+                arity: u16::try_from(arity)
+                    .map_err(|_| "artifact decode: ext args range".to_string())?,
+            },
         );
     }
     Ok(t)
@@ -787,22 +798,6 @@ pub fn facts_to_json(f: &StoredFacts) -> Json {
         ("trace", trace_to_json(&f.trace)),
         ("reuse", Json::Arr(f.plan.reuse.iter().map(|a| Json::from(u64::from(*a))).collect())),
         (
-            "vararg",
-            Json::Arr(
-                f.plan
-                    .vararg
-                    .iter()
-                    .map(|((addr, inst), n)| {
-                        Json::Arr(vec![
-                            Json::from(u64::from(*addr)),
-                            Json::from(u64::from(inst.0)),
-                            Json::from(*n as u64),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
             "regsave",
             Json::Arr(
                 f.plan
@@ -837,24 +832,6 @@ pub fn facts_from_json(j: &Json) -> DecodeResult<StoredFacts> {
         plan.reuse.insert(
             u32::try_from(want(a.as_u64(), "reuse addr")?)
                 .map_err(|_| "artifact decode: reuse addr range".to_string())?,
-        );
-    }
-    for v in get_arr(j, "vararg")? {
-        let v = want(v.as_arr(), "vararg fact")?;
-        if v.len() != 3 {
-            return Err("artifact decode: vararg fact arity".to_string());
-        }
-        let addr = want(v[0].as_u64(), "vararg addr")?;
-        let inst = want(v[1].as_u64(), "vararg inst")?;
-        let n = want(v[2].as_u64(), "vararg count")?;
-        plan.vararg.insert(
-            (
-                u32::try_from(addr).map_err(|_| "artifact decode: vararg range".to_string())?,
-                InstId(
-                    u32::try_from(inst).map_err(|_| "artifact decode: vararg range".to_string())?,
-                ),
-            ),
-            n as usize,
         );
     }
     for r in get_arr(j, "regsave")? {
@@ -967,6 +944,12 @@ mod tests {
         assert!(image_from_json(&j).is_err(), "missing field must be rejected");
         assert!(image_from_json(&Json::Null).is_err());
         assert!(trace_from_json(&Json::obj(vec![("edges", Json::Null)])).is_err());
+        let ext_call = |arity: u64| {
+            let call = Json::Arr(vec![Json::from(16u64), Json::from(0u64), Json::from(arity)]);
+            Json::obj(vec![("edges", Json::Arr(vec![])), ("ext_calls", Json::Arr(vec![call]))])
+        };
+        assert!(trace_from_json(&ext_call(3)).is_ok());
+        assert!(trace_from_json(&ext_call(1 << 40)).is_err(), "an arity past u16 is refused");
         assert!(facts_from_json(&Json::obj(vec![])).is_err());
         assert!(bytes_of(&Json::from("xyz"), "t").is_err(), "odd/invalid hex rejected");
     }

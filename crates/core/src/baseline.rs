@@ -190,10 +190,8 @@ pub fn recompile_secondwrite(
     let meta = lifted.meta;
 
     // External calls: static signatures; format strings resolved from the
-    // data segment via the same observation machinery (generous again).
-    let obs = vararg::observe(&module, inputs)
-        .map_err(|e| SecondWriteError::Other(format!("vararg: {e}")))?;
-    vararg::apply(&mut module, &obs);
+    // data segment via the same traced arities (generous again).
+    vararg::apply(&mut module, &vararg::from_trace(&lifted.trace, &meta));
 
     // ABI-heuristic register conventions.
     let mut reginfo = heuristic_regsave(&module);
@@ -239,7 +237,6 @@ pub fn recompile_secondwrite(
         bounds: None,
         fold: Some(fold),
         reginfo: Some(reginfo),
-        vararg_obs: Some(obs),
         reused_funcs: BTreeSet::new(),
         baseline_runs: lifted.baseline_runs,
         inputs: inputs.to_vec(),

@@ -169,8 +169,6 @@ fn relift_closure(module: &Module, meta: &LiftedMeta, changed: &BTreeSet<u32>) -
 /// function that survives unchanged outside the relift closure.
 fn build_reuse_plan(rec: &Recompiled, new_meta: &LiftedMeta, relift: &BTreeSet<u32>) -> ReusePlan {
     let old_meta = &rec.lifted_meta;
-    let old_addr_of: BTreeMap<FuncId, u32> =
-        old_meta.func_by_addr.iter().map(|(a, f)| (*f, *a)).collect();
     let mut plan = ReusePlan::default();
     for (addr, old_fid) in &old_meta.func_by_addr {
         if relift.contains(addr) || !new_meta.func_by_addr.contains_key(addr) {
@@ -185,15 +183,6 @@ fn build_reuse_plan(rec: &Recompiled, new_meta: &LiftedMeta, relift: &BTreeSet<u
         if let (Some(l), Some(fo)) = (&rec.layout, &rec.fold) {
             if let (Some(fl), Some(ff)) = (l.funcs.get(old_fid), fo.funcs.get(old_fid)) {
                 plan.layouts.insert(*addr, (ff.clone(), fl.clone()));
-            }
-        }
-    }
-    if let Some(vo) = &rec.vararg_obs {
-        for ((fid, inst), n) in &vo.arg_counts {
-            if let Some(addr) = old_addr_of.get(fid) {
-                if plan.reuse.contains(addr) {
-                    plan.vararg.insert((*addr, *inst), *n);
-                }
             }
         }
     }
@@ -236,11 +225,6 @@ pub(crate) fn seed_plan_from_prior(
         }
         if let Some(l) = prior_plan.layouts.get(addr) {
             plan.layouts.insert(*addr, l.clone());
-        }
-    }
-    for ((addr, inst), n) in &prior_plan.vararg {
-        if plan.reuse.contains(addr) {
-            plan.vararg.insert((*addr, *inst), *n);
         }
     }
     if plan.reuse.is_empty() {

@@ -3,8 +3,8 @@
 //! The paper's primary contribution, reproduced end to end:
 //!
 //! - [`vararg`] — refinement 1: exact signatures for external and
-//!   `printf`-style calls, recovered by inspecting format strings at
-//!   runtime (paper §5.2).
+//!   `printf`-style calls, from the arities the tracer records by
+//!   inspecting format strings as they execute (paper §5.2).
 //! - [`regsave`] — refinement 2a: the dynamic saved-register analysis with
 //!   symbolic register tokens and deferred forwarding constraints (§4.1).
 //! - [`spfold`] — refinement 2b: explicit save/restore insertion and

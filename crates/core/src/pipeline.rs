@@ -131,7 +131,7 @@ impl std::error::Error for ValidateError {}
 pub struct FaultInjector {
     /// Mutates the merged trace between tracing and CFG reconstruction.
     pub trace: Option<Box<dyn Fn(&mut Trace) + Sync + Send>>,
-    /// Mutates the vararg observations before they are applied.
+    /// Mutates the trace-derived vararg arities before they are applied.
     pub vararg: Option<Box<dyn Fn(&mut vararg::VarargObservations) + Sync + Send>>,
     /// Mutates the saved-register classification before it is used.
     pub regsave: Option<Box<dyn Fn(&mut regsave::RegSaveInfo) + Sync + Send>>,
@@ -210,9 +210,6 @@ pub struct Recompiled {
     /// Saved-register classification (WYTIWYG mode only) — part of the
     /// healing fact cache.
     pub reginfo: Option<regsave::RegSaveInfo>,
-    /// Effective vararg observations (WYTIWYG mode only) — part of the
-    /// healing fact cache.
-    pub vararg_obs: Option<vararg::VarargObservations>,
     /// Functions whose cached refinement facts were reused (non-empty
     /// only when a [`ReusePlan`] was supplied).
     pub reused_funcs: BTreeSet<FuncId>,
@@ -230,15 +227,12 @@ pub struct Recompiled {
 /// program, to be reused for functions whose CFGs did not change across
 /// an incremental re-lift. Everything is keyed by *original entry
 /// address* — the only function identity stable across re-lifts
-/// (`FuncId`s renumber when the merged trace grows).
+/// (`FuncId`s renumber when the merged trace grows). Vararg arities are
+/// not cached: they travel in the merged trace itself.
 #[derive(Debug, Clone, Default)]
 pub struct ReusePlan {
     /// Entry addresses of the functions eligible for fact reuse.
     pub reuse: BTreeSet<u32>,
-    /// Cached vararg arities keyed by (caller entry addr, call-site
-    /// instruction). `InstId`s are stable for an unchanged function: the
-    /// translator emits the same instruction stream from the same CFG.
-    pub vararg: BTreeMap<(u32, InstId), usize>,
     /// Cached register-class rows keyed by entry addr.
     pub regsave: BTreeMap<u32, [regsave::RegClass; regsave::NUM_CELLS]>,
     /// Cached stack layouts keyed by entry addr, each guarded by the
@@ -654,7 +648,6 @@ pub fn recompile_from_lifted(
                 bounds: None,
                 fold: None,
                 reginfo: None,
-                vararg_obs: None,
                 reused_funcs: BTreeSet::new(),
                 baseline_runs,
                 inputs: inputs.to_vec(),
@@ -708,6 +701,10 @@ fn recompile_wytiwyg(
         })
         .unwrap_or_default();
 
+    // Refinement 1's input: every traced external call site's arity,
+    // read off the merged trace once for all ladder attempts.
+    let traced_arities = vararg::from_trace(&trace, &meta);
+
     let mut demoted: BTreeMap<FuncId, Demotion> = BTreeMap::new();
     let max_attempts = 2 * all_fids.len() + 4;
 
@@ -717,31 +714,16 @@ fn recompile_wytiwyg(
         let rung2: BTreeSet<FuncId> =
             demoted.iter().filter(|(_, d)| d.rung >= 2).map(|(f, _)| *f).collect();
 
-        // Refinement 1: variadic / external call recovery (§5.2).
-        // Observation replays the traced inputs on the raw module; if that
-        // fails nothing downstream can run — a module-wide error. Rung-2
-        // functions keep their raw stack-switching external calls.
-        let (vararg_sites, vararg_obs) = stage(&mut rep, "vararg", &mut module, |m| {
-            let mut obs = vararg::observe(m, inputs)
-                .map_err(|e| RecompileError::Refine(format!("vararg: {e}")))?;
+        // Refinement 1: variadic / external call recovery (§5.2), from
+        // the traced arities. Rung-2 functions keep their raw
+        // stack-switching external calls.
+        let vararg_sites = stage(&mut rep, "vararg", &mut module, |m| {
+            let mut obs = traced_arities.clone();
             if let Some(f) = &faults.vararg {
                 f(&mut obs);
             }
             obs.arg_counts.retain(|(f, _), _| !rung2.contains(f));
-            // Fact reuse: cached arities win over fresh observation for
-            // unchanged functions (a stability pin); freshly observed
-            // sites the cache never saw are kept.
-            if let Some(plan) = reuse {
-                for ((addr, inst), n) in &plan.vararg {
-                    if let Some(&fid) = reused_fids.get(addr) {
-                        if !rung2.contains(&fid) {
-                            obs.arg_counts.insert((fid, *inst), *n);
-                        }
-                    }
-                }
-            }
-            let sites = vararg::apply(m, &obs);
-            Ok((sites, obs))
+            Ok(vararg::apply(m, &obs))
         })?;
         rep.quality.vararg_sites = vararg_sites as u64;
         verify(&module)?;
@@ -937,7 +919,6 @@ fn recompile_wytiwyg(
             bounds: Some(bounds),
             fold: Some(fold),
             reginfo: Some(reginfo),
-            vararg_obs: Some(vararg_obs),
             reused_funcs: reused_fids.values().copied().collect(),
             baseline_runs,
             inputs: inputs.to_vec(),

@@ -506,8 +506,7 @@ mod tests {
         let inputs: Vec<Vec<u8>> = inputs.iter().map(|i| i.to_vec()).collect();
         let lifted = lift_image(&img.stripped(), &inputs).unwrap();
         let mut module = lifted.module;
-        let obs = crate::vararg::observe(&module, &inputs).unwrap();
-        crate::vararg::apply(&mut module, &obs);
+        crate::vararg::apply(&mut module, &crate::vararg::from_trace(&lifted.trace, &lifted.meta));
         let info = regsave::analyze(&module, &lifted.meta, &inputs).unwrap();
         let none = std::collections::BTreeSet::new();
         spfold::insert_save_restore(&mut module, &lifted.meta, &info, &none);

@@ -472,8 +472,7 @@ mod tests {
         let lifted = lift_image(&img.stripped(), &inputs).unwrap();
         let mut module = lifted.module;
         // Refinement 1 first (externals with explicit args).
-        let obs = crate::vararg::observe(&module, &inputs).unwrap();
-        crate::vararg::apply(&mut module, &obs);
+        crate::vararg::apply(&mut module, &crate::vararg::from_trace(&lifted.trace, &lifted.meta));
         let info = regsave::analyze(&module, &lifted.meta, &inputs).unwrap();
         insert_save_restore(&mut module, &lifted.meta, &info, &BTreeSet::new());
         let (fold_info, errs) = fold(&mut module, &lifted.meta, &info, &BTreeSet::new());

@@ -6,13 +6,14 @@
 //! must first be given explicit arguments. Fixed-arity signatures come
 //! from the external-function database; `printf`-style calls are resolved
 //! *dynamically* by parsing the format string each time the call executes
-//! and keeping the per-call-site maximum.
+//! and keeping the per-call-site maximum. The tracer already executes
+//! every one of those calls, so it records the arity as it goes
+//! ([`wyt_lifter::ExtCall`]); this module only joins the traced sites
+//! with the lifted ones and rewrites them.
 
 use std::collections::HashMap;
-use wyt_emu::{parse_format, ExtId, Memory};
-use wyt_ir::interp::{ExtArgs, Hooks, Interp, InterpError, Shadow};
 use wyt_ir::{FuncId, InstId, InstKind, Module, Ty, Val};
-use wyt_lifter::ext_sig;
+use wyt_lifter::{LiftedMeta, Trace};
 
 /// Observed argument counts per external call site.
 #[derive(Debug, Default, Clone)]
@@ -21,68 +22,19 @@ pub struct VarargObservations {
     pub arg_counts: HashMap<(FuncId, InstId), usize>,
 }
 
-/// Hook recording the exact signature of each `callext_raw` execution.
-#[derive(Debug, Default)]
-pub struct VarargHook {
-    /// Collected observations.
-    pub obs: VarargObservations,
-}
-
-impl Hooks for VarargHook {
-    fn ext_call(&mut self, f: FuncId, inst: InstId, ext: ExtId, args: &ExtArgs<'_>, mem: &Memory) {
-        let ExtArgs::Raw { sp, .. } = args else { return };
-        let sig = ext_sig(ext);
-        let mut count = sig.fixed_args;
-        if sig.variadic {
-            // Inspect the format string at runtime (paper §5.2).
-            let fmt_ptr = mem.read_u32(*sp);
-            let fmt = mem.read_cstr(fmt_ptr);
-            count += parse_format(&fmt).len();
-        }
-        let e = self.obs.arg_counts.entry((f, inst)).or_insert(0);
-        *e = (*e).max(count);
-    }
-
-    fn ext_ret(
-        &mut self,
-        _f: FuncId,
-        _i: InstId,
-        _e: ExtId,
-        _a: &ExtArgs<'_>,
-        _r: u32,
-        _m: &Memory,
-    ) -> Option<Shadow> {
-        None
-    }
-}
-
-/// Run the lifted module on every input, collecting call-site signatures.
-///
-/// The per-input replays are independent, so they run concurrently on
-/// the `wyt-par` pool; observations are merged **in input order** (and
-/// by max, which is order-insensitive anyway), so the result is
-/// identical to a serial sweep.
-///
-/// # Errors
-/// Returns the interpreter error if any traced input fails (it should not:
-/// lifting has already validated these inputs).
-pub fn observe(module: &Module, inputs: &[Vec<u8>]) -> Result<VarargObservations, InterpError> {
-    let runs = wyt_par::par_map(inputs, |_, input| {
-        let mut interp = Interp::new(module, input.clone(), VarargHook::default());
-        let out = interp.run();
-        (out.error, interp.hooks.obs)
-    });
-    let mut obs = VarargObservations::default();
-    for (error, seen) in runs {
-        if let Some(e) = error {
-            return Err(e);
-        }
-        for (k, v) in seen.arg_counts {
-            let e = obs.arg_counts.entry(k).or_insert(0);
-            *e = (*e).max(v);
-        }
-    }
-    Ok(obs)
+/// The traced arity of every lifted `callext_raw` site: `meta` names the
+/// machine pc each site was translated from, and `trace` holds the
+/// widest call any traced input made at that pc. Sites the trace never
+/// reached get no entry.
+pub fn from_trace(trace: &Trace, meta: &LiftedMeta) -> VarargObservations {
+    let arg_counts = meta
+        .ext_sites
+        .iter()
+        .filter_map(|(pc, f, inst)| {
+            trace.ext_calls.get(pc).map(|call| ((*f, *inst), usize::from(call.arity)))
+        })
+        .collect();
+    VarargObservations { arg_counts }
 }
 
 /// Rewrite every observed `callext_raw` into a `callext` with explicit
@@ -138,15 +90,18 @@ pub fn apply(module: &mut Module, obs: &VarargObservations) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wyt_ir::interp::NoHooks;
+    use wyt_ir::interp::{Interp, NoHooks};
     use wyt_lifter::lift_image;
     use wyt_minicc::{compile, Profile};
 
-    fn lift(src: &str, inputs: &[&[u8]], profile: &Profile) -> (Module, Vec<Vec<u8>>) {
+    /// Lift `src` traced on `inputs`; returns the module and the arities
+    /// read off the trace.
+    fn lift(src: &str, inputs: &[&[u8]], profile: &Profile) -> (Module, VarargObservations) {
         let img = compile(src, profile).unwrap().stripped();
         let inputs: Vec<Vec<u8>> = inputs.iter().map(|i| i.to_vec()).collect();
         let lifted = lift_image(&img, &inputs).unwrap();
-        (lifted.module, inputs)
+        let obs = from_trace(&lifted.trace, &lifted.meta);
+        (lifted.module, obs)
     }
 
     #[test]
@@ -159,8 +114,7 @@ mod tests {
                 return 0;
             }
         "#;
-        let (mut m, inputs) = lift(src, &[b""], &Profile::gcc44_o3());
-        let obs = observe(&m, &inputs).unwrap();
+        let (mut m, obs) = lift(src, &[b""], &Profile::gcc44_o3());
         let mut counts: Vec<usize> = obs.arg_counts.values().copied().collect();
         counts.sort();
         assert_eq!(counts, vec![1, 3, 5], "1, 1+2 and 1+4 arguments");
@@ -190,8 +144,7 @@ mod tests {
                 return buf[3] + strlen("abc");
             }
         "#;
-        let (mut m, inputs) = lift(src, &[b""], &Profile::gcc12_o3());
-        let obs = observe(&m, &inputs).unwrap();
+        let (mut m, obs) = lift(src, &[b""], &Profile::gcc12_o3());
         assert!(obs.arg_counts.values().any(|&c| c == 3), "memset takes 3");
         assert!(obs.arg_counts.values().any(|&c| c == 1), "strlen takes 1");
         apply(&mut m, &obs);
@@ -214,8 +167,7 @@ mod tests {
         "#;
         // Single physical call site per branch here, so check merging across
         // inputs instead: both inputs must be observed.
-        let (m, _) = lift(src, &[b"a", b"z"], &Profile::gcc44_o3());
-        let obs = observe(&m, &[b"a".to_vec(), b"z".to_vec()]).unwrap();
+        let (_, obs) = lift(src, &[b"a", b"z"], &Profile::gcc44_o3());
         let max = obs.arg_counts.values().copied().max().unwrap();
         assert_eq!(max, 4);
     }

@@ -195,6 +195,19 @@ pub fn parse_format(fmt: &[u8]) -> Vec<FmtArg> {
     args
 }
 
+/// How many arguments a call to `ext` reads when it executes with its
+/// arguments at `[esp]`, `[esp+4]`, ...: the fixed arity, plus one per
+/// conversion of the format string at `[esp]` when `ext` is variadic.
+/// This is the per-execution signature WYTIWYG's variadic-call
+/// refinement keeps the per-site maximum of (paper §5.2).
+pub fn call_arity(ext: ExtId, mem: &Memory, esp: u32) -> usize {
+    let mut n = ext.fixed_args();
+    if ext.is_variadic() {
+        n += parse_format(&mem.read_cstr(mem.read_u32(esp))).len();
+    }
+    n
+}
+
 /// I/O and allocator state shared by a program run.
 #[derive(Debug, Clone)]
 pub struct ExtIo {

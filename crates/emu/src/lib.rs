@@ -30,7 +30,7 @@ pub mod ext;
 mod machine;
 mod memory;
 
-pub use ext::{dispatch, parse_format, ArgSource, ExtId, ExtIo, ExtOutcome, FmtArg};
+pub use ext::{call_arity, dispatch, parse_format, ArgSource, ExtId, ExtIo, ExtOutcome, FmtArg};
 pub use machine::{
     run_image, Flags, Machine, NullSink, RunResult, TraceSink, TransferKind, Trap, RETURN_SENTINEL,
 };

@@ -58,10 +58,11 @@ pub trait TraceSink {
     fn transfer(&mut self, from: u32, to: u32, kind: TransferKind) {
         let _ = (from, to, kind);
     }
-    /// An external call at `pc` to import `idx`, with the stack pointer at
-    /// the time of the call (arguments live at `[esp]`, `[esp+4]`, ...).
-    fn ext_call(&mut self, pc: u32, idx: u16, esp: u32) {
-        let _ = (pc, idx, esp);
+    /// An external call at `pc` to import `idx`, resolved to `ext`, with
+    /// the stack pointer at the time of the call (arguments live at
+    /// `[esp]`, `[esp+4]`, ... in `mem`).
+    fn ext_call(&mut self, pc: u32, idx: u16, ext: ExtId, esp: u32, mem: &Memory) {
+        let _ = (pc, idx, ext, esp, mem);
     }
 }
 
@@ -588,7 +589,7 @@ impl<'img> Machine<'img> {
                     return Err(Trap::UnknownImport(pc, idx));
                 };
                 let esp = self.regs[Reg::Esp.index()];
-                sink.ext_call(pc, idx, esp);
+                sink.ext_call(pc, idx, ext, esp, &self.mem);
                 // Split borrows: argument reads and handler effects both
                 // touch memory, so stage the arguments eagerly.
                 let outcome = {

@@ -4,7 +4,7 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use wyt_emu::{Machine, RunResult, TraceSink, TransferKind};
+use wyt_emu::{call_arity, ExtId, Machine, Memory, RunResult, TraceSink, TransferKind};
 use wyt_isa::image::Image;
 
 /// Merged dynamic control-flow observations from one or more runs.
@@ -12,8 +12,27 @@ use wyt_isa::image::Image;
 pub struct Trace {
     /// All observed `(from, to, kind)` transfers.
     pub edges: BTreeSet<(u32, u32, TransferKind)>,
-    /// External call sites: instruction address → import index.
-    pub ext_calls: BTreeMap<u32, u16>,
+    /// External call sites by instruction address.
+    pub ext_calls: BTreeMap<u32, ExtCall>,
+}
+
+/// One traced external call site.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExtCall {
+    /// Import-table index the instruction calls.
+    pub import: u16,
+    /// Most arguments any traced execution of the site read
+    /// ([`wyt_emu::call_arity`]): the recovered signature of paper §5.2.
+    /// Saturates at `u16::MAX`, which also bounds what a decoded trace
+    /// can ask the vararg rewrite to emit per site.
+    pub arity: u16,
+}
+
+impl ExtCall {
+    /// Fold one more execution's arity into the site.
+    fn observe(&mut self, arity: u16) {
+        self.arity = self.arity.max(arity);
+    }
 }
 
 /// What [`Trace::merge`] added: how many of the other trace's edges and
@@ -61,7 +80,8 @@ impl Trace {
 
     /// Fold another trace's observations into this one (the incremental
     /// merge step of the healing loop). Returns how many of `other`'s
-    /// edges and ext-call bindings were new.
+    /// edges and ext-call bindings were new. A site both traces saw keeps
+    /// the larger arity.
     ///
     /// A site that is already bound must rebind to the same import: the
     /// instruction at a pc calls whatever import its bytes name, so a
@@ -71,19 +91,22 @@ impl Trace {
         let before = self.edges.len();
         self.edges.extend(other.edges.iter().copied());
         let mut new_ext_calls = 0;
-        for (pc, idx) in &other.ext_calls {
+        for (pc, call) in &other.ext_calls {
             match self.ext_calls.entry(*pc) {
                 Entry::Vacant(v) => {
-                    v.insert(*idx);
+                    v.insert(*call);
                     new_ext_calls += 1;
                 }
-                Entry::Occupied(o) => debug_assert_eq!(
-                    *o.get(),
-                    *idx,
-                    "ext call at {pc:#x} rebound from import {} to {}",
-                    o.get(),
-                    idx
-                ),
+                Entry::Occupied(mut o) => {
+                    debug_assert_eq!(
+                        o.get().import,
+                        call.import,
+                        "ext call at {pc:#x} rebound from import {} to {}",
+                        o.get().import,
+                        call.import
+                    );
+                    o.get_mut().observe(call.arity);
+                }
             }
         }
         MergeDelta { new_edges: self.edges.len() - before, new_ext_calls }
@@ -147,8 +170,11 @@ impl TraceSink for Recorder<'_> {
         }
     }
 
-    fn ext_call(&mut self, pc: u32, idx: u16, _esp: u32) {
-        self.trace.ext_calls.insert(pc, idx);
+    fn ext_call(&mut self, pc: u32, idx: u16, ext: ExtId, esp: u32, mem: &Memory) {
+        // The emulator's externals read at most 16 argument words (later
+        // ones read as zero), so saturating changes no machine behaviour.
+        let arity = u16::try_from(call_arity(ext, mem, esp)).unwrap_or(u16::MAX);
+        self.trace.ext_calls.entry(pc).or_insert(ExtCall { import: idx, arity: 0 }).observe(arity);
     }
 }
 
@@ -221,8 +247,9 @@ mod tests {
             fn transfer(&mut self, from: u32, to: u32, kind: TransferKind) {
                 self.0.edges.insert((from, to, kind));
             }
-            fn ext_call(&mut self, pc: u32, idx: u16, _esp: u32) {
-                self.0.ext_calls.insert(pc, idx);
+            fn ext_call(&mut self, pc: u32, idx: u16, ext: ExtId, esp: u32, mem: &Memory) {
+                let arity = u16::try_from(call_arity(ext, mem, esp)).unwrap_or(u16::MAX);
+                self.0.ext_calls.entry(pc).or_insert(ExtCall { import: idx, arity }).observe(arity);
             }
         }
         let src = r#"
@@ -342,16 +369,20 @@ mod tests {
         assert!((visited as usize) < t.edges.len());
     }
 
+    fn site(import: u16, arity: u16) -> ExtCall {
+        ExtCall { import, arity }
+    }
+
     #[test]
     fn merge_reports_edge_and_ext_call_deltas() {
         let mut a = Trace::default();
         a.edges.insert((1, 2, TransferKind::Jump));
-        a.ext_calls.insert(10, 0);
+        a.ext_calls.insert(10, site(0, 1));
         let mut b = Trace::default();
         b.edges.insert((1, 2, TransferKind::Jump));
         b.edges.insert((3, 4, TransferKind::Call));
-        b.ext_calls.insert(10, 0);
-        b.ext_calls.insert(20, 1);
+        b.ext_calls.insert(10, site(0, 1));
+        b.ext_calls.insert(20, site(1, 2));
         let d = a.merge(&b);
         assert_eq!(d, MergeDelta { new_edges: 1, new_ext_calls: 1 });
         assert_eq!(a.ext_calls.len(), 2);
@@ -360,14 +391,27 @@ mod tests {
         assert_eq!(d2, MergeDelta { new_edges: 0, new_ext_calls: 0 });
     }
 
+    /// A site both traces saw keeps the wider arity, in either merge
+    /// order, without counting as a new binding.
+    #[test]
+    fn merge_keeps_the_max_arity_per_site() {
+        let narrow = Trace { ext_calls: [(10, site(0, 2))].into(), ..Trace::default() };
+        let wide = Trace { ext_calls: [(10, site(0, 4))].into(), ..Trace::default() };
+        for (mut into, from) in [(narrow.clone(), &wide), (wide.clone(), &narrow)] {
+            let d = into.merge(from);
+            assert_eq!(d.new_ext_calls, 0);
+            assert_eq!(into.ext_calls[&10], site(0, 4));
+        }
+    }
+
     #[test]
     #[should_panic(expected = "rebound")]
     #[cfg(debug_assertions)]
     fn merge_rejects_rebound_ext_call() {
         let mut a = Trace::default();
-        a.ext_calls.insert(10, 0);
+        a.ext_calls.insert(10, site(0, 1));
         let mut b = Trace::default();
-        b.ext_calls.insert(10, 3);
+        b.ext_calls.insert(10, site(3, 1));
         let _ = a.merge(&b);
     }
 }

@@ -25,7 +25,8 @@ use crate::funcrec::FuncMap;
 use std::collections::BTreeMap;
 use std::fmt;
 use wyt_ir::{
-    BinOp, BlockId, CmpOp, FuncId, Function, Global, GlobalKind, InstKind, Module, Term, Ty, Val,
+    BinOp, BlockId, CmpOp, FuncId, Function, Global, GlobalKind, InstId, InstKind, Module, Term,
+    Ty, Val,
 };
 use wyt_isa::image::Image;
 use wyt_isa::{AluOp, Cc, Inst, Mem, Operand, Reg, ShiftAmount, ShiftOp, Size, TrapCode};
@@ -74,6 +75,11 @@ pub struct LiftedMeta {
     /// Import-index mapping from the original image into the module's
     /// extern table.
     pub ext_map: Vec<u16>,
+    /// Every emitted `callext_raw`: the machine pc of its call
+    /// instruction and where it sits in the module, in emission order.
+    /// Joined with [`crate::Trace::ext_calls`] by pc, this gives each
+    /// site its traced arity.
+    pub ext_sites: Vec<(u32, FuncId, InstId)>,
 }
 
 /// A translation failure.
@@ -138,6 +144,8 @@ struct FnTranslator<'a> {
     trap_block: BlockId,
     /// Guard for untraced indirect-jump targets.
     trap_ind_block: BlockId,
+    /// `(pc, inst)` of each `callext_raw` emitted so far.
+    ext_sites: Vec<(u32, InstId)>,
 }
 
 impl<'a> FnTranslator<'a> {
@@ -381,6 +389,7 @@ pub fn translate(
     }
 
     // Translate each function.
+    let mut ext_sites = Vec::new();
     for (entry, mf) in &funcs.funcs {
         let fid = func_by_addr[entry];
         let mut f = Function::new(module.funcs[fid.index()].name.clone());
@@ -409,6 +418,7 @@ pub fn translate(
             block_map,
             trap_block,
             trap_ind_block,
+            ext_sites: Vec::new(),
         };
 
         for &baddr in &mf.blocks {
@@ -478,6 +488,7 @@ pub fn translate(
             tr.f.blocks[tr.cur.index()].term = term;
         }
 
+        ext_sites.extend(tr.ext_sites.iter().map(|&(pc, inst)| (pc, fid, inst)));
         module.funcs[fid.index()] = tr.f;
     }
 
@@ -502,7 +513,7 @@ pub fn translate(
     let start_id = module.add_func(start);
     module.entry = Some(start_id);
 
-    Ok((module, LiftedMeta { func_by_addr, start: start_id, ret_pop, ext_map }))
+    Ok((module, LiftedMeta { func_by_addr, start: start_id, ret_pop, ext_map, ext_sites }))
 }
 
 fn translate_inst(
@@ -684,8 +695,9 @@ fn translate_inst(
             // arguments straight off the emulated stack.
             let ext = tr.intern_ext(*idx);
             let esp = tr.load_reg(Reg::Esp);
-            let r = tr.emit(InstKind::CallExtRaw { ext, sp: esp });
-            tr.store_reg(Reg::Eax, r);
+            let call = tr.f.push_inst(tr.cur, InstKind::CallExtRaw { ext, sp: esp });
+            tr.ext_sites.push((pc, call));
+            tr.store_reg(Reg::Eax, Val::Inst(call));
         }
         Inst::Setcc { cc, dst } => {
             let v = tr.cond_value(pc, *cc)?;
@@ -720,4 +732,94 @@ fn translate_inst(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::lift_image;
+    use std::collections::BTreeMap;
+    use wyt_ir::InstKind;
+    use wyt_minicc::{compile, Profile};
+
+    /// Every traced external-call pc names exactly one lifted
+    /// `callext_raw`, and no two lifted sites share a pc — on a program
+    /// whose tail calls make function recovery split shared tails into
+    /// their own entries (`shared` is only ever jumped to, from two
+    /// callers) and keep a called-and-tail-called body (`report`) whole.
+    /// Trace-derived arities are keyed by pc, so this is what lets them
+    /// stand in for a per-instruction replay.
+    #[test]
+    fn each_traced_ext_call_pc_is_one_lifted_site() {
+        let src = r#"
+            int report(int a, int b) {
+                int i;
+                int acc = 0;
+                for (i = 0; i < a; i++) acc += b;
+                printf("report %d %d\n", a, acc);
+                return acc;
+            }
+            int hop(int a, int b) { return report(a + 1, b); }
+            int shared(int a) {
+                int i;
+                int s = 0;
+                for (i = 0; i < a; i++) s += i ^ a;
+                printf("%d\n", s);
+                return s;
+            }
+            int left(int a) { return shared(a * 2); }
+            int right(int a) { return shared(a + 3); }
+            int is_even(int n) {
+                if (n == 0) { putchar(69); return 1; }
+                return is_odd(n - 1);
+            }
+            int is_odd(int n) {
+                if (n == 0) { putchar(79); return 0; }
+                return is_even(n - 1);
+            }
+            int main() {
+                int c = getchar() & 7;
+                int x = hop(c, 2) + report(1, c) + left(c) + right(c);
+                printf("%d %d\n", x, is_even(c));
+                return x & 0x7f;
+            }
+        "#;
+        for profile in [Profile::gcc12_o3(), Profile::clang16_o3()] {
+            let img = compile(src, &profile).unwrap().stripped();
+            let inputs = vec![b"a".to_vec(), b"d".to_vec()];
+            let lifted = lift_image(&img, &inputs).unwrap();
+            assert!(
+                lifted.funcs.funcs.values().any(|f| !f.tail_calls.is_empty()),
+                "{}: the program must exercise tail calls",
+                profile.name
+            );
+
+            let mut raw = 0;
+            for f in &lifted.module.funcs {
+                for b in &f.blocks {
+                    raw += b
+                        .insts
+                        .iter()
+                        .filter(|&&i| matches!(f.inst(i), InstKind::CallExtRaw { .. }))
+                        .count();
+                }
+            }
+            let meta = &lifted.meta;
+            assert_eq!(meta.ext_sites.len(), raw, "every emitted callext_raw is recorded");
+            let mut by_pc = BTreeMap::new();
+            for &(pc, f, inst) in &meta.ext_sites {
+                assert!(by_pc.insert(pc, (f, inst)).is_none(), "two lifted sites share pc {pc:#x}");
+            }
+            assert!(!lifted.trace.ext_calls.is_empty());
+            for (pc, call) in &lifted.trace.ext_calls {
+                let Some(&(f, inst)) = by_pc.get(pc) else {
+                    panic!("{}: traced ext call at {pc:#x} has no lifted site", profile.name)
+                };
+                let InstKind::CallExtRaw { ext, .. } = lifted.module.funcs[f.index()].inst(inst)
+                else {
+                    panic!("site for {pc:#x} is not a callext_raw");
+                };
+                assert_eq!(*ext, meta.ext_map[call.import as usize], "site calls its import");
+            }
+        }
+    }
 }

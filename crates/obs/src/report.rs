@@ -413,8 +413,8 @@ pub struct PipelineReport {
     pub lift: LiftCounts,
     /// Recovery-quality metrics.
     pub quality: QualityStats,
-    /// Telemetry of the refinement executions driven by the pipeline
-    /// itself (vararg observation, bounds tracing, coverage replay).
+    /// Telemetry of the symbolization-coverage replay the pipeline runs
+    /// when the sink is on.
     pub exec: ExecStats,
     /// Functions demoted down the degradation ladder, ordered by function
     /// index. Empty on a clean recompilation.

@@ -43,7 +43,7 @@ use wyt_obs::Json;
 /// On-disk format version; bumped on any incompatible entry change.
 /// Entries recording a different version are rejected as corrupt (a
 /// downgrade must not reinterpret newer entries either).
-pub const FORMAT_VERSION: u64 = 1;
+pub const FORMAT_VERSION: u64 = 2;
 
 /// Environment variable naming the store root directory.
 pub const STORE_ENV: &str = "WYT_STORE";
@@ -748,9 +748,15 @@ mod tests {
         std::fs::write(&path, &good[..good.len() / 2]).unwrap();
         assert!(matches!(s.get("artifact", &key), Lookup::Corrupt(_)));
 
-        // Version skew (and nothing else wrong).
-        std::fs::write(&path, good.replace("\"wyt_store\": 1", "\"wyt_store\": 999")).unwrap();
-        assert!(matches!(s.get("artifact", &key), Lookup::Corrupt(_)));
+        // Version skew (and nothing else wrong): an entry from the
+        // previous format, or from a newer one.
+        let current = format!("\"wyt_store\": {FORMAT_VERSION}");
+        assert!(good.contains(&current));
+        for skew in [FORMAT_VERSION - 1, 999] {
+            std::fs::write(&path, good.replace(&current, &format!("\"wyt_store\": {skew}")))
+                .unwrap();
+            assert!(matches!(s.get("artifact", &key), Lookup::Corrupt(_)), "version {skew}");
+        }
 
         // Entry filed under the wrong key (a mis-addressed copy).
         let other = Store::derive_key("artifact", vec![("n", Json::from(2u64))]);
@@ -764,7 +770,7 @@ mod tests {
         assert!(matches!(s.get("artifact", &key), Lookup::Hit(_)));
         s.put("artifact", &other, 1, payload(2)).unwrap();
         assert!(matches!(s.get("artifact", &other), Lookup::Hit(_)));
-        assert_eq!(s.counters().corrupt, 4);
+        assert_eq!(s.counters().corrupt, 5);
         let _ = std::fs::remove_dir_all(s.root());
     }
 

@@ -2,8 +2,8 @@
 //!
 //! Robustness counterpart of the [`crate::oracle`]: instead of checking
 //! that a *clean* pipeline preserves semantics, it corrupts stage inputs
-//! at well-defined boundaries — the merged trace, the vararg
-//! observations, the saved-register classification — or withholds the
+//! at well-defined boundaries — the merged trace, the trace-derived
+//! vararg arities, the saved-register classification — or withholds the
 //! program's input from the initial trace (exercising the self-healing
 //! loop) — and demands that the pipeline *degrades*, never breaks:
 //!
@@ -204,7 +204,7 @@ fn corrupt_trace(seed: u64, t: &mut Trace) {
     }
 }
 
-/// Corrupt the vararg observations: inflate or deflate recovered argument
+/// Corrupt the vararg arities: inflate or deflate recovered argument
 /// counts (a format string lying about its arity) or drop observations
 /// entirely (the call site is never recovered).
 fn corrupt_vararg(seed: u64, obs: &mut VarargObservations) {

@@ -136,7 +136,7 @@ pub fn corpus(surface: Surface) -> Vec<Vec<u8>> {
                 let payload = wyt_core::artifact::image_to_json(img);
                 let checksum = wyt_store::sha256_hex(payload.to_string().as_bytes());
                 Json::obj(vec![
-                    ("wyt_store", Json::from(1u64)),
+                    ("wyt_store", Json::from(wyt_store::FORMAT_VERSION)),
                     ("kind", Json::from("artifact")),
                     ("key", Json::from(ENVELOPE_KEY)),
                     ("stamp", Json::from(7u64)),

@@ -101,6 +101,18 @@ if [ "$ENTRIES" -ne "$ENTRY_BUDGET" ]; then
     exit 1
 fi
 
+echo "==> interpreter-replay budget (Interp::new sites in wyt-core non-test code:"
+echo "    the regsave, bounds and coverage replays)"
+REPLAY_BUDGET=3
+REPLAYS=$(for f in crates/core/src/*.rs; do
+    awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print}' "$f"
+done | grep -c 'Interp::new')
+if [ "$REPLAYS" -ne "$REPLAY_BUDGET" ]; then
+    echo "FAIL: $REPLAYS Interp::new sites in wyt-core (budget: $REPLAY_BUDGET)." >&2
+    echo "A fact the tracer can record belongs in the trace, not in another replay." >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

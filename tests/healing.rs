@@ -195,3 +195,57 @@ fn held_out_input_that_misbehaves_natively_is_rejected() {
         "native misbehaviour must be a structured error: {err:?}"
     );
 }
+
+/// The held-out input both reaches an untraced guard (in `main`) and
+/// picks, at run time, a wider format string for the `printf` in
+/// `show` — a function two call hops from `main`, which healing leaves
+/// unchanged and reuses. The re-lifted `printf` site must take its
+/// arity from the merged trace, which saw both formats; an arity
+/// cached from the first recompile would print garbage for the
+/// held-out input and push the module down the degradation ladder.
+#[test]
+fn healing_widens_a_reused_printf_from_the_merged_trace() {
+    let _l = SINK_LOCK.lock().unwrap();
+    wyt_obs::set_enabled(false);
+
+    let src = r#"
+        int show(char *fmt, int x) {
+            int i;
+            int s = 1;
+            for (i = 0; i < x; i++) s += i * x;
+            printf(fmt, s, x, s ^ x);
+            return s;
+        }
+        int helper(char *fmt, int x) { return show(fmt, x) + show(fmt, x + 1); }
+        int main() {
+            int c = getchar();
+            char *fmt = "%d\n";
+            if (c == 'x') {
+                putchar(33);
+                fmt = "%d %d %d\n";
+            }
+            return (helper(fmt, c & 7) + helper(fmt, c & 3)) & 0x7f;
+        }
+    "#;
+    let img = compile(src, &Profile::gcc12_o3()).unwrap();
+    let healed = heal(&img, &[TRACED.to_vec()], &[HELD_OUT.to_vec()]).unwrap();
+    let r = healed.report.healing.as_ref().expect("a healing request reports healing");
+
+    assert!(r.converged, "healing must converge: {r:?}");
+    assert_eq!(r.events[0].name, "lifted_main", "the guard sits in main: {r:?}");
+    assert!(r.funcs_reused >= 1, "show is outside the relift closure: {r:?}");
+    assert!(
+        healed.report.degradations.is_empty(),
+        "a widened printf needs no demotions: {:?}",
+        healed.report.degradations
+    );
+    for input in [TRACED, HELD_OUT] {
+        let native = run(&img, input);
+        let rec = run(&healed.image, input);
+        assert!(native.ok(), "{:?}", native.trap);
+        assert!(rec.ok(), "healed image trapped on {input:?}: {:?}", rec.trap);
+        assert_eq!((rec.exit_code, &rec.output), (native.exit_code, &native.output));
+    }
+    let wide = run(&img, HELD_OUT).output;
+    assert_eq!(wide.iter().filter(|&&b| b == b' ').count(), 8, "four three-value lines");
+}

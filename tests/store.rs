@@ -18,10 +18,11 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use wyt_core::{recompile_stored, run_batch, BatchJob, Mode, Request, StoredOutcome};
+use wyt_ir::InstKind;
 use wyt_minicc::{compile, Profile};
 use wyt_obs::Json;
 use wyt_opt::OptLevel;
-use wyt_store::{sha256_hex, Store};
+use wyt_store::{sha256_hex, Lookup, Store, FACTS_KIND};
 use wyt_testkit::progen::{gen_prog, profile, render};
 use wyt_testkit::rng::{mix, Rng};
 
@@ -195,7 +196,10 @@ fn corrupted_entries_degrade_to_cold() {
         &good,
         |p| {
             let text = fs::read_to_string(p).unwrap();
-            fs::write(p, text.replacen("\"wyt_store\": 1", "\"wyt_store\": 2", 1)).unwrap();
+            let current = format!("\"wyt_store\": {}", wyt_store::FORMAT_VERSION);
+            let next = format!("\"wyt_store\": {}", wyt_store::FORMAT_VERSION + 1);
+            assert!(text.contains(&current));
+            fs::write(p, text.replacen(&current, &next, 1)).unwrap();
         },
         "version skew",
     );
@@ -299,6 +303,67 @@ fn healing_facts_are_reused_across_runs() {
         "persisted facts must extend the held-out set: {inputs3:?}"
     );
     assert!(heal3.funcs_reused >= 1, "persisted facts must seed reuse");
+}
+
+/// A forged facts entry: a `"vararg"` arity array claiming 2^40
+/// arguments at every real external call site (`leaf`'s `printf`
+/// among them, and `leaf` is reused), in a store entry that is
+/// otherwise what a clean heal wrote. Arities come from the merged
+/// trace, so no stored count reaches the rewrite: the facts-seeded heal
+/// completes and yields the clean cold heal's image.
+#[test]
+fn forged_vararg_facts_cannot_reach_the_rewrite() {
+    let src = r#"
+        int leaf(int x) {
+            int i;
+            int s = 2;
+            for (i = 0; i < x; i++) s += i * x + 1;
+            printf("leaf %d\n", s);
+            return s;
+        }
+        int helper(int x) { return leaf(x) + leaf(x + 2); }
+        int main() {
+            int c = getchar();
+            if (c == 'x') return 55;
+            return helper(c & 7) & 0x7f;
+        }
+    "#;
+    let img = compile(src, &Profile::gcc12_o3()).unwrap().stripped();
+    let traced = vec![b"q".to_vec()];
+    let held = vec![b"x".to_vec()];
+
+    let clean = TempStore::new("forged-clean");
+    let cold = stored_heal(&clean.store, &img, &traced, &held, 1);
+    let fkey = wyt_core::facts_key(&img, OptLevel::Full);
+    let Lookup::Hit(mut facts) = clean.store.get(FACTS_KIND, &fkey) else {
+        panic!("a cold heal persists its facts");
+    };
+
+    let lifted = wyt_lifter::lift_image(&img, &traced).unwrap();
+    let mut forged = Vec::new();
+    for f in &lifted.module.funcs {
+        for b in &f.blocks {
+            for &i in &b.insts {
+                if let (InstKind::CallExtRaw { .. }, Some(addr)) = (f.inst(i), f.orig_addr) {
+                    let site = [u64::from(addr), u64::from(i.0), 1 << 40];
+                    forged.push(Json::Arr(site.into_iter().map(Json::from).collect()));
+                }
+            }
+        }
+    }
+    assert!(forged.len() >= 2, "getchar and leaf's printf at least");
+    let Json::Obj(members) = &mut facts else { panic!("facts payload is an object") };
+    members.retain(|(k, _)| k != "vararg");
+    members.push(("vararg".to_string(), Json::Arr(forged)));
+
+    let ts = TempStore::new("forged");
+    ts.store.put(FACTS_KIND, &fkey, 1, facts).unwrap();
+    let run = stored_heal(&ts.store, &img, &traced, &held, 2);
+    assert!(!run.warm(), "only the facts tier exists");
+    let heal = run.healing().expect("a healing request reports healing");
+    assert!(heal.converged, "{heal:?}");
+    assert!(heal.funcs_reused >= 1, "the forged facts must seed reuse: {heal:?}");
+    assert_eq!(run.image(), cold.image(), "forged facts must not change the image");
 }
 
 /// Collect `(relative path, bytes)` of every file under a store root.
