@@ -13,6 +13,8 @@
 //! - [`runtime`] — refinement 3: the bounds-recovery tracing runtime with
 //!   `StackVar`s, `PointerInfo`s, the address map, linked sets, frame and
 //!   call-site descriptors, and external-function effects (§4.2, Fig. 5).
+//! - [`shadowmem`] — the paged address → shadow map both refinement hooks
+//!   keep for values that round-trip through guest memory.
 //! - [`layout`] — interval/link coalescing into per-function stack layouts
 //!   and super signatures (§4.2.6).
 //! - [`symbolize`] — base-pointer replacement with allocas, signature
@@ -59,6 +61,7 @@ pub mod layout;
 pub mod pipeline;
 pub mod regsave;
 pub mod runtime;
+pub mod shadowmem;
 pub mod spfold;
 pub mod symbolize;
 pub mod vararg;

@@ -10,11 +10,12 @@
 //! constraint "if it is an argument anywhere downstream, it is an argument
 //! here" — exactly the paper's deferred constraint scheme.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use crate::shadowmem::ShadowMem;
+use std::collections::{BTreeSet, HashMap};
 use wyt_emu::{ExtId, Memory};
 use wyt_ir::interp::{ExtArgs, Hooks, Interp, InterpError, Shadow, Tagged};
 use wyt_ir::{BinOp, CmpOp, FuncId, InstId, Module, Ty};
-use wyt_lifter::{vcpu_reg_addr, vcpu_vreg_addr, LiftedMeta};
+use wyt_lifter::{vcpu_reg_addr, LiftedMeta, VCPU_BASE};
 
 /// Number of tracked register cells (8 GPRs + 2 vector halves).
 pub const NUM_CELLS: usize = 10;
@@ -22,20 +23,12 @@ pub const NUM_CELLS: usize = 10;
 /// Index of the `esp` cell.
 pub const ESP_CELL: usize = 4;
 
-/// Cell index of a vcpu cell address, if it is one.
+/// Cell index of a vcpu cell address, if it is one. The cells are
+/// consecutive words from [`VCPU_BASE`]: the eight GPRs in register-index
+/// order, then the two vector halves.
 pub fn cell_of_addr(addr: u32) -> Option<usize> {
-    for r in wyt_isa::Reg::ALL {
-        if addr == vcpu_reg_addr(r) {
-            return Some(r.index());
-        }
-    }
-    if addr == vcpu_vreg_addr(0) {
-        return Some(8);
-    }
-    if addr == vcpu_vreg_addr(1) {
-        return Some(9);
-    }
-    None
+    let off = addr.wrapping_sub(VCPU_BASE);
+    (off < 4 * NUM_CELLS as u32 && off.is_multiple_of(4)).then_some(off as usize / 4)
 }
 
 /// Final classification of a register with respect to one function.
@@ -88,10 +81,15 @@ impl RegSaveInfo {
     }
 }
 
+/// Index of `(f, cell)` in the dense per-(function, cell) fact table.
+fn fact_slot(f: FuncId, cell: usize) -> usize {
+    f.index() * NUM_CELLS + cell
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Token {
-    func: FuncId,
-    cell: usize,
+    /// The [`fact_slot`] of the function and cell the token was minted for.
+    slot: u32,
     serial: u32,
 }
 
@@ -106,28 +104,29 @@ struct Frame {
 /// The analysis hook.
 pub struct RegSaveHook {
     tokens: Vec<Token>,
-    facts: HashMap<(FuncId, usize), CellFacts>,
+    /// Per [`fact_slot`].
+    facts: Vec<CellFacts>,
     frames: Vec<Frame>,
-    active_serials: BTreeSet<u32>,
-    next_serial: u32,
+    /// Per frame serial: still on the stack. Serials are handed out in
+    /// order by `fn_enter`.
+    active: Vec<bool>,
     /// Shadow currently stored in each vcpu cell.
     cell_shadows: [Option<Shadow>; NUM_CELLS],
     /// Address → shadow for spilled tokens (4-byte entries).
-    addr_map: HashMap<u32, Shadow>,
+    addr_map: ShadowMem,
     cur_esp: u32,
     indirect_targets: HashMap<(FuncId, InstId), BTreeSet<FuncId>>,
 }
 
 impl RegSaveHook {
-    fn new() -> RegSaveHook {
+    fn new(funcs: usize) -> RegSaveHook {
         RegSaveHook {
             tokens: Vec::new(),
-            facts: HashMap::new(),
+            facts: vec![CellFacts::default(); funcs * NUM_CELLS],
             frames: Vec::new(),
-            active_serials: BTreeSet::new(),
-            next_serial: 0,
+            active: Vec::new(),
             cell_shadows: [None; NUM_CELLS],
-            addr_map: HashMap::new(),
+            addr_map: ShadowMem::new(),
             cur_esp: 0,
             indirect_targets: HashMap::new(),
         }
@@ -139,12 +138,12 @@ impl RegSaveHook {
 
     /// A shadow is meaningful only while its owning frame is live.
     fn live(&self, s: Shadow) -> bool {
-        self.active_serials.contains(&self.token(s).serial)
+        self.active[self.token(s).serial as usize]
     }
 
     fn fact(&mut self, s: Shadow) -> &mut CellFacts {
-        let t = self.token(s);
-        self.facts.entry((t.func, t.cell)).or_default()
+        let slot = self.token(s).slot as usize;
+        &mut self.facts[slot]
     }
 
     fn mark_op_use(&mut self, s: Option<Shadow>) {
@@ -152,13 +151,6 @@ impl RegSaveHook {
             if self.live(s) {
                 self.fact(s).used_in_op = true;
             }
-        }
-    }
-
-    fn invalidate_range(&mut self, addr: u32, size: u32) {
-        // Entries are 4 bytes wide starting at their key.
-        for k in addr.saturating_sub(3)..addr.wrapping_add(size) {
-            self.addr_map.remove(&k);
         }
     }
 }
@@ -171,20 +163,20 @@ impl Hooks for RegSaveHook {
         _args: &[Tagged],
         mem: &Memory,
     ) {
-        let serial = self.next_serial;
-        self.next_serial += 1;
-        self.active_serials.insert(serial);
+        let serial = self.active.len() as u32;
+        self.active.push(true);
         let sp0 = mem.read_u32(vcpu_reg_addr(wyt_isa::Reg::Esp));
         self.cur_esp = sp0;
         let mut entry_tokens = [0; NUM_CELLS];
         let mut caller_shadows = [None; NUM_CELLS];
         for cell in 0..NUM_CELLS {
             let tok = self.tokens.len() as Shadow;
-            self.tokens.push(Token { func: f, cell, serial });
+            let slot = fact_slot(f, cell);
+            self.tokens.push(Token { slot: slot as u32, serial });
             caller_shadows[cell] = self.cell_shadows[cell];
             self.cell_shadows[cell] = Some(tok);
             entry_tokens[cell] = tok;
-            self.facts.entry((f, cell)).or_default().entered = true;
+            self.facts[slot].entered = true;
         }
         self.frames.push(Frame { func: f, serial, sp0, entry_tokens, caller_shadows });
     }
@@ -192,14 +184,14 @@ impl Hooks for RegSaveHook {
     fn fn_exit(&mut self, f: FuncId, _ret: Option<Tagged>, _mem: &Memory) {
         let Some(frame) = self.frames.pop() else { return };
         debug_assert_eq!(frame.func, f);
-        self.active_serials.remove(&frame.serial);
+        self.active[frame.serial as usize] = false;
         for cell in 0..NUM_CELLS {
             let restored = self.cell_shadows[cell] == Some(frame.entry_tokens[cell]);
             if restored {
                 // The caller's tracking resumes seamlessly.
                 self.cell_shadows[cell] = frame.caller_shadows[cell];
             } else {
-                self.facts.entry((f, cell)).or_default().not_restored = true;
+                self.facts[fact_slot(f, cell)].not_restored = true;
                 self.cell_shadows[cell] = None;
             }
         }
@@ -242,7 +234,7 @@ impl Hooks for RegSaveHook {
             return self.cell_shadows[cell].filter(|s| self.live(*s));
         }
         if ty == Ty::I32 {
-            return self.addr_map.get(&addr.0).copied().filter(|s| self.live(*s));
+            return self.addr_map.get(addr.0).filter(|s| self.live(*s));
         }
         None
     }
@@ -256,7 +248,7 @@ impl Hooks for RegSaveHook {
             self.cell_shadows[cell] = val.1.filter(|s| self.live(*s));
             return;
         }
-        self.invalidate_range(addr.0, ty.bytes());
+        self.addr_map.invalidate_range(addr.0, ty.bytes());
         let Some(s) = val.1.filter(|s| self.live(*s)) else { return };
         // Is the destination inside the current frame?
         let in_frame = self
@@ -312,7 +304,7 @@ impl Hooks for ForwardingHook {
                     }
                 }
                 for cell in fw {
-                    self.inner.facts.entry((pf, cell)).or_default().forwarded_to.insert((f, cell));
+                    self.inner.facts[fact_slot(pf, cell)].forwarded_to.insert((f, cell));
                 }
             }
         }
@@ -370,22 +362,22 @@ pub fn analyze(
     inputs: &[Vec<u8>],
 ) -> Result<RegSaveInfo, InterpError> {
     // Per-input replays are independent: run them on the pool and merge
-    // facts in input order (the merge is a monotone union keyed by
+    // facts in input order (the merge is a monotone union per
     // (FuncId, cell), so the result equals a serial sweep).
+    let funcs = module.funcs.len();
     let runs = wyt_par::par_map(inputs, |_, input| {
-        let mut interp =
-            Interp::new(module, input.clone(), ForwardingHook { inner: RegSaveHook::new() });
+        let hook = ForwardingHook { inner: RegSaveHook::new(funcs) };
+        let mut interp = Interp::new(module, input.clone(), hook);
         let out = interp.run();
         (out.error, interp.hooks.inner)
     });
-    let mut facts: HashMap<(FuncId, usize), CellFacts> = HashMap::new();
+    let mut facts = vec![CellFacts::default(); funcs * NUM_CELLS];
     let mut indirect: HashMap<(FuncId, InstId), BTreeSet<FuncId>> = HashMap::new();
     for (error, hook) in runs {
         if let Some(e) = error {
             return Err(e);
         }
-        for (k, v) in hook.facts {
-            let e = facts.entry(k).or_default();
+        for (e, v) in facts.iter_mut().zip(hook.facts) {
             e.entered |= v.entered;
             e.used_in_op |= v.used_in_op;
             e.stored_outside |= v.stored_outside;
@@ -398,19 +390,12 @@ pub fn analyze(
     }
 
     // Fixpoint: argument-ness propagates backwards along forwarding edges.
-    let mut argument: BTreeMap<(FuncId, usize), bool> = BTreeMap::new();
-    for (k, f) in &facts {
-        argument.insert(*k, f.used_in_op || f.stored_outside);
-    }
+    let mut argument: Vec<bool> = facts.iter().map(|f| f.used_in_op || f.stored_outside).collect();
     loop {
         let mut changed = false;
-        for (k, f) in &facts {
-            if argument.get(k).copied().unwrap_or(false) {
-                continue;
-            }
-            let any = f.forwarded_to.iter().any(|t| argument.get(t).copied().unwrap_or(false));
-            if any {
-                argument.insert(*k, true);
+        for (k, f) in facts.iter().enumerate() {
+            if !argument[k] && f.forwarded_to.iter().any(|&(tf, tc)| argument[fact_slot(tf, tc)]) {
+                argument[k] = true;
                 changed = true;
             }
         }
@@ -423,8 +408,7 @@ pub fn analyze(
     for (fid, _) in meta.func_by_addr.iter().map(|(a, f)| (*f, a)) {
         let mut cs = [RegClass::Clobbered; NUM_CELLS];
         for (cell, c) in cs.iter_mut().enumerate() {
-            let fact = facts.get(&(fid, cell)).cloned().unwrap_or_default();
-            let is_arg = argument.get(&(fid, cell)).copied().unwrap_or(false);
+            let (fact, is_arg) = (&facts[fact_slot(fid, cell)], argument[fact_slot(fid, cell)]);
             *c = if is_arg {
                 RegClass::Argument
             } else if fact.entered && !fact.not_restored {
@@ -461,6 +445,17 @@ mod tests {
         let lifted = lift_image(&stripped, &inputs).unwrap();
         let info = analyze(&lifted.module, &lifted.meta, &inputs).unwrap();
         (info, lifted, img)
+    }
+
+    #[test]
+    fn cell_addresses_are_the_vcpu_register_cells() {
+        let mut cells: Vec<(u32, usize)> =
+            wyt_isa::Reg::ALL.iter().map(|&r| (vcpu_reg_addr(r), r.index())).collect();
+        cells.extend([(wyt_lifter::vcpu_vreg_addr(0), 8), (wyt_lifter::vcpu_vreg_addr(1), 9)]);
+        for addr in VCPU_BASE - 8..VCPU_BASE + 48 {
+            let expect = cells.iter().find(|c| c.0 == addr).map(|c| c.1);
+            assert_eq!(cell_of_addr(addr), expect, "{addr:#x}");
+        }
     }
 
     #[test]

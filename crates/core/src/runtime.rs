@@ -16,11 +16,12 @@
 //!   call-site descriptor, not as callee variables (§4.2.5);
 //! - linked variables merge only when both have defined bounds (§4.2.4).
 
+use crate::shadowmem::ShadowMem;
 use crate::spfold::FoldInfo;
 use std::collections::{BTreeSet, HashMap};
 use wyt_emu::{ExtId, Memory};
 use wyt_ir::interp::{ExtArgs, Hooks, Interp, InterpError, Shadow, Tagged};
-use wyt_ir::{BinOp, CmpOp, FuncId, InstId, Module, Ty, Val};
+use wyt_ir::{BinOp, CmpOp, FuncId, InstId, Module, Ty};
 use wyt_lifter::{ext_sig, ExtEffect, SizeSpec};
 
 /// Identity of a stack variable candidate: the static base pointer.
@@ -87,13 +88,12 @@ pub struct BoundsInfo {
 
 #[derive(Debug, Clone, Copy)]
 enum PiVar {
-    /// A variable of the frame with the given serial.
-    Var(VarKey),
-    /// The argument area of the frame entered through `callsite`.
-    Args {
-        /// The call site (caller function, call instruction).
-        callsite: (FuncId, InstId),
-    },
+    /// The candidate variable whose base pointer is the instruction at
+    /// this flat index (see [`Tables`]).
+    Var(u32),
+    /// The argument area of the frame entered through the call
+    /// instruction at this flat index.
+    Args(u32),
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -106,38 +106,88 @@ struct Pi {
 }
 
 struct Frame {
-    #[allow(dead_code)]
-    func: FuncId,
     serial: u32,
-    #[allow(dead_code)]
-    sp0: u32,
-    callsite: Option<(FuncId, InstId)>,
+    /// Flat index of the call instruction that entered this frame.
+    callsite: Option<u32>,
+}
+
+/// The fold as dense per-instruction tables, built once per
+/// [`trace_bounds`] and shared by its replays. Instruction `i` of
+/// function `f` sits at flat index `func_off[f] + i`, so flat order is
+/// [`VarKey`] order.
+struct Tables {
+    /// First flat index of each function, plus the total at the end.
+    func_off: Vec<u32>,
+    /// Per instruction: the sp0 offset of the base pointer it defines.
+    base: Vec<Option<i32>>,
+    /// Per function: its entry `sp0` load.
+    sp0: Vec<Option<InstId>>,
+}
+
+impl Tables {
+    fn new(module: &Module, fold: &FoldInfo) -> Tables {
+        let mut func_off = vec![0];
+        let mut total = 0;
+        for f in &module.funcs {
+            total += f.insts.len() as u32;
+            func_off.push(total);
+        }
+        let base = vec![None; total as usize];
+        let mut tables = Tables { func_off, base, sp0: vec![None; module.funcs.len()] };
+        for (&f, folded) in &fold.funcs {
+            tables.sp0[f.index()] = folded.sp0;
+            for (&i, &k) in &folded.base_ptrs {
+                let at = tables.flat(f, i);
+                tables.base[at] = Some(k);
+            }
+        }
+        tables
+    }
+
+    fn flat(&self, f: FuncId, i: InstId) -> usize {
+        self.func_off[f.index()] as usize + i.index()
+    }
+
+    fn key(&self, flat: usize) -> VarKey {
+        let f = self.func_off.partition_point(|&o| o as usize <= flat) - 1;
+        (FuncId(f as u32), InstId((flat - self.func_off[f] as usize) as u32))
+    }
 }
 
 /// The tracing runtime hook.
-pub struct BoundsHook<'a> {
-    fold: &'a FoldInfo,
-    /// Base-pointer registry: (func, inst) → sp0 offset.
+struct BoundsHook<'a> {
+    tables: &'a Tables,
+    /// Every `PointerInfo` handed out; a shadow is an index into it.
     pis: Vec<Pi>,
-    /// Collected results.
-    pub info: BoundsInfo,
     frames: Vec<Frame>,
-    active: BTreeSet<u32>,
-    next_serial: u32,
-    addr_map: HashMap<u32, Shadow>,
+    /// Per frame serial: still on the stack. Serials are handed out in
+    /// order by `fn_enter`.
+    active: Vec<bool>,
+    addr_map: ShadowMem,
+    /// Per instruction (flat): the variable it is the base pointer of.
+    vars: Vec<Option<VarData>>,
+    /// Per call instruction (flat): argument accesses from the callee.
+    callsite_args: Vec<Option<CallSiteArgs>>,
+    /// Linked variable pairs by flat index (flat order is [`VarKey`] order).
+    links: BTreeSet<(u32, u32)>,
+    /// Per function: entered at least once.
+    entered: Vec<bool>,
 }
 
 impl<'a> BoundsHook<'a> {
-    /// New runtime over the folded module.
-    pub fn new(fold: &'a FoldInfo) -> BoundsHook<'a> {
+    /// New runtime over the folded module's tables.
+    fn new(tables: &'a Tables) -> BoundsHook<'a> {
+        let insts = tables.base.len();
         BoundsHook {
-            fold,
+            tables,
             pis: Vec::new(),
-            info: BoundsInfo::default(),
             frames: Vec::new(),
-            active: BTreeSet::new(),
-            next_serial: 0,
-            addr_map: HashMap::new(),
+            active: Vec::new(),
+            addr_map: ShadowMem::new(),
+            vars: vec![None; insts],
+            callsite_args: vec![None; insts],
+            links: BTreeSet::new(),
+            entered: vec![false; tables.sp0.len()],
         }
     }
 
@@ -150,50 +200,49 @@ impl<'a> BoundsHook<'a> {
         self.pis[s as usize]
     }
 
-    fn live_pi(&self, s: Option<Shadow>) -> Option<Pi> {
-        let s = s?;
-        let pi = self.pi(s);
-        self.active.contains(&pi.serial).then_some(pi)
+    fn live(&self, s: Shadow) -> bool {
+        self.active[self.pi(s).serial as usize]
     }
 
-    fn var_data(&mut self, key: VarKey) -> &mut VarData {
-        self.info.vars.entry(key).or_default()
+    fn live_pi(&self, s: Option<Shadow>) -> Option<Pi> {
+        let pi = self.pi(s?);
+        self.active[pi.serial as usize].then_some(pi)
+    }
+
+    fn var_data(&mut self, var: u32) -> &mut VarData {
+        self.vars[var as usize].get_or_insert_with(VarData::default)
     }
 
     /// Record a dereference at `pi` covering `size` bytes.
     fn deref(&mut self, pi: Pi, size: u32) {
         match pi.var {
-            PiVar::Var(key) => {
-                self.var_data(key).access(pi.off, size);
-            }
-            PiVar::Args { callsite } => {
-                self.info.callsite_args.entry(callsite).or_default().access(pi.off, size);
-            }
+            PiVar::Var(var) => self.var_data(var).access(pi.off, size),
+            PiVar::Args(call) => self.callsite_args[call as usize]
+                .get_or_insert_with(CallSiteArgs::default)
+                .access(pi.off, size),
         }
     }
 
     fn link(&mut self, a: Pi, b: Pi) {
         if let (PiVar::Var(ka), PiVar::Var(kb)) = (a.var, b.var) {
             if ka != kb {
-                let (x, y) = if ka < kb { (ka, kb) } else { (kb, ka) };
-                self.info.links.insert((x, y));
+                self.links.insert((ka.min(kb), ka.max(kb)));
             }
         }
     }
 
-    fn invalidate_range(&mut self, addr: u32, size: u32) {
-        for k in addr.saturating_sub(3)..addr.wrapping_add(size) {
-            self.addr_map.remove(&k);
-        }
+    /// The `(value, shadow)` of the first eight stack words at `sp`: the
+    /// arguments of an unrecovered external call.
+    fn raw_args(&self, sp: u32, mem: &Memory) -> Vec<(u32, Option<Shadow>)> {
+        (0..8)
+            .map(|k| {
+                let a = sp.wrapping_add(4 * k);
+                (mem.read_u32(a), self.addr_map.get(a))
+            })
+            .collect()
     }
 
-    fn apply_ext_effects(
-        &mut self,
-        ext: ExtId,
-        argv: &[(u32, Option<Shadow>)],
-        ret: Option<u32>,
-        mem: &Memory,
-    ) {
+    fn apply_ext_effects(&mut self, ext: ExtId, argv: &[(u32, Option<Shadow>)], mem: &Memory) {
         let sig = ext_sig(ext);
         let size_of = |spec: SizeSpec, argv: &[(u32, Option<Shadow>)]| -> u32 {
             match spec {
@@ -224,26 +273,38 @@ impl<'a> BoundsHook<'a> {
                 ExtEffect::Clear { ptr, size } => {
                     let p = argv.get(ptr).map(|a| a.0).unwrap_or(0);
                     let sz = size_of(size, argv);
-                    self.invalidate_range(p, sz);
+                    self.addr_map.invalidate_range(p, sz);
                 }
                 ExtEffect::Copy { dst, src, size } => {
                     let d = argv.get(dst).map(|a| a.0).unwrap_or(0);
                     let s = argv.get(src).map(|a| a.0).unwrap_or(0);
                     let sz = size_of(size, argv);
-                    let entries: Vec<(u32, Shadow)> = (0..sz)
-                        .filter_map(|k| self.addr_map.get(&s.wrapping_add(k)).map(|sh| (k, *sh)))
-                        .collect();
-                    self.invalidate_range(d, sz);
-                    for (k, sh) in entries {
-                        self.addr_map.insert(d.wrapping_add(k), sh);
-                    }
+                    self.addr_map.copy(d, s, sz);
                 }
-                ExtEffect::DeriveRet { base } => {
-                    // handled in ext_ret (needs the return value)
-                    let _ = (base, ret);
-                }
-                ExtEffect::FormatStr { .. } => {}
+                // DeriveRet needs the return value: handled in ext_ret.
+                ExtEffect::DeriveRet { .. } | ExtEffect::FormatStr { .. } => {}
             }
+        }
+    }
+
+    /// Everything this replay learned, keyed for [`BoundsInfo`].
+    fn into_info(self) -> BoundsInfo {
+        let tables = self.tables;
+        let keyed = |flat: usize| tables.key(flat);
+        BoundsInfo {
+            vars: (self.vars.into_iter().enumerate())
+                .filter_map(|(i, v)| Some((keyed(i), v?)))
+                .collect(),
+            links: (self.links.into_iter())
+                .map(|(a, b)| (keyed(a as usize), keyed(b as usize)))
+                .collect(),
+            callsite_args: (self.callsite_args.into_iter().enumerate())
+                .filter_map(|(i, v)| Some((keyed(i), v?)))
+                .collect(),
+            entered: (self.entered.iter().enumerate())
+                .filter(|(_, &e)| e)
+                .map(|(f, _)| FuncId(f as u32))
+                .collect(),
         }
     }
 }
@@ -254,19 +315,18 @@ impl Hooks for BoundsHook<'_> {
         f: FuncId,
         callsite: Option<(FuncId, InstId)>,
         _args: &[Tagged],
-        mem: &Memory,
+        _mem: &Memory,
     ) {
-        let serial = self.next_serial;
-        self.next_serial += 1;
-        self.active.insert(serial);
-        let sp0 = mem.read_u32(wyt_lifter::vcpu_reg_addr(wyt_isa::Reg::Esp));
-        self.info.entered.insert(f);
-        self.frames.push(Frame { func: f, serial, sp0, callsite });
+        let serial = self.active.len() as u32;
+        self.active.push(true);
+        self.entered[f.index()] = true;
+        let callsite = callsite.map(|(cf, ci)| self.tables.flat(cf, ci) as u32);
+        self.frames.push(Frame { serial, callsite });
     }
 
     fn fn_exit(&mut self, _f: FuncId, _ret: Option<Tagged>, _mem: &Memory) {
         if let Some(fr) = self.frames.pop() {
-            self.active.remove(&fr.serial);
+            self.active[fr.serial as usize] = false;
         }
     }
 
@@ -280,27 +340,24 @@ impl Hooks for BoundsHook<'_> {
         res: u32,
     ) -> Option<Shadow> {
         // Is this instruction a registered base pointer?
-        if let Some(folded) = self.fold.funcs.get(&f) {
-            if let Some(&k) = folded.base_ptrs.get(&inst) {
-                let frame = self.frames.last()?;
-                let serial = frame.serial;
-                let callsite = frame.callsite;
-                // Pointers at or above sp0 refer to the caller's frame —
-                // they are this invocation's *arguments* (§4.2.5). The
-                // return-address slot occupies [0, 4).
-                if k >= 4 {
-                    let cs = callsite?;
-                    let pi = Pi { var: PiVar::Args { callsite: cs }, off: k - 4, serial };
-                    return Some(self.mk(pi));
-                }
-                if k >= 0 {
-                    return None; // the return-address slot: untracked
-                }
-                let key = (f, inst);
-                self.var_data(key).sp0_off = k;
-                let pi = Pi { var: PiVar::Var(key), off: 0, serial };
+        let at = self.tables.flat(f, inst);
+        if let Some(k) = self.tables.base[at] {
+            let frame = self.frames.last()?;
+            let serial = frame.serial;
+            let callsite = frame.callsite;
+            // Pointers at or above sp0 refer to the caller's frame — they
+            // are this invocation's *arguments* (§4.2.5). The
+            // return-address slot occupies [0, 4).
+            if k >= 4 {
+                let pi = Pi { var: PiVar::Args(callsite?), off: k - 4, serial };
                 return Some(self.mk(pi));
             }
+            if k >= 0 {
+                return None; // the return-address slot: untracked
+            }
+            self.var_data(at as u32).sp0_off = k;
+            let pi = Pi { var: PiVar::Var(at as u32), off: 0, serial };
+            return Some(self.mk(pi));
         }
         match op {
             BinOp::Add | BinOp::Sub => {
@@ -327,13 +384,10 @@ impl Hooks for BoundsHook<'_> {
             BinOp::And => {
                 // Alignment operation: record the mask, keep tracking.
                 if let Some(p) = self.live_pi(a.1) {
-                    if let Val::Const(_) = Val::Const(0) {
-                        // mask from the concrete non-pointer operand
-                    }
                     let mask = b.0;
                     if mask.leading_zeros() == 0 || mask > 0xffff {
-                        if let PiVar::Var(key) = p.var {
-                            self.var_data(key).align = Some(!mask + 1);
+                        if let PiVar::Var(var) = p.var {
+                            self.var_data(var).align = Some(!mask + 1);
                         }
                         let off = (res as i32) - ((a.0 as i32) - p.off);
                         return Some(self.mk(Pi { off, ..p }));
@@ -352,23 +406,16 @@ impl Hooks for BoundsHook<'_> {
     }
 
     fn load(&mut self, f: FuncId, inst: InstId, ty: Ty, addr: Tagged, _val: u32) -> Option<Shadow> {
-        // The entry sp0 load re-reads the stack pointer; give it the base
-        // pointer shadow for offset 0.
-        if let Some(folded) = self.fold.funcs.get(&f) {
-            if folded.sp0 == Some(inst) {
-                // sp0 itself: offset 0 base pointer — but as the frame's
-                // own pointer it is never dereferenced; skip tracking.
-                return None;
-            }
+        // The entry sp0 load re-reads the stack pointer: as the frame's
+        // own pointer it is never dereferenced, so it is not tracked.
+        if self.tables.sp0[f.index()] == Some(inst) {
+            return None;
         }
         if let Some(pi) = self.live_pi(addr.1) {
             self.deref(pi, ty.bytes());
         }
         if ty == Ty::I32 {
-            return self.addr_map.get(&addr.0).copied().filter(|s| {
-                let pi = self.pi(*s);
-                self.active.contains(&pi.serial)
-            });
+            return self.addr_map.get(addr.0).filter(|s| self.live(*s));
         }
         None
     }
@@ -377,31 +424,24 @@ impl Hooks for BoundsHook<'_> {
         if let Some(pi) = self.live_pi(addr.1) {
             self.deref(pi, ty.bytes());
         }
-        self.invalidate_range(addr.0, ty.bytes());
+        self.addr_map.invalidate_range(addr.0, ty.bytes());
         if ty == Ty::I32 {
-            if let Some(s) = val.1 {
-                if self.active.contains(&self.pi(s).serial) {
-                    self.addr_map.insert(addr.0, s);
-                }
+            if let Some(s) = val.1.filter(|s| self.live(*s)) {
+                self.addr_map.insert(addr.0, s);
             }
         }
     }
 
     fn transparent(&mut self, s: Option<Shadow>) -> Option<Shadow> {
-        s.filter(|s| self.active.contains(&self.pi(*s).serial))
+        s.filter(|s| self.live(*s))
     }
 
     fn ext_call(&mut self, _f: FuncId, _i: InstId, ext: ExtId, args: &ExtArgs<'_>, mem: &Memory) {
-        let argv: Vec<(u32, Option<Shadow>)> = match args {
+        let argv = match args {
             ExtArgs::Explicit(vals) => vals.to_vec(),
-            ExtArgs::Raw { sp, .. } => (0..8)
-                .map(|k| {
-                    let a = sp.wrapping_add(4 * k);
-                    (mem.read_u32(a), self.addr_map.get(&a).copied())
-                })
-                .collect(),
+            ExtArgs::Raw { sp, .. } => self.raw_args(*sp, mem),
         };
-        self.apply_ext_effects(ext, &argv, None, mem);
+        self.apply_ext_effects(ext, &argv, mem);
     }
 
     fn ext_ret(
@@ -416,14 +456,9 @@ impl Hooks for BoundsHook<'_> {
         let sig = ext_sig(ext);
         for eff in &sig.effects {
             if let ExtEffect::DeriveRet { base } = *eff {
-                let argv: Vec<(u32, Option<Shadow>)> = match args {
+                let argv = match args {
                     ExtArgs::Explicit(vals) => vals.to_vec(),
-                    ExtArgs::Raw { sp, .. } => (0..8)
-                        .map(|k| {
-                            let a = sp.wrapping_add(4 * k);
-                            (mem.read_u32(a), self.addr_map.get(&a).copied())
-                        })
-                        .collect(),
+                    ExtArgs::Raw { sp, .. } => self.raw_args(*sp, mem),
                 };
                 if let Some(pi) = self.live_pi(argv.get(base).and_then(|a| a.1)) {
                     if ret == 0 {
@@ -448,14 +483,15 @@ pub fn trace_bounds(
     fold: &FoldInfo,
     inputs: &[Vec<u8>],
 ) -> Result<BoundsInfo, InterpError> {
+    let tables = Tables::new(module, fold);
     // Independent per-input replays run concurrently; observations merge
     // **in input order** below, because parts of the merge (`sp0_off`,
     // `align` overwrites) are order-sensitive and the result must be
     // byte-identical to the serial sweep.
     let runs = wyt_par::par_map(inputs, |_, input| {
-        let mut interp = Interp::new(module, input.clone(), BoundsHook::new(fold));
+        let mut interp = Interp::new(module, input.clone(), BoundsHook::new(&tables));
         let out = interp.run();
-        (out.error, interp.hooks.info)
+        (out.error, interp.hooks.into_info())
     });
     let mut merged = BoundsInfo::default();
     for (error, info) in runs {
@@ -622,6 +658,48 @@ mod tests {
             vars.iter().any(|(_, l, h)| h - l >= 16),
             "ObjectSize(memset) must cover the buffer: {vars:?}"
         );
+    }
+
+    #[test]
+    fn memcpy_carries_pointers_across_a_page_boundary() {
+        use crate::spfold::FoldedFunc;
+        use wyt_ir::{Function, InstKind, Term, Val};
+        // main: two pointers into one variable are spilled to a buffer that
+        // straddles a page, `memcpy`'d to another straddling buffer — one
+        // word of it split across the page boundary — then reloaded from
+        // the copy and dereferenced. Only the copied shadows can tie those
+        // dereferences back to the variable.
+        let (src, dst) = (0x0020_0ff8, 0x0030_0ffa);
+        let mut module = Module::new();
+        let memcpy = module.extern_index("memcpy");
+        let mut f = Function::new("main");
+        let e = f.entry;
+        let mut push = |k| f.push_inst(e, k);
+        let base =
+            push(InstKind::Bin { op: BinOp::Add, a: Val::Const(0x10_0000), b: Val::Const(0) });
+        let derived = push(InstKind::Bin { op: BinOp::Add, a: Val::Inst(base), b: Val::Const(8) });
+        for (at, v) in [(src + 4, base), (src + 8, derived)] {
+            push(InstKind::Store { ty: Ty::I32, addr: Val::Const(at), val: Val::Inst(v) });
+        }
+        let args = vec![Val::Const(dst), Val::Const(src), Val::Const(12)];
+        push(InstKind::CallExt { ext: memcpy, args });
+        for (at, ty) in [(dst + 4, Ty::I32), (dst + 8, Ty::I8)] {
+            let p = push(InstKind::Load { ty: Ty::I32, addr: Val::Const(at) });
+            push(InstKind::Load { ty, addr: Val::Inst(p) });
+        }
+        f.blocks[e.index()].term = Term::Ret(Some(Val::Const(0)));
+        let main = module.add_func(f);
+        module.entry = Some(main);
+        let folded = FoldedFunc {
+            sp0: None,
+            base_ptrs: [(base, -16)].into_iter().collect(),
+            call_esp_off: Default::default(),
+        };
+        let fold = FoldInfo { funcs: [(main, folded)].into_iter().collect() };
+        let bounds = trace_bounds(&module, &fold, &[Vec::new()]).unwrap();
+        let var = &bounds.vars[&(main, base)];
+        assert_eq!((var.sp0_off, var.low, var.high), (-16, Some(0), Some(9)), "{var:?}");
+        assert!(bounds.entered.contains(&main));
     }
 
     #[test]

@@ -380,11 +380,9 @@ pub fn dispatch(
         ExtId::ReadBytes => {
             let buf = args.arg(0);
             let n = args.arg(1) as usize;
-            let avail = io.input.len() - io.input_pos.min(io.input.len());
-            let take = n.min(avail);
-            for i in 0..take {
-                mem.write_u8(buf.wrapping_add(i as u32), io.input[io.input_pos + i]);
-            }
+            let start = io.input_pos.min(io.input.len());
+            let take = n.min(io.input.len() - start);
+            mem.write_bytes(buf, &io.input[start..start + take]);
             io.input_pos += take;
             ret(take as u32, 2 + (take as u64 / 4))
         }
@@ -410,17 +408,18 @@ pub fn dispatch(
             let old_size = clamp_len(mem, mem.read_u32(old.wrapping_sub(4)));
             let new = alloc(io, mem, n);
             let copy = old_size.min(n);
-            for i in 0..copy {
-                let b = mem.read_u8(old.wrapping_add(i));
-                mem.write_u8(new.wrapping_add(i), b);
-            }
+            // Buffered like memmove, so a forged header whose ranges
+            // overlap still copies the old contents.
+            let bytes = mem.read_bytes(old, copy);
+            mem.write_bytes(new, &bytes);
             ret(new, 6 + copy as u64 / 4)
         }
         ExtId::Memcpy | ExtId::Memmove => {
             let dst = args.arg(0);
             let src = args.arg(1);
             let n = clamp_len(mem, args.arg(2));
-            // The paged model copies byte-wise; memmove-safe by buffering.
+            // Read in full before writing, so overlapping ranges are
+            // memmove-safe.
             let bytes = mem.read_bytes(src, n);
             mem.write_bytes(dst, &bytes);
             ret(dst, 2 + n as u64 / 4)
@@ -429,9 +428,7 @@ pub fn dispatch(
             let dst = args.arg(0);
             let c = args.arg(1) as u8;
             let n = clamp_len(mem, args.arg(2));
-            for i in 0..n {
-                mem.write_u8(dst.wrapping_add(i), c);
-            }
+            mem.fill(dst, n, c);
             ret(dst, 2 + n as u64 / 4)
         }
         ExtId::Strlen => {
@@ -567,6 +564,31 @@ mod tests {
         };
         assert_ne!(p, q);
         assert_eq!(mem.read_u32(q), 0x1234_5678);
+    }
+
+    #[test]
+    fn realloc_with_a_forged_overlapping_header_copies_like_memmove() {
+        let mut mem = Memory::new();
+        let mut io = ExtIo::default();
+        let ExtOutcome::Ret { value: p, .. } = call(ExtId::Malloc, &mut mem, &mut io, &[8]) else {
+            panic!()
+        };
+        // The guest claims 64 bytes, so the copy's source runs over the
+        // new block's header and its destination.
+        let pattern: Vec<u8> = (1..=64).collect();
+        mem.write_bytes(p, &pattern);
+        mem.write_u32(p - 4, 64);
+        let ExtOutcome::Ret { value: q, .. } = call(ExtId::Realloc, &mut mem, &mut io, &[p, 64])
+        else {
+            panic!()
+        };
+        assert!(p < q && q < p + 64, "the ranges must overlap");
+        // The source is read once, after the new header is written into
+        // it; a forward byte loop would repeat its first `q - p` bytes.
+        let mut expected = pattern;
+        let header = (q - 4 - p) as usize;
+        expected[header..header + 4].copy_from_slice(&64u32.to_le_bytes());
+        assert_eq!(mem.read_bytes(q, 64), expected);
     }
 
     #[test]

@@ -29,9 +29,11 @@
 pub mod ext;
 mod machine;
 mod memory;
+pub mod pages;
 
 pub use ext::{call_arity, dispatch, parse_format, ArgSource, ExtId, ExtIo, ExtOutcome, FmtArg};
 pub use machine::{
     run_image, Flags, Machine, NullSink, RunResult, TraceSink, TransferKind, Trap, RETURN_SENTINEL,
 };
-pub use memory::{Memory, PAGE_SIZE};
+pub use memory::Memory;
+pub use pages::{Pages, PAGE_SIZE};

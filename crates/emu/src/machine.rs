@@ -1048,7 +1048,7 @@ mod tests {
             op: AluOp::Add,
             size: Size::D,
             dst: Operand::Reg(Reg::Eax),
-            src: Operand::Imm(crate::memory::PAGE_SIZE as i32),
+            src: Operand::Imm(crate::PAGE_SIZE as i32),
         });
         a.jmp(top);
         let img = image_of(a);

@@ -475,12 +475,15 @@ impl<'m, H: Hooks> Interp<'m, H> {
         let first_args: Vec<Tagged> = args.iter().map(|&a| (a, None)).collect();
         self.hooks.fn_enter(entry, None, &first_args, &self.mem);
         frames.push(first);
+        // Borrow instructions and terminators for `'m` rather than through
+        // `self`, so the hooks can take `&mut self` while one is matched.
+        let module: &'m Module = self.module;
 
         'outer: loop {
             let Some(fr) = frames.last_mut() else {
                 return Err(InterpError::FrameUnderflow);
             };
-            let func = &self.module.funcs[fr.func.index()];
+            let func = &module.funcs[fr.func.index()];
             let Some(block) = func.blocks.get(fr.block.index()) else {
                 return Err(InterpError::BadIndex("block", fr.block.0));
             };
@@ -491,8 +494,7 @@ impl<'m, H: Hooks> Interp<'m, H> {
                 if self.steps > self.fuel {
                     return Err(InterpError::Fuel);
                 }
-                let term = block.term.clone();
-                match term {
+                match block.term {
                     Term::Br(b) => self.branch(frames.last_mut().unwrap(), b)?,
                     Term::CondBr { c, t, f } => {
                         let fr = frames.last_mut().unwrap();
@@ -500,7 +502,7 @@ impl<'m, H: Hooks> Interp<'m, H> {
                         let target = if cv != 0 { t } else { f };
                         self.branch(frames.last_mut().unwrap(), target)?;
                     }
-                    Term::Switch { v, cases, default } => {
+                    Term::Switch { v, ref cases, default } => {
                         let fr = frames.last_mut().unwrap();
                         let val = self.eval(fr, v) as i32;
                         let target = cases
@@ -549,10 +551,9 @@ impl<'m, H: Hooks> Interp<'m, H> {
             if self.steps > self.fuel {
                 return Err(InterpError::Fuel);
             }
-            let kind = func.inst(inst_id).clone();
             let cur_func = fr.func;
 
-            match kind {
+            match *func.inst(inst_id) {
                 InstKind::Bin { op, a, b } => {
                     let fr = frames.last_mut().unwrap();
                     let ta = self.tagged(fr, a);

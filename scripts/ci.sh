@@ -113,6 +113,18 @@ if [ "$REPLAYS" -ne "$REPLAY_BUDGET" ]; then
     exit 1
 fi
 
+echo "==> hot-path map budget (HashMap<u32 / BTreeSet<u32> in the non-test code of"
+echo "    wyt-emu's Memory and the regsave and bounds hooks — see DESIGN.md §3)"
+MAP_BUDGET=0
+MAPS=$(for f in crates/emu/src/memory.rs crates/core/src/runtime.rs crates/core/src/regsave.rs; do
+    awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print}' "$f"
+done | grep -cE 'HashMap<u32|BTreeSet<u32>' || true)
+if [ "$MAPS" -ne "$MAP_BUDGET" ]; then
+    echo "FAIL: $MAPS address- or serial-keyed maps on the replay hot path (budget: $MAP_BUDGET)." >&2
+    echo "Guest addresses go through the paged Memory/ShadowMem; frame serials index a Vec." >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
