@@ -369,8 +369,6 @@ fn chaos_run(seed: u64, out_dir: &Path) -> ExitCode {
 fn main() -> ExitCode {
     wyt_obs::set_enabled(true);
     let _trace = wyt_obs::trace::flush_guard_from_env();
-    wyt_bench::reset_degradations();
-    wyt_bench::reset_healing();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke: Option<String> = None;
     let mut chaos: Option<String> = None;

@@ -1,14 +1,17 @@
 //! # wyt-bench — regenerating the paper's evaluation
 //!
-//! Shared measurement harness for the report binaries:
+//! Shared measurement harness for three binaries:
 //!
-//! - `table1` — normalized runtime of recompiled binaries relative to
-//!   their input binaries, per benchmark × compiler configuration ×
-//!   {no-symbolize, symbolize}, plus the SecondWrite baseline (paper
-//!   Table 1);
-//! - `figure6` — runtimes normalized to the native GCC 12.2 -O3 build
-//!   (paper Fig. 6);
-//! - `figure7` — stack-recovery accuracy per benchmark (paper Fig. 7).
+//! - `paper` — runs the evaluation's job grid ([`grid`]) once and
+//!   renders Table 1 (normalized runtime of recompiled binaries per
+//!   benchmark × compiler configuration × {no-symbolize, symbolize},
+//!   plus the SecondWrite baseline), Figure 6 (runtimes normalized to
+//!   the native GCC 12.2 -O3 build), Figure 7 (stack-recovery accuracy
+//!   per benchmark) and the recovery-vs-optimization ablation from it;
+//! - `report` — the observability report and the bench JSON gates
+//!   (`--check`, `--check-trace`, `--diff`);
+//! - `wyt-batch` — the store-backed batch frontend and its smoke, chaos
+//!   and `BENCH_store.json` runs.
 //!
 //! "Runtime" is the deterministic cycle count of `wyt-emu` (see
 //! DESIGN.md §5): the paper uses wall-clock purely as an IR-quality
@@ -16,68 +19,10 @@
 //! making them exactly reproducible.
 
 pub mod diff;
+pub mod grid;
 pub mod timing;
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use wyt_core::{recompile, validate, Mode, Request};
-use wyt_emu::run_image;
-use wyt_isa::image::Image;
-use wyt_minicc::{compile, Profile};
-use wyt_spec::Benchmark;
-
-/// Cycle measurements for one benchmark under one compiler profile.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConfigMeasurement {
-    /// Profile name.
-    pub config: &'static str,
-    /// Native input-binary cycles on the ref input.
-    pub native: u64,
-    /// Recompiled without symbolization.
-    pub nosym: Result<u64, String>,
-    /// Recompiled with full WYTIWYG.
-    pub wyt: Result<u64, String>,
-}
-
-impl ConfigMeasurement {
-    /// nosym / native.
-    pub fn nosym_ratio(&self) -> Option<f64> {
-        self.nosym.as_ref().ok().map(|c| *c as f64 / self.native as f64)
-    }
-
-    /// wyt / native.
-    pub fn wyt_ratio(&self) -> Option<f64> {
-        self.wyt.as_ref().ok().map(|c| *c as f64 / self.native as f64)
-    }
-}
-
-/// Build the input binary for a benchmark under a profile.
-pub fn build_input(bench: &Benchmark, profile: &Profile) -> Image {
-    compile(bench.source, profile)
-        .unwrap_or_else(|e| panic!("{} under {}: {e}", bench.name, profile.name))
-}
-
-/// Run the ref input natively and return cycles (panics on trap).
-pub fn native_cycles(img: &Image, bench: &Benchmark) -> u64 {
-    let r = run_image(img, bench.ref_input());
-    assert!(r.ok(), "{}: native trap {:?}", bench.name, r.trap);
-    r.cycles
-}
-
-/// Recompile in `mode` and measure the ref input, validating behaviour on
-/// every traced input first.
-pub fn recompiled_cycles(img: &Image, bench: &Benchmark, mode: Mode) -> Result<u64, String> {
-    let stripped = img.stripped();
-    let inputs = bench.trace_inputs();
-    let out = recompile(&Request::new(&stripped, &inputs, mode)).map_err(|e| e.to_string())?;
-    note_degradations(out.report.degradations.len());
-    note_healing(&out.report);
-    validate(&stripped, &out.image, &inputs).map_err(|e| e.to_string())?;
-    let r = run_image(&out.image, bench.ref_input());
-    if !r.ok() {
-        return Err(format!("recompiled trap: {:?}", r.trap));
-    }
-    Ok(r.cycles)
-}
 
 /// Functions demoted down the degradation ladder across every recompile
 /// this harness drove. Zero on the clean benchmark corpus — the ladder
@@ -85,19 +30,13 @@ pub fn recompiled_cycles(img: &Image, bench: &Benchmark, mode: Mode) -> Result<u
 /// count so a regression here is visible in `results/`.
 static DEGRADATIONS: AtomicU64 = AtomicU64::new(0);
 
-fn note_degradations(n: usize) {
+pub(crate) fn note_degradations(n: usize) {
     DEGRADATIONS.fetch_add(n as u64, Ordering::Relaxed);
 }
 
-/// Total degraded functions observed since startup (or the last reset).
+/// Total degraded functions observed since startup.
 pub fn degradations_observed() -> u64 {
     DEGRADATIONS.load(Ordering::Relaxed)
-}
-
-/// Reset the degradation accumulator (report binaries call this once at
-/// startup so the JSON reflects exactly their own run).
-pub fn reset_degradations() {
-    DEGRADATIONS.store(0, Ordering::Relaxed);
 }
 
 /// Self-healing activity across every recompile this harness drove:
@@ -108,50 +47,16 @@ pub fn reset_degradations() {
 static HEALING_ROUNDS: AtomicU64 = AtomicU64::new(0);
 static HEALING_SITES: AtomicU64 = AtomicU64::new(0);
 
-fn note_healing(rep: &wyt_obs::PipelineReport) {
+pub(crate) fn note_healing(rep: &wyt_obs::PipelineReport) {
     if let Some(h) = &rep.healing {
         HEALING_ROUNDS.fetch_add(h.rounds, Ordering::Relaxed);
         HEALING_SITES.fetch_add(h.sites_healed, Ordering::Relaxed);
     }
 }
 
-/// Healing `(rounds, sites healed)` observed since startup or last reset.
+/// Healing `(rounds, sites healed)` observed since startup.
 pub fn healing_observed() -> (u64, u64) {
     (HEALING_ROUNDS.load(Ordering::Relaxed), HEALING_SITES.load(Ordering::Relaxed))
-}
-
-/// Reset the healing accumulators (report binaries call this once at
-/// startup so the JSON reflects exactly their own run).
-pub fn reset_healing() {
-    HEALING_ROUNDS.store(0, Ordering::Relaxed);
-    HEALING_SITES.store(0, Ordering::Relaxed);
-}
-
-/// SecondWrite-baseline cycles (errors reproduce the paper's "—" cells).
-pub fn secondwrite_cycles(img: &Image, bench: &Benchmark) -> Result<u64, String> {
-    let stripped = img.stripped();
-    let inputs = bench.trace_inputs();
-    let out = wyt_core::recompile_secondwrite(&stripped, &inputs).map_err(|e| e.to_string())?;
-    note_degradations(out.report.degradations.len());
-    note_healing(&out.report);
-    validate(&stripped, &out.image, &inputs).map_err(|e| e.to_string())?;
-    let r = run_image(&out.image, bench.ref_input());
-    if !r.ok() {
-        return Err(format!("recompiled trap: {:?}", r.trap));
-    }
-    Ok(r.cycles)
-}
-
-/// Measure one benchmark under one profile in both modes.
-pub fn measure(bench: &Benchmark, profile: &Profile) -> ConfigMeasurement {
-    let img = build_input(bench, profile);
-    let native = native_cycles(&img, bench);
-    ConfigMeasurement {
-        config: profile.name,
-        native,
-        nosym: recompiled_cycles(&img, bench, Mode::NoSymbolize),
-        wyt: recompiled_cycles(&img, bench, Mode::Wytiwyg),
-    }
 }
 
 /// Thread count and wall-clock record for one bench grid, emitted under
@@ -275,32 +180,27 @@ pub fn bench_out_dir() -> std::path::PathBuf {
     std::env::var(OUT_ENV).map_or_else(|_| "results".into(), std::path::PathBuf::from)
 }
 
-/// Write `BENCH_<name>.json` with the standard body (no extra sections)
-/// to [`bench_out_dir`]. Returns the path written.
-pub fn emit_bench_json(name: &str, rows: wyt_obs::Json, par: &ParMeta) -> std::path::PathBuf {
-    let body = bench_json_body(name, rows, par, Vec::new());
-    write_bench_json(&bench_out_dir(), name, &body)
-}
-
 /// A ratio as JSON: failures become `null` (the paper's "—" cells).
 pub fn ratio_json(r: Option<f64>) -> wyt_obs::Json {
     r.map_or(wyt_obs::Json::Null, wyt_obs::Json::from)
 }
 
-/// Geometric mean.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
+/// Geometric mean of a column's successful cells (failures are `None`);
+/// `None` when every cell failed.
+pub fn geomean(cells: impl IntoIterator<Item = Option<f64>>) -> Option<f64> {
+    let ok: Vec<f64> = cells.into_iter().flatten().collect();
+    (!ok.is_empty()).then(|| (ok.iter().map(|x| x.ln()).sum::<f64>() / ok.len() as f64).exp())
 }
 
-/// Format a ratio cell, using "—" for failures like the paper.
-pub fn cell(r: &Result<u64, String>, native: u64) -> String {
-    match r {
-        Ok(c) => format!("{:.2}", *c as f64 / native as f64),
-        Err(_) => "   —".to_string(),
-    }
+/// Format a ratio cell to two decimals, with "—" for a failure like the
+/// paper.
+pub fn fmt_ratio(r: Option<f64>) -> String {
+    r.map_or_else(|| "—".to_string(), |x| format!("{x:.2}"))
+}
+
+/// Format a column's geomean cell: "—" when no cell of it succeeded.
+pub fn fmt_geomean(cells: impl IntoIterator<Item = Option<f64>>) -> String {
+    fmt_ratio(geomean(cells))
 }
 
 #[cfg(test)]
@@ -309,14 +209,16 @@ mod tests {
 
     #[test]
     fn geomean_behaves() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-9);
-        assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-9);
-        assert!(geomean(&[]).is_nan());
+        assert!((geomean([Some(1.0), None, Some(4.0)]).unwrap() - 2.0).abs() < 1e-9);
+        assert!((geomean([Some(2.0); 3]).unwrap() - 2.0).abs() < 1e-9);
+        assert_eq!(geomean([None, None]), None);
     }
 
     #[test]
     fn cell_formats_failures_as_dash() {
-        assert_eq!(cell(&Ok(150), 100), "1.50");
-        assert_eq!(cell(&Err("x".into()), 100), "   —");
+        assert_eq!(fmt_ratio(Some(1.5)), "1.50");
+        assert_eq!(fmt_ratio(None), "—");
+        assert_eq!(fmt_geomean([Some(1.0), Some(4.0)]), "2.00");
+        assert_eq!(fmt_geomean([None]), "—");
     }
 }

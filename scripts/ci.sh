@@ -51,8 +51,10 @@ WYT_OBS_TRACE="$STORE_TMP/batch-trace.json" WYT_PAR=4 WYT_STORE="$STORE_TMP/trac
 cargo run --release --offline -q -p wyt-bench --bin report -- \
     --check-trace "$STORE_TMP/batch-trace.json"
 
-echo "==> bench diff self-gate (fresh figure7 vs committed: counter drift fails)"
-WYT_BENCH_OUT="$STORE_TMP/fresh" cargo run --release --offline -q -p wyt-bench --bin figure7 >/dev/null
+echo "==> bench diff self-gate (fresh paper figure7 vs committed: counter drift fails)"
+WYT_BENCH_OUT="$STORE_TMP/fresh" cargo run --release --offline -q -p wyt-bench --bin paper -- \
+    figure7 >/dev/null
+cmp "$STORE_TMP/fresh/figure7.txt" results/figure7.txt
 cargo run --release --offline -q -p wyt-bench --bin report -- \
     --diff results/BENCH_figure7.json "$STORE_TMP/fresh/BENCH_figure7.json"
 sed 's/"degradations": 0/"degradations": 1/' "$STORE_TMP/fresh/BENCH_figure7.json" \
@@ -122,6 +124,15 @@ done | grep -cE 'HashMap<u32|BTreeSet<u32>' || true)
 if [ "$MAPS" -ne "$MAP_BUDGET" ]; then
     echo "FAIL: $MAPS address- or serial-keyed maps on the replay hot path (budget: $MAP_BUDGET)." >&2
     echo "Guest addresses go through the paged Memory/ShadowMem; frame serials index a Vec." >&2
+    exit 1
+fi
+
+echo "==> bench-bin budget (crates/bench/src/bin: paper, report, wyt-batch)"
+BIN_BUDGET=3
+BINS=$(ls crates/bench/src/bin | grep -cE '^(paper|report|wyt-batch)\.rs$' || true)
+if [ "$BINS" -ne "$BIN_BUDGET" ] || [ "$(ls crates/bench/src/bin | wc -l)" -ne "$BIN_BUDGET" ]; then
+    echo "FAIL: crates/bench/src/bin holds $(ls crates/bench/src/bin | tr '\n' ' ')" >&2
+    echo "(budget: paper, report, wyt-batch). A new table is a grid::Table, not a binary." >&2
     exit 1
 fi
 

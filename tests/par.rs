@@ -8,6 +8,7 @@
 //! so every test here serializes on one lock (as does the obs sink).
 
 use std::sync::Mutex;
+use wyt_bench::grid::{run_job, Pipeline};
 use wyt_core::{recompile, Mode, Request};
 use wyt_minicc::{compile, Profile};
 
@@ -75,8 +76,10 @@ fn bench_measurement_rows_match_serial_run() {
     wyt_obs::set_enabled(false);
     let suite = wyt_spec::suite();
     let bench = &suite[0];
-    let serial = with_threads(1, || wyt_bench::measure(bench, &Profile::gcc12_o3()));
-    let par = with_threads(4, || wyt_bench::measure(bench, &Profile::gcc12_o3()));
+    let pipelines = [Pipeline::Native, Pipeline::NoSym, Pipeline::Wyt];
+    let job = || run_job(bench, &Profile::gcc12_o3(), &pipelines);
+    let serial = with_threads(1, job);
+    let par = with_threads(4, job);
     assert_eq!(serial, par, "bench rows must not depend on thread count");
 }
 
