@@ -235,7 +235,7 @@ fn main() -> ExitCode {
         f => f,
     };
     // Collect regardless of WYT_OBS: this binary's whole job is the report
-    // (including the coverage replay, which is sink-gated).
+    // (including the coverage counts, which are sink-gated).
     wyt_obs::set_enabled(true);
     // Flight recorder: honor WYT_OBS_TRACE and flush on exit.
     let _trace = wyt_obs::trace::flush_guard_from_env();

@@ -12,15 +12,14 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use wyt_backend::lower_module;
 use wyt_emu::{Machine, RunResult, Trap};
-use wyt_ir::interp::{Interp, NoHooks};
 use wyt_ir::{FuncId, InstId, InstKind, Module};
 use wyt_isa::image::Image;
 use wyt_lifter::{
     lift_image_faulted, LiftPipelineError, Lifted, Trace, EMU_STACK_BASE, EMU_STACK_SIZE,
 };
 use wyt_obs::{
-    mono_ns, CoverageStats, Degradation, FuncQuality, IrSize, LiftCounts, PipelineReport, Span,
-    StageStats,
+    mono_ns, CoverageStats, Degradation, FuncQuality, IrSize, LiftCounts, MemStats, PipelineReport,
+    Span, StageStats,
 };
 use wyt_opt::{optimize, OptLevel};
 
@@ -87,6 +86,9 @@ pub enum MismatchKind {
     },
     /// Output streams differ.
     Output {
+        /// Index of the first differing byte; the shorter output's
+        /// length when one output is a prefix of the other.
+        first_diff: usize,
         /// Original output length in bytes.
         original: usize,
         /// Recompiled output length in bytes.
@@ -113,8 +115,8 @@ impl fmt::Display for ValidateError {
             MismatchKind::Exit { original, recompiled } => {
                 write!(f, "exit {original} vs {recompiled}")
             }
-            MismatchKind::Output { original, recompiled } => {
-                write!(f, "output mismatch ({original} vs {recompiled} bytes)")
+            MismatchKind::Output { first_diff, original, recompiled } => {
+                write!(f, "output mismatch at byte {first_diff} ({original} vs {recompiled} bytes)")
             }
         }
     }
@@ -466,12 +468,19 @@ pub(crate) fn replay_fuel(steps: u64) -> u64 {
 
 /// Replay the recompiled image against the original's `baseline` runs
 /// on `inputs`, with fuel scaled from the slowest baseline run.
+///
+/// With the obs sink on, each replay also classifies its stack accesses
+/// (machine-stack slots vs the emulated-stack global) and the sums come
+/// back as the image's [`CoverageStats`]; with it off the replays run
+/// unclassified and the result is `None`.
 fn check_against_baseline(
     image: &Image,
     inputs: &[Vec<u8>],
     baseline: &[RunResult],
-) -> Result<(), ValidateError> {
+) -> Result<Option<CoverageStats>, ValidateError> {
     let budget = replay_fuel(baseline.iter().map(|r| r.inst_count).max().unwrap_or(0));
+    let classify = wyt_obs::enabled();
+    let mut mem = MemStats::default();
     for (i, input) in inputs.iter().enumerate() {
         let a = &baseline[i];
         if !a.ok() {
@@ -482,6 +491,9 @@ fn check_against_baseline(
         }
         let mut m = Machine::new(image, input.clone());
         m.set_fuel(budget);
+        if classify {
+            m.set_emu_stack_range(EMU_STACK_BASE, EMU_STACK_BASE + EMU_STACK_SIZE);
+        }
         let b = m.run();
         // Safe preemption point for the batch watchdog: charge both the
         // baseline and the replay against the job's fuel budget (a no-op
@@ -497,13 +509,24 @@ fn check_against_baseline(
             });
         }
         if a.output != b.output {
+            let first_diff = a.output.iter().zip(&b.output).take_while(|(x, y)| x == y).count();
             return Err(ValidateError {
                 input: i,
-                kind: MismatchKind::Output { original: a.output.len(), recompiled: b.output.len() },
+                kind: MismatchKind::Output {
+                    first_diff,
+                    original: a.output.len(),
+                    recompiled: b.output.len(),
+                },
             });
         }
+        mem.merge(&b.mem);
     }
-    Ok(())
+    Ok(classify.then_some(CoverageStats {
+        symbolized: mem.native_slot,
+        residual: mem.emu_stack,
+        total: mem.stack_total,
+        runs: inputs.len() as u64,
+    }))
 }
 
 /// The pipeline's behavioural gate: [`check_against_baseline`] under the
@@ -512,7 +535,7 @@ fn validation_gate(
     image: &Image,
     inputs: &[Vec<u8>],
     baseline: &[RunResult],
-) -> Result<(), ValidateError> {
+) -> Result<Option<CoverageStats>, ValidateError> {
     let _s = Span::enter("validate");
     check_against_baseline(image, inputs, baseline)
 }
@@ -638,7 +661,8 @@ pub fn recompile_from_lifted(
             })?;
             // No ladder here: a divergence (possible only under fault
             // injection) is a structured error.
-            validation_gate(&image, inputs, &baseline_runs).map_err(RecompileError::Validate)?;
+            rep.quality.coverage = validation_gate(&image, inputs, &baseline_runs)
+                .map_err(RecompileError::Validate)?;
             Recompiled {
                 image,
                 module,
@@ -847,15 +871,6 @@ fn recompile_wytiwyg(
         rep.quality.vars_recovered = mlayout.funcs.values().map(|l| l.vars.len() as u64).sum();
         record_func_quality(&mut rep, &module, &reginfo, &mlayout);
 
-        // Symbolization coverage, by replay: the symbolized (but not yet
-        // re-optimized) module performs the same accesses the refinements
-        // observed, each now hitting either an alloca (symbolized) or the
-        // emulated-stack global (residual). Costs one interpreter run per
-        // traced input, so only collected when the obs sink is on.
-        if wyt_obs::enabled() {
-            rep.quality.coverage = Some(measure_coverage(&module, inputs, &mut rep));
-        }
-
         // Re-optimize and lower. Optimization deletes unused after-call
         // register reloads, which strands the matching exit stores in
         // callees; sweep those and clean up once more.
@@ -889,17 +904,21 @@ fn recompile_wytiwyg(
 
         // Behavioural gate: the image must reproduce the traced baseline.
         // A divergence demotes (the refinements got something wrong for
-        // these functions) until the ladder bottoms out.
-        if let Err(e) = validation_gate(&image, inputs, &baseline_runs) {
-            if step_module_demotion(
-                &mut demoted,
-                &all_fids,
-                &format!("validation failed: {e}"),
-                "fallback.validate",
-            ) {
-                continue;
+        // these functions) until the ladder bottoms out. Only the gate
+        // that passes reports coverage.
+        match validation_gate(&image, inputs, &baseline_runs) {
+            Ok(coverage) => rep.quality.coverage = coverage,
+            Err(e) => {
+                if step_module_demotion(
+                    &mut demoted,
+                    &all_fids,
+                    &format!("validation failed: {e}"),
+                    "fallback.validate",
+                ) {
+                    continue;
+                }
+                return Err(RecompileError::Validate(e));
             }
-            return Err(RecompileError::Validate(e));
         }
 
         for (fid, d) in &demoted {
@@ -951,34 +970,6 @@ fn record_func_quality(
     }
 }
 
-/// Replay the symbolized module on each traced input, classifying every
-/// dynamic stack reference as symbolized (alloca) or residual
-/// (emulated-stack global).
-fn measure_coverage(
-    module: &Module,
-    inputs: &[Vec<u8>],
-    rep: &mut PipelineReport,
-) -> CoverageStats {
-    let _s = Span::enter("coverage");
-    // One interpreter run per traced input, all independent: replay on
-    // the pool and fold the counters in input order.
-    let runs = wyt_par::par_map(inputs, |_, input| {
-        let mut it = Interp::new(module, input.clone(), NoHooks);
-        it.set_emu_stack_range(EMU_STACK_BASE, EMU_STACK_BASE + EMU_STACK_SIZE);
-        let out = it.run();
-        (out.steps, out.mem)
-    });
-    let mut cov = CoverageStats::default();
-    for (steps, mem) in runs {
-        cov.symbolized += mem.native_slot;
-        cov.residual += mem.emu_stack;
-        cov.total += mem.stack_total;
-        cov.runs += 1;
-        rep.exec.add_run(steps, &mem);
-    }
-    cov
-}
-
 /// Possible callees of every call instruction (direct and indirect).
 fn collect_call_targets(
     module: &Module,
@@ -1025,5 +1016,5 @@ pub fn validate(
 ) -> Result<(), ValidateError> {
     let baseline: Vec<RunResult> =
         inputs.iter().map(|input| wyt_emu::run_image(original, input.clone())).collect();
-    check_against_baseline(recompiled, inputs, &baseline)
+    check_against_baseline(recompiled, inputs, &baseline).map(|_| ())
 }

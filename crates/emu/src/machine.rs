@@ -157,9 +157,9 @@ pub struct RunResult {
     /// Number of retired instructions.
     pub inst_count: u64,
     /// Memory-access telemetry. Load/store totals are always counted;
-    /// the stack-region classification is populated only when the
-    /// `wyt-obs` sink was enabled when the machine was built (it costs
-    /// range checks on the hot path).
+    /// the stack-region classification is populated only when the caller
+    /// set an emulated-stack range ([`Machine::set_emu_stack_range`]; it
+    /// costs range checks on the hot path).
     pub mem: MemStats,
     /// Bytes written to the output stream.
     pub output: Vec<u8>,
@@ -202,12 +202,10 @@ pub struct Machine<'img> {
     cycle_budget: u64,
     mem_stats: MemStats,
     /// Emulated-stack global's address range in this image, when the
-    /// caller wants residual-stack classification (recompiled binaries
-    /// keep the global at a fixed address).
+    /// caller wants stack-access classification (recompiled binaries
+    /// keep the global at a fixed address). `None` costs one branch per
+    /// access.
     emu_range: Option<(u32, u32)>,
-    /// Snapshot of `wyt_obs::enabled()` at construction; gates the
-    /// per-access classification so a disabled sink costs one branch.
-    classify: bool,
 }
 
 impl fmt::Debug for Machine<'_> {
@@ -249,7 +247,6 @@ impl<'img> Machine<'img> {
             cycle_budget: u64::MAX,
             mem_stats: MemStats::default(),
             emu_range: None,
-            classify: wyt_obs::enabled(),
         }
     }
 
@@ -267,13 +264,13 @@ impl<'img> Machine<'img> {
         self.cycle_budget = cycles;
     }
 
-    /// Classify accesses in `[lo, hi)` as emulated-stack traffic (used
-    /// when running recompiled images, whose emulated-stack global keeps
-    /// its fixed address). Implies classification even if the obs sink
-    /// was disabled at construction.
+    /// Classify stack accesses from now on: accesses in `[lo, hi)` count
+    /// as emulated-stack traffic and accesses to the machine stack as
+    /// native-slot traffic (used when running recompiled images, whose
+    /// emulated-stack global keeps its fixed address). Without this call
+    /// only loads and stores are counted.
     pub fn set_emu_stack_range(&mut self, lo: u32, hi: u32) {
         self.emu_range = Some((lo, hi));
-        self.classify = true;
     }
 
     #[inline]
@@ -283,11 +280,11 @@ impl<'img> Machine<'img> {
         } else {
             self.mem_stats.loads += 1;
         }
-        if !self.classify {
+        let Some((lo, hi)) = self.emu_range else {
             return;
-        }
+        };
         let native = addr <= STACK_TOP && addr > STACK_TOP - STACK_CLASSIFY_WINDOW;
-        let emu = matches!(self.emu_range, Some((lo, hi)) if addr >= lo && addr < hi);
+        let emu = addr >= lo && addr < hi;
         self.mem_stats.native_slot += native as u64;
         self.mem_stats.emu_stack += emu as u64;
         self.mem_stats.stack_total += (native || emu) as u64;

@@ -19,7 +19,6 @@ use std::collections::HashMap;
 use std::fmt;
 use wyt_emu::{dispatch, ExtId, ExtIo, ExtOutcome, Memory};
 use wyt_isa::{GuardKind, TrapCode};
-use wyt_obs::MemStats;
 
 /// Opaque per-value metadata id, owned by the [`Hooks`] implementation.
 pub type Shadow = u32;
@@ -32,13 +31,6 @@ pub const GLOBAL_DYN_BASE: u32 = 0x0300_0000;
 /// Top of the native stack used for `alloca` (grows down). Distinct from
 /// the machine stack so lifted two-stack programs look like paper Fig. 1.
 pub const NATIVE_STACK_TOP: u32 = 0x0e00_0000;
-
-/// Size of the native-stack window used for access classification:
-/// addresses in `(NATIVE_STACK_TOP - NATIVE_STACK_CLASSIFY_WINDOW,
-/// NATIVE_STACK_TOP]` count as symbolized-slot (alloca) traffic. 64 MiB
-/// reaches far below any real alloca depth while staying above every
-/// other region.
-pub const NATIVE_STACK_CLASSIFY_WINDOW: u32 = 1 << 26;
 
 /// How an external call's arguments are delivered.
 #[derive(Debug, Clone, Copy)]
@@ -204,11 +196,6 @@ pub struct InterpOutput {
     pub guard: Option<GuardHit>,
     /// Executed instruction count.
     pub steps: u64,
-    /// Memory-access telemetry. Load/store totals are always counted;
-    /// the stack-region classification is populated only when the
-    /// `wyt-obs` sink was enabled at construction or an emulated-stack
-    /// range was configured.
-    pub mem: MemStats,
 }
 
 impl InterpOutput {
@@ -268,15 +255,10 @@ pub struct Interp<'m, H: Hooks> {
     nsp: u32,
     fuel: u64,
     steps: u64,
-    mem_stats: MemStats,
+    loads: u64,
+    stores: u64,
     /// Attribution of the guard trap that ended the run, if one did.
     guard_hit: Option<GuardHit>,
-    /// Emulated-stack global's address range, when the caller wants
-    /// residual-stack classification.
-    emu_range: Option<(u32, u32)>,
-    /// Snapshot of `wyt_obs::enabled()` at construction; gates the
-    /// per-access classification so a disabled sink costs one branch.
-    classify: bool,
 }
 
 impl<'m, H: Hooks> Interp<'m, H> {
@@ -307,48 +289,15 @@ impl<'m, H: Hooks> Interp<'m, H> {
             nsp: NATIVE_STACK_TOP,
             fuel: 500_000_000,
             steps: 0,
-            mem_stats: MemStats::default(),
+            loads: 0,
+            stores: 0,
             guard_hit: None,
-            emu_range: None,
-            classify: wyt_obs::enabled(),
         }
     }
 
     /// Override the step budget (default 500 million).
     pub fn set_fuel(&mut self, fuel: u64) {
         self.fuel = fuel;
-    }
-
-    /// Classify accesses in `[lo, hi)` as emulated-stack traffic
-    /// (callers pass the lifter's emulated-stack global range). Implies
-    /// classification even if the obs sink was disabled at construction.
-    pub fn set_emu_stack_range(&mut self, lo: u32, hi: u32) {
-        self.emu_range = Some((lo, hi));
-        self.classify = true;
-    }
-
-    /// Memory telemetry accumulated so far (for callers driving
-    /// [`Interp::run_from`] directly).
-    pub fn mem_stats(&self) -> MemStats {
-        self.mem_stats
-    }
-
-    #[inline]
-    fn note_mem(&mut self, addr: u32, is_store: bool) {
-        if is_store {
-            self.mem_stats.stores += 1;
-        } else {
-            self.mem_stats.loads += 1;
-        }
-        if !self.classify {
-            return;
-        }
-        let native =
-            addr <= NATIVE_STACK_TOP && addr > NATIVE_STACK_TOP - NATIVE_STACK_CLASSIFY_WINDOW;
-        let emu = matches!(self.emu_range, Some((lo, hi)) if addr >= lo && addr < hi);
-        self.mem_stats.native_slot += native as u64;
-        self.mem_stats.emu_stack += emu as u64;
-        self.mem_stats.stack_total += (native || emu) as u64;
     }
 
     fn new_frame(
@@ -403,27 +352,20 @@ impl<'m, H: Hooks> Interp<'m, H> {
                 error: Some(InterpError::NoEntry),
                 guard: None,
                 steps: 0,
-                mem: MemStats::default(),
             };
         };
         let code = self.run_from(entry, &[]);
         let output = std::mem::take(&mut self.io.output);
         let out = match code {
-            Ok(c) => InterpOutput {
-                exit_code: c,
-                output,
-                error: None,
-                guard: None,
-                steps: self.steps,
-                mem: self.mem_stats,
-            },
+            Ok(c) => {
+                InterpOutput { exit_code: c, output, error: None, guard: None, steps: self.steps }
+            }
             Err(e) => InterpOutput {
                 exit_code: 0,
                 output,
                 error: Some(e),
                 guard: self.guard_hit,
                 steps: self.steps,
-                mem: self.mem_stats,
             },
         };
         self.flush_obs(&out);
@@ -437,10 +379,8 @@ impl<'m, H: Hooks> Interp<'m, H> {
         }
         wyt_obs::counter("interp.runs", 1);
         wyt_obs::counter("interp.steps", out.steps);
-        wyt_obs::counter("interp.loads", self.mem_stats.loads);
-        wyt_obs::counter("interp.stores", self.mem_stats.stores);
-        wyt_obs::counter("interp.stack.native_slot", self.mem_stats.native_slot);
-        wyt_obs::counter("interp.stack.emulated", self.mem_stats.emu_stack);
+        wyt_obs::counter("interp.loads", self.loads);
+        wyt_obs::counter("interp.stores", self.stores);
         let class = match &out.error {
             None => "interp.trap.exit",
             Some(InterpError::Fuel) => "interp.trap.fuel",
@@ -594,7 +534,7 @@ impl<'m, H: Hooks> Interp<'m, H> {
                 InstKind::Load { ty, addr } => {
                     let fr = frames.last_mut().unwrap();
                     let ta = self.tagged(fr, addr);
-                    self.note_mem(ta.0, false);
+                    self.loads += 1;
                     let val = self.mem.read_sized(ta.0, to_isa_size(ty));
                     let s = self.hooks.load(cur_func, inst_id, ty, ta, val);
                     let fr = frames.last_mut().unwrap();
@@ -606,7 +546,7 @@ impl<'m, H: Hooks> Interp<'m, H> {
                     let fr = frames.last_mut().unwrap();
                     let ta = self.tagged(fr, addr);
                     let tv = self.tagged(fr, val);
-                    self.note_mem(ta.0, true);
+                    self.stores += 1;
                     self.mem.write_sized(ta.0, tv.0, to_isa_size(ty));
                     self.hooks.store(cur_func, inst_id, ty, ta, tv);
                     frames.last_mut().unwrap().idx += 1;

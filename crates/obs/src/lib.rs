@@ -36,8 +36,8 @@ pub use env::{env_u64, env_usize, env_usize_opt};
 pub use hist::Hist;
 pub use json::{Json, JsonLimits, ParseError, ParseErrorKind};
 pub use report::{
-    CoverageStats, Degradation, ExecStats, FuncQuality, GuardEvent, HealingReport, IrSize,
-    LiftCounts, MemStats, PipelineReport, QualityStats, StageStats, WorkerStat,
+    CoverageStats, Degradation, FuncQuality, GuardEvent, HealingReport, IrSize, LiftCounts,
+    MemStats, PipelineReport, QualityStats, StageStats, WorkerStat,
 };
 pub use sink::{
     counter, enabled, fold, init_from_env, observing, record_hist, reset, set_enabled, snapshot,

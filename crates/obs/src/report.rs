@@ -83,9 +83,11 @@ impl LiftCounts {
     }
 }
 
-/// Memory-access counters for one execution, classified by address
-/// region. Maintained by both execution engines (`wyt_emu::Machine` and
-/// `wyt_ir::interp::Interp`).
+/// Memory-access counters for one `wyt_emu::Machine` run, classified by
+/// address region. Loads and stores are always counted; the three stack
+/// counters only when the caller gave the machine an emulated-stack
+/// range (the pipeline does so for its validation replays while the obs
+/// sink is on).
 ///
 /// `native_slot` and `emu_stack` are each maintained by their own range
 /// check, and `stack_total` by an independent membership check, so the
@@ -97,8 +99,8 @@ pub struct MemStats {
     pub loads: u64,
     /// Stores executed.
     pub stores: u64,
-    /// Accesses to real stack slots (the machine stack, or interpreter
-    /// alloca storage) — symbolized accesses, after recovery.
+    /// Accesses to the machine stack — symbolized accesses, after
+    /// recovery.
     pub native_slot: u64,
     /// Accesses to the emulated-stack region — residual un-symbolized
     /// stack traffic.
@@ -121,59 +123,23 @@ impl MemStats {
     pub fn accesses(&self) -> u64 {
         self.loads + self.stores
     }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("loads", Json::from(self.loads)),
-            ("stores", Json::from(self.stores)),
-            ("native_slot", Json::from(self.native_slot)),
-            ("emu_stack", Json::from(self.emu_stack)),
-            ("stack_total", Json::from(self.stack_total)),
-        ])
-    }
 }
 
-/// Aggregate execution telemetry for a set of runs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecStats {
-    /// Runs aggregated.
-    pub runs: u64,
-    /// Instructions retired / interpreter steps.
-    pub retired: u64,
-    /// Memory counters summed over the runs.
-    pub mem: MemStats,
-}
-
-impl ExecStats {
-    /// Fold one run into the aggregate.
-    pub fn add_run(&mut self, retired: u64, mem: &MemStats) {
-        self.runs += 1;
-        self.retired += retired;
-        self.mem.merge(mem);
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("runs", Json::from(self.runs)),
-            ("retired", Json::from(self.retired)),
-            ("mem", self.mem.to_json()),
-        ])
-    }
-}
-
-/// Symbolization coverage, measured by re-running the symbolized (but not
-/// yet re-optimized) module on the traced inputs: every dynamic stack
-/// reference is either an alloca access (symbolized) or an access that
-/// still goes through the emulated-stack global (residual).
+/// Symbolization coverage of the shipped image, measured on the
+/// validation gate's replays of the lowered image over the traced inputs:
+/// every dynamic stack reference either hits the machine stack
+/// (symbolized: recovered slots, plus the pushes, pops and spills the
+/// backend emits) or still goes through the emulated-stack global
+/// (residual).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CoverageStats {
-    /// Dynamic stack references hitting recovered allocas.
+    /// Dynamic stack references hitting the machine stack.
     pub symbolized: u64,
     /// Dynamic stack references still hitting the emulated stack.
     pub residual: u64,
     /// All dynamic stack references observed (independent count).
     pub total: u64,
-    /// Traced inputs replayed.
+    /// Validation replays summed (one per traced input).
     pub runs: u64,
 }
 
@@ -237,8 +203,9 @@ pub struct QualityStats {
     pub emu_refs_after: u64,
     /// Per-function breakdown, ordered by function index.
     pub funcs: Vec<FuncQuality>,
-    /// Dynamic symbolization coverage (collected only when the obs sink
-    /// is enabled — it costs one replay per traced input).
+    /// Dynamic symbolization coverage of the validated image (collected
+    /// only when the obs sink is enabled — classifying accesses costs
+    /// range checks on every load and store).
     pub coverage: Option<CoverageStats>,
 }
 
@@ -413,9 +380,6 @@ pub struct PipelineReport {
     pub lift: LiftCounts,
     /// Recovery-quality metrics.
     pub quality: QualityStats,
-    /// Telemetry of the symbolization-coverage replay the pipeline runs
-    /// when the sink is on.
-    pub exec: ExecStats,
     /// Functions demoted down the degradation ladder, ordered by function
     /// index. Empty on a clean recompilation.
     pub degradations: Vec<Degradation>,
@@ -451,7 +415,6 @@ impl PipelineReport {
             ("stages", Json::Arr(self.stages.iter().map(|s| s.to_json(with_timings)).collect())),
             ("lift", self.lift.to_json()),
             ("quality", self.quality.to_json()),
-            ("exec", self.exec.to_json()),
             (
                 "degradations",
                 Json::Arr(self.degradations.iter().map(Degradation::to_json).collect()),
@@ -539,13 +502,6 @@ impl PipelineReport {
                 c.symbolized, c.residual, c.total, c.runs
             ));
         }
-        if self.exec.runs > 0 {
-            let m = &self.exec.mem;
-            out.push_str(&format!(
-                "exec: {} run(s), {} retired, {} loads / {} stores ({} native-slot, {} emu-stack)\n",
-                self.exec.runs, self.exec.retired, m.loads, m.stores, m.native_slot, m.emu_stack
-            ));
-        }
         if !self.degradations.is_empty() {
             out.push_str(&format!("degraded: {} function(s)\n", self.degradations.len()));
             for d in &self.degradations {
@@ -616,7 +572,6 @@ mod tests {
                 coverage: Some(CoverageStats { symbolized: 9, residual: 1, total: 10, runs: 1 }),
                 ..Default::default()
             },
-            exec: ExecStats::default(),
             degradations: Vec::new(),
             healing: None,
             workers: vec![WorkerStat {

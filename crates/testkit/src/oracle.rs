@@ -242,14 +242,7 @@ mod tests {
             mem: Default::default(),
             output: vec![],
         };
-        let o = |error| InterpOutput {
-            exit_code: 0,
-            output: vec![],
-            error,
-            guard: None,
-            steps: 0,
-            mem: Default::default(),
-        };
+        let o = |error| InterpOutput { exit_code: 0, output: vec![], error, guard: None, steps: 0 };
         assert_eq!(classify_machine(&r(None)), classify_interp(&o(None)));
         assert_eq!(
             classify_machine(&r(Some(Trap::OutOfFuel))),

@@ -104,8 +104,8 @@ if [ "$ENTRIES" -ne "$ENTRY_BUDGET" ]; then
 fi
 
 echo "==> interpreter-replay budget (Interp::new sites in wyt-core non-test code:"
-echo "    the regsave, bounds and coverage replays)"
-REPLAY_BUDGET=3
+echo "    the regsave and bounds replays)"
+REPLAY_BUDGET=2
 REPLAYS=$(for f in crates/core/src/*.rs; do
     awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print}' "$f"
 done | grep -c 'Interp::new')

@@ -38,8 +38,8 @@ fn serial_and_parallel_recompiles_are_byte_identical() {
     let _l = PAR_LOCK.lock().unwrap();
     let img = compile(SRC, &Profile::gcc44_o3()).unwrap().stripped();
 
-    // Enable the sink so the coverage replay (itself parallelized) runs
-    // and its counts land in the report.
+    // Enable the sink so the validation replays classify stack accesses
+    // and the coverage counts land in the report.
     wyt_obs::set_enabled(true);
     wyt_obs::reset();
     let serial =

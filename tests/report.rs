@@ -1,8 +1,9 @@
 //! Observability-layer integration tests: the [`wyt_obs::PipelineReport`]
 //! attached to every recompilation must be deterministic for a fixed
-//! program and input set, its coverage counts must partition the dynamic
-//! stack references, and both execution engines must agree on the
-//! memory-classification invariant.
+//! program and input set, its coverage counts (taken from the validation
+//! replays of the shipped image) must partition the dynamic stack
+//! references without any extra interpreter replay, and both execution
+//! engines must agree on guard-trap counters.
 //!
 //! The obs sink is process-global, so tests that toggle it serialize on
 //! one lock (the rest of this binary's tests never enable it).
@@ -12,7 +13,6 @@ use std::sync::Mutex;
 use wyt_core::{recompile, Mode, Recompiled, Request};
 use wyt_emu::Machine;
 use wyt_ir::interp::{Interp, NoHooks};
-use wyt_lifter::{EMU_STACK_BASE, EMU_STACK_SIZE};
 use wyt_minicc::{compile, Profile};
 
 static SINK_LOCK: Mutex<()> = Mutex::new(());
@@ -77,9 +77,8 @@ fn wytiwyg_report_is_deterministic_and_pins_stage_schema() {
     assert!(a.quality.vararg_sites >= 1, "printf site must be recovered");
     assert!(a.quality.vars_recovered >= 1);
     assert!(!a.quality.funcs.is_empty());
-    // With the sink disabled, the coverage replay must not have run.
-    assert!(a.quality.coverage.is_none(), "coverage costs a replay; it is sink-gated");
-    assert_eq!(a.exec.runs, 0);
+    // With the sink disabled, the validation replays do not classify.
+    assert!(a.quality.coverage.is_none(), "coverage costs range checks; it is sink-gated");
 }
 
 #[test]
@@ -102,35 +101,46 @@ fn nosymbolize_report_keeps_emulated_stack_roots() {
 #[test]
 fn coverage_counts_partition_stack_references() {
     let _l = SINK_LOCK.lock().unwrap();
-    wyt_obs::set_enabled(true);
-    wyt_obs::reset();
+    for mode in [Mode::NoSymbolize, Mode::Wytiwyg] {
+        wyt_obs::set_enabled(true);
+        wyt_obs::reset();
+        let a = recompiled(mode).report;
+        let snap = wyt_obs::snapshot();
+        let b = recompiled(mode).report;
+        wyt_obs::set_enabled(false);
+        wyt_obs::reset();
 
-    let a = recompiled(Mode::Wytiwyg).report;
-    let b = recompiled(Mode::Wytiwyg).report;
-    wyt_obs::set_enabled(false);
-    wyt_obs::reset();
-
-    let ca = a.quality.coverage.expect("enabled sink must collect coverage");
-    let cb = b.quality.coverage.unwrap();
-    assert_eq!(
-        (ca.symbolized, ca.residual, ca.total, ca.runs),
-        (cb.symbolized, cb.residual, cb.total, cb.runs),
-        "coverage replay is deterministic"
-    );
-    assert_eq!(
-        ca.symbolized + ca.residual,
-        ca.total,
-        "symbolized + residual must equal all observed stack references"
-    );
-    assert!(ca.symbolized > 0, "the sample's locals must symbolize");
-    assert_eq!(
-        a.quality.emu_refs_after, 0,
-        "full symbolization leaves no static emulated-stack roots"
-    );
-    // The exec aggregate mirrors the replay.
-    assert_eq!(a.exec.runs, ca.runs);
-    assert_eq!(a.exec.mem.stack_total, ca.total);
-    assert!(a.exec.retired > 0);
+        let ca = a.quality.coverage.expect("enabled sink must collect coverage");
+        let cb = b.quality.coverage.unwrap();
+        assert_eq!(
+            (ca.symbolized, ca.residual, ca.total, ca.runs),
+            (cb.symbolized, cb.residual, cb.total, cb.runs),
+            "{mode:?}: coverage is deterministic"
+        );
+        assert_eq!(ca.runs, 1, "{mode:?}: one validation replay per traced input");
+        assert_eq!(
+            ca.symbolized + ca.residual,
+            ca.total,
+            "{mode:?}: symbolized + residual must equal all observed stack references"
+        );
+        assert!(ca.total > 0, "{mode:?}: the program uses its stack");
+        // Coverage rides on the validation replay: no span of its own.
+        assert!(!snap.span_totals().contains_key("coverage"), "{mode:?}: no coverage replay");
+        match mode {
+            // The emulated stack survives recompilation without symbols.
+            Mode::NoSymbolize => assert!(ca.residual > 0, "residual traffic expected"),
+            Mode::Wytiwyg => {
+                assert!(ca.symbolized > 0, "the sample's locals must symbolize");
+                assert_eq!(
+                    a.quality.emu_refs_after, 0,
+                    "full symbolization leaves no static emulated-stack roots"
+                );
+                // The sink adds no interpreter replay: only regsave and
+                // bounds run the interpreter on the one traced input.
+                assert_eq!(snap.counters.get("interp.runs"), Some(&2), "{:?}", snap.counters);
+            }
+        }
+    }
 }
 
 /// The `lift` stage row times the lift itself: it can never be shorter
@@ -228,32 +238,5 @@ fn machine_and_interp_guard_counters_agree_per_kind() {
             emu, interp,
             "{kind}: engines must agree on guard-kind counters (machine {mr:?}, interp {io:?})"
         );
-    }
-}
-
-#[test]
-fn machine_classification_agrees_with_partition_invariant() {
-    let _l = SINK_LOCK.lock().unwrap();
-    wyt_obs::set_enabled(false);
-
-    let img = compile(SRC, &Profile::gcc44_o3()).unwrap().stripped();
-    for mode in [Mode::NoSymbolize, Mode::Wytiwyg] {
-        let out = recompile(&Request::new(&img, &[vec![]], mode)).unwrap();
-        let mut m = Machine::new(&out.image, vec![]);
-        m.set_emu_stack_range(EMU_STACK_BASE, EMU_STACK_BASE + EMU_STACK_SIZE);
-        let r = m.run();
-        assert!(r.ok(), "{mode:?}: {:?}", r.trap);
-        assert_eq!(
-            r.mem.native_slot + r.mem.emu_stack,
-            r.mem.stack_total,
-            "{mode:?}: the two stack windows are disjoint and exhaustive"
-        );
-        assert!(r.mem.stack_total > 0, "{mode:?}: the program uses its stack");
-        match mode {
-            // The emulated stack survives recompilation without symbols.
-            Mode::NoSymbolize => assert!(r.mem.emu_stack > 0, "residual traffic expected"),
-            // Symbolized code runs on the real machine stack.
-            Mode::Wytiwyg => assert!(r.mem.native_slot > 0, "symbolized traffic expected"),
-        }
     }
 }

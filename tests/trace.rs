@@ -77,7 +77,7 @@ fn wall_clock_export_validates_with_worker_tracks_and_stage_order() {
     let _l = TRACE_LOCK.lock().unwrap();
     clean();
     // Sink + span events: the full pipeline (including the sink-gated
-    // coverage replay) runs, and worker profiling is live.
+    // coverage classification) runs, and worker profiling is live.
     wyt_obs::set_enabled(true);
     trace::set_enabled(true);
 

@@ -4,7 +4,7 @@
 //! is rejected with a diagnostic naming the offending input.
 
 use wyt_core::{recompile, validate, MismatchKind, Mode, Request};
-use wyt_emu::Trap;
+use wyt_emu::{run_image, Trap};
 use wyt_minicc::{compile, Profile};
 
 const SRC: &str = r#"
@@ -61,11 +61,12 @@ int main() {
 #[test]
 fn wrong_output_is_rejected() {
     let img = compile(SRC, &Profile::gcc12_o3()).expect("compile").stripped();
+    // Same exit codes; the output diverges one byte in ("15" vs "16").
     let bad = compile(
         r#"
 int main() {
     int x = getchar();
-    printf("%d\n", x * 4);
+    printf("%d\n", x * 3 + 1);
     return (x + 1) & 0x7f;
 }
 "#,
@@ -74,12 +75,18 @@ int main() {
     .expect("compile")
     .stripped();
     let err = validate(&img, &bad, &inputs()).expect_err("must reject output mismatch");
-    assert!(
-        matches!(err.kind, MismatchKind::Output { .. }),
-        "structured kind classifies the mismatch: {err:?}"
-    );
+    let MismatchKind::Output { first_diff, .. } = err.kind else {
+        panic!("structured kind classifies the mismatch: {err:?}");
+    };
+    let input = inputs()[err.input].clone();
+    let (a, b) = (run_image(&img, input.clone()).output, run_image(&bad, input).output);
+    let expected = a.iter().zip(&b).position(|(x, y)| x != y).unwrap_or(a.len().min(b.len()));
+    assert_eq!(first_diff, expected, "first_diff names the first divergent byte");
     let msg = err.to_string();
-    assert!(msg.contains("output mismatch"), "diagnostic should name the output: {msg}");
+    assert!(
+        msg.contains(&format!("output mismatch at byte {expected}")),
+        "diagnostic should name the output and the byte: {msg}"
+    );
 }
 
 #[test]
