@@ -324,9 +324,7 @@ fn main() -> ExitCode {
             h.get("sites_healed").and_then(|v| v.as_u64()).expect("healing has sites_healed");
         let unhealed =
             h.get("sites_unhealed").and_then(|v| v.as_u64()).expect("healing has sites_unhealed");
-        for key in ["funcs_total", "funcs_relifted", "funcs_reused"] {
-            h.get(key).and_then(|v| v.as_u64()).unwrap_or_else(|| panic!("healing has {key}"));
-        }
+        h.get("funcs_total").and_then(|v| v.as_u64()).expect("healing has funcs_total");
         assert_eq!(h.get("converged").and_then(|v| v.as_bool()), Some(true), "sample must heal");
         assert!(rounds >= 1 && rounds <= 2, "one withheld branch, {rounds} rounds");
         assert_eq!((healed_n, unhealed), (1, 0), "one site healed, none unhealed");

@@ -15,6 +15,8 @@
 //! Schema drift (a key present on one side only, arrays of different
 //! length, type mismatches) is also a hard failure: a bench whose shape
 //! changed must be consciously regenerated, not silently waved through.
+//! A key-set mismatch does not stop the walk: the keys both sides share
+//! are still compared.
 
 use wyt_obs::Json;
 
@@ -82,11 +84,14 @@ fn walk(path: &str, old: &Json, new: &Json, timing: bool, opts: &DiffOptions, d:
             let kb: Vec<&str> = b.iter().map(|(k, _)| k.as_str()).collect();
             if ka != kb {
                 d.failures.push(format!("{path}: key set differs ({ka:?} vs {kb:?})"));
-                return;
             }
-            for ((k, va), (_, vb)) in a.iter().zip(b.iter()) {
-                let sub = format!("{path}.{k}");
-                walk(&sub, va, vb, timing || is_timing_key(k), opts, d);
+            // Keys both sides share are still compared, by name, so value
+            // drift next to a schema change is reported too.
+            for (k, va) in a {
+                if let Some(vb) = new.get(k) {
+                    let sub = format!("{path}.{k}");
+                    walk(&sub, va, vb, timing || is_timing_key(k), opts, d);
+                }
             }
         }
         (Json::Arr(a), Json::Arr(b)) => {

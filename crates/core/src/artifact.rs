@@ -1,8 +1,9 @@
 //! Codecs between pipeline artifacts and `wyt-store` JSON payloads.
 //!
 //! `wyt-store` moves opaque validated [`Json`]; this module is where the
-//! pipeline's types — images, merged traces, lifted modules, refinement
-//! facts, healing results — gain a stable on-disk encoding. Three rules:
+//! pipeline's types — images, merged traces, lifted modules, accumulated
+//! input sets, healing results — gain a stable on-disk encoding. Two
+//! rules:
 //!
 //! - **Canonical bytes.** Every encoder orders collections (the sources
 //!   are `BTreeMap`/`BTreeSet`, or are sorted here) so the same artifact
@@ -12,17 +13,10 @@
 //!   return `Err` on anything unexpected; the caller treats that exactly
 //!   like a corrupt entry and recompiles cold. Version skew inside a
 //!   payload can therefore never smuggle a wrong image out of the store.
-//! - **Address-keyed facts.** Refinement facts are keyed by original
-//!   entry address — the only function identity stable across re-lifts
-//!   *and* across processes — mirroring [`ReusePlan`].
 
-use crate::layout::{FuncLayout, StackSlotVar};
-use crate::pipeline::{Mode, Recompiled, ReusePlan};
-use crate::regsave::{RegClass, NUM_CELLS};
-use crate::spfold::FoldedFunc;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::pipeline::{Mode, Recompiled};
+use std::collections::BTreeSet;
 use wyt_emu::TransferKind;
-use wyt_ir::InstId;
 use wyt_isa::image::{CodeReloc, FrameLayout, GtVar, GtVarKind, Image, Symbol};
 use wyt_isa::{GuardKind, GuardSite};
 use wyt_lifter::{ExtCall, Trace};
@@ -424,8 +418,7 @@ pub fn facts_key(img: &Image, opt: OptLevel) -> String {
 // Recompilation artifacts
 
 /// A decoded `"artifact"` entry: everything needed to serve a warm
-/// recompile (plus the trace and lifted module for inspection and
-/// incremental reuse).
+/// recompile (plus the trace and lifted module for inspection).
 #[derive(Debug)]
 pub struct StoredArtifact {
     /// The recompiled image (behaviourally validated before use).
@@ -582,278 +575,42 @@ pub fn heal_from_json(j: &Json) -> DecodeResult<StoredHealResult> {
 }
 
 // ---------------------------------------------------------------------------
-// Accumulated refinement facts
+// Accumulated inputs
 
 /// The cross-run knowledge entry for one image: the union input set ever
-/// observed, the merged trace those inputs produced, and the
-/// address-keyed refinement facts of the last validated recompilation.
+/// observed. A heal seeded from it re-traces and re-refines on that set,
+/// so what accumulates is coverage, never a computed fact.
 #[derive(Debug, Clone, Default)]
 pub struct StoredFacts {
     /// Union input set (sorted, deduplicated — canonical form).
     pub inputs: Vec<Vec<u8>>,
-    /// Merged trace of the producing run (used to diff function CFGs
-    /// before seeding a [`ReusePlan`] into a fresh recompilation).
-    pub trace: Trace,
-    /// Address-keyed refinement facts.
-    pub plan: ReusePlan,
 }
 
 impl StoredFacts {
-    /// Build the facts entry for a finished recompilation over `inputs`,
-    /// merging with `prior` (an earlier entry for the same image) so the
-    /// union input set only ever grows.
-    pub fn of(rec: &Recompiled, inputs: &[Vec<u8>], prior: Option<&StoredFacts>) -> StoredFacts {
-        let plan = crate::healing::full_reuse_plan(rec);
+    /// The facts entry after a run over `inputs`, merged with `prior` (an
+    /// earlier entry for the same image) so the union only ever grows.
+    pub fn of(inputs: &[Vec<u8>], prior: Option<&StoredFacts>) -> StoredFacts {
         let mut all: BTreeSet<Vec<u8>> = inputs.iter().cloned().collect();
         if let Some(p) = prior {
             all.extend(p.inputs.iter().cloned());
         }
-        StoredFacts { inputs: all.into_iter().collect(), trace: rec.trace.clone(), plan }
+        StoredFacts { inputs: all.into_iter().collect() }
     }
-}
-
-fn cells_str(cells: &[RegClass; NUM_CELLS]) -> String {
-    cells
-        .iter()
-        .map(|c| match c {
-            RegClass::Saved => 'S',
-            RegClass::Argument => 'A',
-            RegClass::Clobbered => 'C',
-        })
-        .collect()
-}
-
-fn cells_of(s: &str) -> DecodeResult<[RegClass; NUM_CELLS]> {
-    if s.len() != NUM_CELLS {
-        return Err("artifact decode: regsave row arity".to_string());
-    }
-    let mut out = [RegClass::Clobbered; NUM_CELLS];
-    for (i, c) in s.chars().enumerate() {
-        out[i] = match c {
-            'S' => RegClass::Saved,
-            'A' => RegClass::Argument,
-            'C' => RegClass::Clobbered,
-            other => return Err(format!("artifact decode: bad reg class `{other}`")),
-        };
-    }
-    Ok(out)
-}
-
-fn inst_pairs_json(m: &BTreeMap<InstId, i32>) -> Json {
-    Json::Arr(
-        m.iter()
-            .map(|(i, off)| {
-                Json::Arr(vec![Json::from(u64::from(i.0)), Json::from(i64::from(*off))])
-            })
-            .collect(),
-    )
-}
-
-fn inst_pairs_of(j: &Json, what: &str) -> DecodeResult<BTreeMap<InstId, i32>> {
-    let mut out = BTreeMap::new();
-    for p in want(j.as_arr(), what)? {
-        let p = want(p.as_arr(), what)?;
-        if p.len() != 2 {
-            return Err(format!("artifact decode: {what} arity"));
-        }
-        let inst = want(p[0].as_u64(), what)?;
-        let off = want(p[1].as_i64(), what)?;
-        out.insert(
-            InstId(u32::try_from(inst).map_err(|_| format!("artifact decode: {what} range"))?),
-            i32::try_from(off).map_err(|_| format!("artifact decode: {what} range"))?,
-        );
-    }
-    Ok(out)
-}
-
-fn layout_entry_json(addr: u32, fold: &FoldedFunc, layout: &FuncLayout) -> Json {
-    Json::obj(vec![
-        ("addr", Json::from(u64::from(addr))),
-        (
-            "fold",
-            Json::obj(vec![
-                ("sp0", fold.sp0.map_or(Json::Null, |i| Json::from(u64::from(i.0)))),
-                ("base_ptrs", inst_pairs_json(&fold.base_ptrs)),
-                ("call_esp_off", inst_pairs_json(&fold.call_esp_off)),
-            ]),
-        ),
-        (
-            "layout",
-            Json::obj(vec![
-                (
-                    "vars",
-                    Json::Arr(
-                        layout
-                            .vars
-                            .iter()
-                            .map(|v| {
-                                Json::obj(vec![
-                                    ("lo", Json::from(i64::from(v.lo))),
-                                    ("hi", Json::from(i64::from(v.hi))),
-                                    ("align", Json::from(u64::from(v.align))),
-                                    (
-                                        "members",
-                                        Json::Arr(
-                                            v.members
-                                                .iter()
-                                                .map(|i| Json::from(u64::from(i.0)))
-                                                .collect(),
-                                        ),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "assignment",
-                    Json::Arr(
-                        layout
-                            .assignment
-                            .iter()
-                            .map(|(i, (var, delta))| {
-                                Json::Arr(vec![
-                                    Json::from(u64::from(i.0)),
-                                    Json::from(*var as u64),
-                                    Json::from(i64::from(*delta)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("stack_args", Json::from(u64::from(layout.stack_args))),
-                (
-                    "reg_args",
-                    Json::Arr(layout.reg_args.iter().map(|r| Json::from(*r as u64)).collect()),
-                ),
-            ]),
-        ),
-    ])
-}
-
-fn layout_entry_of(j: &Json) -> DecodeResult<(u32, FoldedFunc, FuncLayout)> {
-    let addr = get_u32(j, "addr")?;
-    let f = get(j, "fold")?;
-    let sp0 = match get(f, "sp0")? {
-        Json::Null => None,
-        v => Some(InstId(
-            u32::try_from(want(v.as_u64(), "sp0")?)
-                .map_err(|_| "artifact decode: sp0 range".to_string())?,
-        )),
-    };
-    let fold = FoldedFunc {
-        sp0,
-        base_ptrs: inst_pairs_of(get(f, "base_ptrs")?, "base_ptrs")?,
-        call_esp_off: inst_pairs_of(get(f, "call_esp_off")?, "call_esp_off")?,
-    };
-    let l = get(j, "layout")?;
-    let mut vars = Vec::new();
-    for v in get_arr(l, "vars")? {
-        let mut members = Vec::new();
-        for m in get_arr(v, "members")? {
-            members.push(InstId(
-                u32::try_from(want(m.as_u64(), "member")?)
-                    .map_err(|_| "artifact decode: member range".to_string())?,
-            ));
-        }
-        vars.push(StackSlotVar {
-            lo: get_i32(v, "lo")?,
-            hi: get_i32(v, "hi")?,
-            align: get_u32(v, "align")?,
-            members,
-        });
-    }
-    let mut assignment = BTreeMap::new();
-    for a in get_arr(l, "assignment")? {
-        let a = want(a.as_arr(), "assignment")?;
-        if a.len() != 3 {
-            return Err("artifact decode: assignment arity".to_string());
-        }
-        let inst = want(a[0].as_u64(), "assignment inst")?;
-        let var = want(a[1].as_u64(), "assignment var")?;
-        let delta = want(a[2].as_i64(), "assignment delta")?;
-        assignment.insert(
-            InstId(
-                u32::try_from(inst).map_err(|_| "artifact decode: assignment range".to_string())?,
-            ),
-            (
-                var as usize,
-                i32::try_from(delta)
-                    .map_err(|_| "artifact decode: assignment range".to_string())?,
-            ),
-        );
-    }
-    let mut reg_args = Vec::new();
-    for r in get_arr(l, "reg_args")? {
-        reg_args.push(want(r.as_u64(), "reg arg")? as usize);
-    }
-    let layout = FuncLayout { vars, assignment, stack_args: get_u32(l, "stack_args")?, reg_args };
-    Ok((addr, fold, layout))
 }
 
 /// Encode a [`StoredFacts`] as a `"facts"` payload.
 pub fn facts_to_json(f: &StoredFacts) -> Json {
-    Json::obj(vec![
-        ("inputs", inputs_to_json(&f.inputs)),
-        ("trace", trace_to_json(&f.trace)),
-        ("reuse", Json::Arr(f.plan.reuse.iter().map(|a| Json::from(u64::from(*a))).collect())),
-        (
-            "regsave",
-            Json::Arr(
-                f.plan
-                    .regsave
-                    .iter()
-                    .map(|(addr, cells)| {
-                        Json::Arr(vec![Json::from(u64::from(*addr)), Json::Str(cells_str(cells))])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "layouts",
-            Json::Arr(
-                f.plan
-                    .layouts
-                    .iter()
-                    .map(|(addr, (fold, layout))| layout_entry_json(*addr, fold, layout))
-                    .collect(),
-            ),
-        ),
-    ])
+    Json::obj(vec![("inputs", inputs_to_json(&f.inputs))])
 }
 
-/// Decode a `"facts"` payload.
+/// Decode a `"facts"` payload. Only `inputs` is read: members that older
+/// writers added (`trace`, `reuse`, `regsave`, `layouts`) are ignored, so
+/// their entries still seed a heal with their inputs and nothing else.
 ///
 /// # Errors
 /// A description of the first structural problem.
 pub fn facts_from_json(j: &Json) -> DecodeResult<StoredFacts> {
-    let mut plan = ReusePlan::default();
-    for a in get_arr(j, "reuse")? {
-        plan.reuse.insert(
-            u32::try_from(want(a.as_u64(), "reuse addr")?)
-                .map_err(|_| "artifact decode: reuse addr range".to_string())?,
-        );
-    }
-    for r in get_arr(j, "regsave")? {
-        let r = want(r.as_arr(), "regsave fact")?;
-        if r.len() != 2 {
-            return Err("artifact decode: regsave fact arity".to_string());
-        }
-        let addr = want(r[0].as_u64(), "regsave addr")?;
-        plan.regsave.insert(
-            u32::try_from(addr).map_err(|_| "artifact decode: regsave range".to_string())?,
-            cells_of(want(r[1].as_str(), "regsave cells")?)?,
-        );
-    }
-    for l in get_arr(j, "layouts")? {
-        let (addr, fold, layout) = layout_entry_of(l)?;
-        plan.layouts.insert(addr, (fold, layout));
-    }
-    Ok(StoredFacts {
-        inputs: inputs_from_json(get(j, "inputs")?)?,
-        trace: trace_from_json(get(j, "trace")?)?,
-        plan,
-    })
+    Ok(StoredFacts { inputs: inputs_from_json(get(j, "inputs")?)? })
 }
 
 #[cfg(test)]
@@ -923,14 +680,11 @@ mod tests {
         assert_eq!(art.mode, "Wytiwyg");
         assert!(art.module_text.contains("fn "), "module text is printed IR");
 
-        let facts = StoredFacts::of(&rec, &inputs, None);
-        assert!(!facts.plan.reuse.is_empty(), "every lifted function contributes facts");
-        assert!(!facts.plan.regsave.is_empty());
+        let facts = StoredFacts::of(&inputs, None);
         let back = facts_from_json(&facts_to_json(&facts)).unwrap();
         // Canonical encoding: re-encoding the decoded value is identical.
         assert_eq!(facts_to_json(&back).to_string(), facts_to_json(&facts).to_string());
         assert_eq!(back.inputs, facts.inputs);
-        assert_eq!(back.trace, facts.trace);
     }
 
     #[test]

@@ -236,8 +236,6 @@ pub fn recompile_secondwrite(
         layout: Some(layout),
         bounds: None,
         fold: Some(fold),
-        reginfo: Some(reginfo),
-        reused_funcs: BTreeSet::new(),
         baseline_runs: lifted.baseline_runs,
         inputs: inputs.to_vec(),
         report: wyt_obs::PipelineReport {

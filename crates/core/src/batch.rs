@@ -3,9 +3,9 @@
 //! [`recompile_stored`] puts a content-addressed [`Store`] in front of
 //! [`crate::recompile`]: a second recompilation of the same (image,
 //! inputs, config) is a warm hit that skips tracing, lifting and
-//! refinement entirely, and healing runs persist their accumulated facts
-//! so later runs of the same image start from everything every previous
-//! run learned.
+//! refinement entirely, and healing runs persist their accumulated input
+//! set so later heals of the same image cover every input any previous
+//! run saw.
 //!
 //! The safety contract is uniform: **a stored result is never trusted,
 //! only checked**. A warm candidate must decode structurally *and*
@@ -24,7 +24,7 @@ use crate::artifact::{
     heal_from_json, heal_key, heal_payload, StoredArtifact, StoredFacts, StoredHealResult,
 };
 use crate::pipeline::{
-    recompile, recompile_seeded, validate, FaultInjector, Mode, RecompileError, Recompiled, Request,
+    recompile, validate, FaultInjector, Mode, RecompileError, Recompiled, Request,
 };
 use std::collections::BTreeMap;
 use wyt_isa::image::Image;
@@ -83,10 +83,9 @@ impl StoredOutcome {
     }
 
     /// What healing did; `None` for a plain request. On a healed hit it
-    /// is synthesized from the stored summary: `rounds`/`funcs_relifted`
-    /// are 0 (nothing re-ran) and `funcs_reused == funcs_total` (every
-    /// function came from the store); `converged`, the site counts and
-    /// the event log are the producing run's.
+    /// is synthesized from the stored summary: `rounds` is 0 (nothing
+    /// re-ran); `converged`, the site counts, `funcs_total` and the event
+    /// log are the producing run's.
     pub fn healing(&self) -> Option<HealingReport> {
         match self {
             StoredOutcome::Cold(r) => r.report.healing.clone(),
@@ -97,8 +96,6 @@ impl StoredOutcome {
                 sites_healed: h.sites_healed,
                 sites_unhealed: h.sites_unhealed,
                 funcs_total: h.funcs_total,
-                funcs_relifted: 0,
-                funcs_reused: h.funcs_total,
                 events: h.events.clone(),
             }),
         }
@@ -161,9 +158,10 @@ fn warm_candidate<T>(
 ///    image replay-validates over its recorded union input set.
 /// 2. **Warm facts** — no result entry, but a `"facts"` entry for this
 ///    image: its inputs (those the original image still runs cleanly)
-///    extend the held-out set, and its merged trace + fact cache seed
-///    the cold heal, so coverage and refinement work accumulate across
-///    runs and across processes.
+///    extend the held-out set of the cold heal, so coverage accumulates
+///    across runs and across processes. Every fact is then recomputed
+///    from the merged trace, so the entry can add inputs but never
+///    change what an input set compiles to.
 /// 3. **Cold** — plain [`recompile`] semantics.
 ///
 /// Cold heals persist both the `"healed"` result and a merged `"facts"`
@@ -224,7 +222,7 @@ pub fn recompile_stored(
             };
             let _p = Span::enter("job.put");
             let _ = store.put("healed", &key, stamp, heal_payload(&rec));
-            let facts = StoredFacts::of(&rec, &rec.inputs, prior.as_ref());
+            let facts = StoredFacts::of(&rec.inputs, prior.as_ref());
             let _ = store.put(wyt_store::FACTS_KIND, &fkey, stamp, facts_to_json(&facts));
             rec
         }
@@ -233,8 +231,8 @@ pub fn recompile_stored(
 }
 
 /// The facts and cold tiers of a stored heal: `prior`'s inputs (those
-/// the original image still handles cleanly) extend the held-out set,
-/// and its merged trace and fact cache seed the recompilation.
+/// the original image still handles cleanly) extend the held-out set of
+/// an otherwise ordinary [`recompile`].
 fn heal_seeded(
     req: &Request,
     held_out: &[Vec<u8>],
@@ -252,8 +250,7 @@ fn heal_seeded(
             all_held.push(i.clone());
         }
     }
-    let seed = prior.map(|f| (&f.trace, &f.plan));
-    recompile_seeded(&Request { held_out: Some(&all_held), ..*req }, seed)
+    recompile(&Request { held_out: Some(&all_held), ..*req })
 }
 
 /// One batch-queue entry: a binary plus the inputs to trace it with.

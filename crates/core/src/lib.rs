@@ -28,13 +28,14 @@
 //! - [`baseline`] — a SecondWrite-like conservative *static* symbolizer
 //!   used as the comparison point in Table 1 / Fig. 6.
 //! - [`healing`] — the self-healing loop: guard-trap attribution,
-//!   incremental re-trace/re-lift with refinement-fact reuse, bounded
-//!   re-validation (a [`Request`] with `held_out` set).
+//!   re-trace of the offending input, re-lift and re-refinement of the
+//!   merged trace on the union input set, bounded re-validation (a
+//!   [`Request`] with `held_out` set).
 //! - [`ingest`] — total ingestion frontends: typed, bounded decoders
 //!   for every byte stream entering the suite (fuzzed continuously by
 //!   the in-tree `wyt-fuzz` campaign).
 //! - [`artifact`] — stable JSON codecs between pipeline artifacts
-//!   (images, traces, refinement facts, healing results) and the
+//!   (images, traces, accumulated input sets, healing results) and the
 //!   content-addressed `wyt-store`.
 //! - [`batch`] — recompilation-as-a-service: the store-backed warm/cold
 //!   frontend for plain and healing requests ([`recompile_stored`]) and
@@ -76,5 +77,5 @@ pub use batch::{
 pub use ingest::IngestError;
 pub use pipeline::{
     recompile, recompile_from_lifted, validate, FaultInjector, MismatchKind, Mode, RecompileError,
-    Recompiled, Request, ReusePlan, ValidateError,
+    Recompiled, Request, ValidateError,
 };

@@ -199,9 +199,8 @@ pub struct Recompiled {
     pub module: Module,
     /// Lifting artifacts (trace, CFG, function map).
     pub lifted_meta: wyt_lifter::LiftedMeta,
-    /// The merged trace the module was lifted from — persisted so the
-    /// self-healing loop can diff a re-trace against it and re-lift
-    /// incrementally.
+    /// The merged trace the module was lifted from — kept so the
+    /// self-healing loop can merge a re-trace into it and re-lift.
     pub trace: Trace,
     /// Recovered layouts (WYTIWYG mode only).
     pub layout: Option<layout::ModuleLayout>,
@@ -209,12 +208,6 @@ pub struct Recompiled {
     pub bounds: Option<runtime::BoundsInfo>,
     /// sp0 folding results (WYTIWYG mode only).
     pub fold: Option<spfold::FoldInfo>,
-    /// Saved-register classification (WYTIWYG mode only) — part of the
-    /// healing fact cache.
-    pub reginfo: Option<regsave::RegSaveInfo>,
-    /// Functions whose cached refinement facts were reused (non-empty
-    /// only when a [`ReusePlan`] was supplied).
-    pub reused_funcs: BTreeSet<FuncId>,
     /// Original-trace run results (reference behaviour).
     pub baseline_runs: Vec<RunResult>,
     /// The input set the image was validated against: the request's
@@ -223,25 +216,6 @@ pub struct Recompiled {
     pub inputs: Vec<Vec<u8>>,
     /// Per-stage timing, IR size deltas and recovery-quality telemetry.
     pub report: PipelineReport,
-}
-
-/// Cached refinement facts from a previous recompilation of the same
-/// program, to be reused for functions whose CFGs did not change across
-/// an incremental re-lift. Everything is keyed by *original entry
-/// address* — the only function identity stable across re-lifts
-/// (`FuncId`s renumber when the merged trace grows). Vararg arities are
-/// not cached: they travel in the merged trace itself.
-#[derive(Debug, Clone, Default)]
-pub struct ReusePlan {
-    /// Entry addresses of the functions eligible for fact reuse.
-    pub reuse: BTreeSet<u32>,
-    /// Cached register-class rows keyed by entry addr.
-    pub regsave: BTreeMap<u32, [regsave::RegClass; regsave::NUM_CELLS]>,
-    /// Cached stack layouts keyed by entry addr, each guarded by the
-    /// [`spfold::FoldedFunc`] it was computed against: a layout is only
-    /// applied when the fresh fold matches, since layouts are
-    /// `InstId`-keyed and fold drift invalidates them.
-    pub layouts: BTreeMap<u32, (spfold::FoldedFunc, layout::FuncLayout)>,
 }
 
 fn verify(m: &Module) -> Result<(), RecompileError> {
@@ -554,18 +528,6 @@ fn validation_gate(
 /// round's lift fails outright; a round that recompiles but cannot
 /// validate degrades per function (or ends the loop unconverged).
 pub fn recompile(req: &Request) -> Result<Recompiled, RecompileError> {
-    recompile_seeded(req, None)
-}
-
-/// [`recompile`] seeded with persisted facts from a previous run of the
-/// same image: `prior` carries that run's merged trace and its complete
-/// [`ReusePlan`] (the store's facts tier). Functions whose recovery is
-/// unchanged against the prior trace reuse their facts in the initial
-/// recompilation; anything stale falls back to cold refinement.
-pub(crate) fn recompile_seeded(
-    req: &Request,
-    prior: Option<(&Trace, &ReusePlan)>,
-) -> Result<Recompiled, RecompileError> {
     let _s = req.held_out.is_some().then(|| Span::enter("healing"));
     crate::ingest::check_image(req.image).map_err(RecompileError::Ingest)?;
     // Timed like `stage()` does: the clock pair sits inside the span.
@@ -577,18 +539,8 @@ pub(crate) fn recompile_seeded(
             lift_image_faulted(req.image, req.inputs, trace_fault).map_err(RecompileError::Lift)?;
         (lifted, mono_ns() - t0)
     };
-    let seed = prior.and_then(|(trace, plan)| {
-        crate::healing::seed_plan_from_prior(req.image, trace, plan, &lifted)
-    });
-    let mut rec = recompile_from_lifted(
-        req.image,
-        req.inputs,
-        req.mode,
-        req.opt,
-        req.faults,
-        lifted,
-        seed.as_ref(),
-    )?;
+    let mut rec =
+        recompile_from_lifted(req.image, req.inputs, req.mode, req.opt, req.faults, lifted, None)?;
     // `recompile_from_lifted` only sees the lifted program, so its
     // `lift` row covers just the unpacking; add the lift itself.
     if let Some(row) = rec.report.stages.iter_mut().find(|s| s.name == "lift") {
@@ -600,16 +552,17 @@ pub(crate) fn recompile_seeded(
     }
 }
 
-/// Recompile from an already-lifted program — the incremental entry
-/// point of the self-healing loop, which lifts from a merged trace
-/// itself ([`wyt_lifter::lift_from_trace`]) and passes a [`ReusePlan`]
-/// of cached refinement facts for unchanged functions. With `reuse:
-/// None` this is the tail of [`recompile`] after lifting.
+/// Recompile from an already-lifted program: the tail of [`recompile`]
+/// after lifting, and the entry point of each self-healing round, which
+/// lifts the merged trace itself ([`wyt_lifter::lift_from_trace`]).
 ///
 /// `inputs` must be the inputs whose behaviour `lifted.baseline_runs`
 /// records (the refinement replays and the validation gate both run the
 /// lifted module against them). The first argument, the image `lifted`
 /// came from, is not read: everything needed from it is in `lifted`.
+/// The last is always `None`: no stored fact can stand in for one the
+/// refinements compute from `inputs` (an uninhabited type, so `None` is
+/// the only value that type-checks).
 ///
 /// # Errors
 /// Returns a [`RecompileError`] if any stage fails module-wide.
@@ -620,7 +573,7 @@ pub fn recompile_from_lifted(
     opt: OptLevel,
     faults: &FaultInjector,
     lifted: Lifted,
-    reuse: Option<&ReusePlan>,
+    _reuse: Option<&std::convert::Infallible>,
 ) -> Result<Recompiled, RecompileError> {
     let mut base_rep = PipelineReport {
         mode: format!("{mode:?}"),
@@ -671,24 +624,14 @@ pub fn recompile_from_lifted(
                 layout: None,
                 bounds: None,
                 fold: None,
-                reginfo: None,
-                reused_funcs: BTreeSet::new(),
                 baseline_runs,
                 inputs: inputs.to_vec(),
                 report: rep,
             }
         }
-        Mode::Wytiwyg => recompile_wytiwyg(
-            inputs,
-            opt,
-            faults,
-            base_rep,
-            pristine,
-            meta,
-            trace,
-            baseline_runs,
-            reuse,
-        )?,
+        Mode::Wytiwyg => {
+            recompile_wytiwyg(inputs, opt, faults, base_rep, pristine, meta, trace, baseline_runs)?
+        }
     };
     rec.report.workers = wyt_par::worker_profile_delta(&par_base);
     Ok(rec)
@@ -711,19 +654,10 @@ fn recompile_wytiwyg(
     meta: wyt_lifter::LiftedMeta,
     trace: Trace,
     baseline_runs: Vec<RunResult>,
-    reuse: Option<&ReusePlan>,
 ) -> Result<Recompiled, RecompileError> {
     let mut all_fids: Vec<FuncId> = meta.func_by_addr.values().copied().collect();
     all_fids.push(meta.start);
     all_fids.sort_unstable();
-
-    // Resolve the reuse plan's entry addresses to this lift's FuncIds
-    // (FuncIds renumber across re-lifts; entry addresses do not).
-    let reused_fids: BTreeMap<u32, FuncId> = reuse
-        .map(|plan| {
-            plan.reuse.iter().filter_map(|a| meta.func_by_addr.get(a).map(|&f| (*a, f))).collect()
-        })
-        .unwrap_or_default();
 
     // Refinement 1's input: every traced external call site's arity,
     // read off the merged trace once for all ladder attempts.
@@ -758,17 +692,6 @@ fn recompile_wytiwyg(
                 .map_err(|e| RecompileError::Refine(format!("regsave: {e}")))?;
             if let Some(f) = &faults.regsave {
                 f(&mut info);
-            }
-            // Fact reuse: pin the cached register-class rows for
-            // unchanged functions. Indirect-target observations stay
-            // fresh — they come from replaying the union input set and
-            // must be complete for the call-graph closure.
-            if let Some(plan) = reuse {
-                for (addr, row) in &plan.regsave {
-                    if let Some(&fid) = reused_fids.get(addr) {
-                        info.class.insert(fid, *row);
-                    }
-                }
             }
             Ok(info)
         })?;
@@ -824,20 +747,6 @@ fn recompile_wytiwyg(
             let call_targets = collect_call_targets(m, &reginfo);
             let mut l = layout::build_layout(&bounds, &fold, &reginfo, &call_targets);
             l.funcs.retain(|f, _| eligible.contains(f));
-            // Fact reuse: a cached layout applies only when the function
-            // folded exactly as it did when the layout was computed —
-            // layouts are InstId-keyed, and the spfold save/restore
-            // splice shifts InstIds whenever any callee's register row
-            // changed.
-            if let Some(plan) = reuse {
-                for (addr, (cached_fold, cached_layout)) in &plan.layouts {
-                    if let Some(&fid) = reused_fids.get(addr) {
-                        if l.funcs.contains_key(&fid) && fold.funcs.get(&fid) == Some(cached_fold) {
-                            l.funcs.insert(fid, cached_layout.clone());
-                        }
-                    }
-                }
-            }
             Ok(l)
         })?;
         let sym_errs = stage(&mut rep, "symbolize", &mut module, |m| {
@@ -937,8 +846,6 @@ fn recompile_wytiwyg(
             layout: Some(mlayout),
             bounds: Some(bounds),
             fold: Some(fold),
-            reginfo: Some(reginfo),
-            reused_funcs: reused_fids.values().copied().collect(),
             baseline_runs,
             inputs: inputs.to_vec(),
             report: rep,

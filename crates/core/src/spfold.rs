@@ -16,11 +16,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use wyt_ir::{BinOp, BlockId, FuncId, InstId, InstKind, Module, Ty, Val};
 use wyt_lifter::LiftedMeta;
 
-/// Per-function result of the fold. `PartialEq` lets the healing loop's
-/// fact cache check that a reused function folded identically before
-/// applying a cached layout (layouts are `InstId`-keyed, so any fold
-/// drift invalidates them).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Per-function result of the fold.
+#[derive(Debug, Clone, Default)]
 pub struct FoldedFunc {
     /// The entry instruction holding `sp0` (`load @vcpu.esp`).
     pub sp0: Option<InstId>,

@@ -41,9 +41,7 @@ pub enum BlockEnd {
     FallInto(u32),
 }
 
-/// A reconstructed machine basic block. `PartialEq` supports the healing
-/// loop's CFG diff (a block whose end gained a traced edge compares
-/// unequal even when the block set is unchanged).
+/// A reconstructed machine basic block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachBlock {
     /// Start address.

@@ -12,9 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use wyt_isa::DecodeLimits;
 
-/// A recovered machine function. `PartialEq` supports the healing loop's
-/// CFG diff: a function re-recovered from a merged trace is "changed"
-/// when any of its machine-level facts differ.
+/// A recovered machine function.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachFunc {
     /// Entry block address.

@@ -289,7 +289,7 @@ impl GuardEvent {
 }
 
 /// What a self-healing run did: how many re-trace/re-lift rounds it
-/// took, which guard sites fired, and how much prior work it reused.
+/// took and which guard sites fired.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HealingReport {
     /// Healing rounds executed (0 if no guard ever fired).
@@ -303,11 +303,6 @@ pub struct HealingReport {
     pub sites_unhealed: u64,
     /// Lifted functions in the final module (synthetic entry excluded).
     pub funcs_total: u64,
-    /// Functions re-lifted in at least one round.
-    pub funcs_relifted: u64,
-    /// Functions whose refinement facts were reused unchanged across
-    /// every round they survived.
-    pub funcs_reused: u64,
     /// Every guard trap observed, in firing order.
     pub events: Vec<GuardEvent>,
 }
@@ -320,8 +315,6 @@ impl HealingReport {
             ("sites_healed", Json::from(self.sites_healed)),
             ("sites_unhealed", Json::from(self.sites_unhealed)),
             ("funcs_total", Json::from(self.funcs_total)),
-            ("funcs_relifted", Json::from(self.funcs_relifted)),
-            ("funcs_reused", Json::from(self.funcs_reused)),
             ("events", Json::Arr(self.events.iter().map(GuardEvent::to_json).collect())),
         ])
     }
@@ -524,13 +517,11 @@ impl PipelineReport {
         }
         if let Some(h) = &self.healing {
             out.push_str(&format!(
-                "healing: {} round(s), {} healed / {} unhealed, relifted {} of {} funcs ({} reused){}\n",
+                "healing: {} round(s), {} healed / {} unhealed, {} funcs{}\n",
                 h.rounds,
                 h.sites_healed,
                 h.sites_unhealed,
-                h.funcs_relifted,
                 h.funcs_total,
-                h.funcs_reused,
                 if h.converged { "" } else { " — NOT converged" },
             ));
             for e in &h.events {
@@ -666,8 +657,6 @@ mod tests {
             sites_healed: 1,
             sites_unhealed: 0,
             funcs_total: 3,
-            funcs_relifted: 2,
-            funcs_reused: 1,
             events: vec![GuardEvent {
                 round: 1,
                 input: 0,
@@ -680,7 +669,7 @@ mod tests {
         let j = r.to_json_deterministic();
         let h = j.get("healing").unwrap();
         assert_eq!(h.get("rounds").unwrap().as_u64(), Some(2));
-        assert_eq!(h.get("funcs_reused").unwrap().as_u64(), Some(1));
+        assert_eq!(h.get("funcs_total").unwrap().as_u64(), Some(3));
         let ev = &h.get("events").unwrap().as_arr().unwrap()[0];
         assert_eq!(ev.get("kind").unwrap().as_str(), Some("branch"));
         assert_eq!(ev.get("name").unwrap().as_str(), Some("main"));

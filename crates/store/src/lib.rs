@@ -1,9 +1,8 @@
 //! # wyt-store — on-disk content-addressed artifact store
 //!
-//! Traced facts are expensive to derive and cheap to reuse: a merged
-//! trace, a lifted module's refinement facts and a validated recompiled
-//! image are all pure functions of (input binary, input set, pipeline
-//! config). This crate persists them between processes so a second
+//! Traced results are expensive to derive and cheap to reuse: a merged
+//! trace, a lifted module and a validated recompiled image are all pure
+//! functions of (input binary, input set, pipeline config). This crate persists them between processes so a second
 //! recompile of the same job is a warm cache hit and healing coverage
 //! accumulates across runs instead of evaporating at process exit.
 //!
@@ -25,8 +24,8 @@
 //!   hashing is the in-tree [`hash::sha256`]. Builds `--offline` forever.
 //!
 //! The store itself is type-agnostic: it moves validated [`Json`]
-//! payloads. The codecs for images, traces and refinement facts live in
-//! `wyt_core::artifact`; the batch frontend that shares one store across
+//! payloads. The codecs for images, traces and accumulated input sets
+//! live in `wyt_core::artifact`; the batch frontend that shares one store across
 //! a job queue lives in `wyt_core::batch`.
 
 pub mod fsys;
@@ -62,7 +61,7 @@ pub const QUARANTINE_CAP_ENV: &str = "WYT_STORE_QUARANTINE_CAP";
 pub const DEFAULT_QUARANTINE_CAP: usize = 256;
 
 /// Entry kind whose members are exempt from eviction: accumulated
-/// cross-run knowledge (union input sets, refinement facts) is tiny and
+/// cross-run knowledge (an image's union input set) is tiny and
 /// monotonically valuable, unlike cached result images.
 pub const FACTS_KIND: &str = "facts";
 

@@ -115,6 +115,18 @@ if [ "$REPLAYS" -ne "$REPLAY_BUDGET" ]; then
     exit 1
 fi
 
+echo "==> CFG-rebuild budget (build_cfg / recover_functions in wyt-core non-test code:"
+echo "    none; wyt-core reaches the lifter only through lift_image* / lift_from_trace)"
+CFG_BUDGET=0
+CFGS=$(for f in crates/core/src/*.rs; do
+    awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print}' "$f"
+done | grep -cE 'build_cfg|recover_functions' || true)
+if [ "$CFGS" -ne "$CFG_BUDGET" ]; then
+    echo "FAIL: $CFGS CFG or function-map rebuilds in wyt-core (budget: $CFG_BUDGET)." >&2
+    echo "Every fact comes from one lift of the merged trace; do not rebuild an old one." >&2
+    exit 1
+fi
+
 echo "==> hot-path map budget (HashMap<u32 / BTreeSet<u32> in the non-test code of"
 echo "    wyt-emu's Memory and the regsave and bounds hooks — see DESIGN.md §3)"
 MAP_BUDGET=0

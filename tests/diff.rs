@@ -86,3 +86,21 @@ fn schema_drift_fails() {
     assert!(!d.ok());
     assert!(d.failures.iter().any(|f| f.contains("key set differs")), "{:?}", d.failures);
 }
+
+#[test]
+fn key_set_change_still_compares_shared_keys() {
+    let a = body(1_000, 500, 0);
+    // One added key and one changed counter that both sides share.
+    let mut b = body(1_000, 500, 2);
+    if let Json::Obj(members) = &mut b {
+        members.push(("extra".to_string(), Json::from(0u64)));
+    }
+    let d = diff_bench(&a, &b, &DiffOptions::default());
+    assert!(d.failures.iter().any(|f| f.contains("key set differs")), "{:?}", d.failures);
+    assert!(
+        d.failures.iter().any(|f| f.contains("$.degradations: number 0 vs number 2")),
+        "shared-key drift must be reported next to the schema change: {:?}",
+        d.failures
+    );
+    assert_eq!(d.failures.len(), 2, "{:?}", d.failures);
+}

@@ -11,7 +11,8 @@
 //!   falls back to a cold recompile with the correct result;
 //! - (c) healing facts written by one run are reused by the next —
 //!   a repeated heal is a warm hit, and a differently-shaped request
-//!   against the same image seeds from the accumulated facts;
+//!   against the same image heals over the accumulated inputs, while
+//!   no stored fact can change what those inputs compile to;
 //! - (d) a serial and a `WYT_PAR=4` batch run of the same queue produce
 //!   byte-identical stores and canonical reports.
 
@@ -246,9 +247,8 @@ fn corrupted_entries_degrade_to_cold() {
 #[test]
 fn healing_facts_are_reused_across_runs() {
     // Same shape as the healing gate's program: the untraced branch sits
-    // in `main`, `helper` is its one-hop neighbour, and `leaf` (too big
-    // to inline) stays outside the relift blast radius — so both the
-    // in-loop and the store-seeded paths have facts to reuse.
+    // in `main`, which calls `helper`, which calls `leaf` (too big to
+    // inline).
     let src = r#"
         int leaf(int x) {
             int i;
@@ -280,14 +280,12 @@ fn healing_facts_are_reused_across_runs() {
     assert!(run2.warm(), "identical heal request must be a warm hit");
     assert!(matches!(run2, StoredOutcome::WarmHealed(_)), "served from the healed tier");
     assert_eq!(run2.image(), run1.image(), "warm heal must serve the cold image");
-    assert!(heal2.funcs_reused >= 1, "warm heal reuses every function");
-    assert_eq!(heal2.funcs_reused, heal2.funcs_total);
     assert_eq!(heal2.rounds, 0, "a warm hit runs no healing rounds");
     assert_eq!(heal2.events.len(), heal1.events.len(), "attribution provenance survives the store");
 
     // A different request shape — nothing held out — misses the result
-    // entry but finds the facts: the recorded inputs extend coverage and
-    // the fact cache seeds the recompile, reconverging on the same image.
+    // entry but finds the facts: the recorded inputs extend coverage,
+    // reconverging on the same image.
     let run3 = stored_heal(&ts.store, &img, &traced, &[], 3);
     let heal3 = run3.healing().expect("an empty held-out set still heals");
     assert!(!run3.warm());
@@ -302,15 +300,18 @@ fn healing_facts_are_reused_across_runs() {
         inputs3.contains(&b"x".to_vec()),
         "persisted facts must extend the held-out set: {inputs3:?}"
     );
-    assert!(heal3.funcs_reused >= 1, "persisted facts must seed reuse");
 }
 
-/// A forged facts entry: a `"vararg"` arity array claiming 2^40
-/// arguments at every real external call site (`leaf`'s `printf`
-/// among them, and `leaf` is reused), in a store entry that is
-/// otherwise what a clean heal wrote. Arities come from the merged
-/// trace, so no stored count reaches the rewrite: the facts-seeded heal
-/// completes and yields the clean cold heal's image.
+/// A forged facts entry in the format older writers used: a `"vararg"`
+/// arity array claiming 2^40 arguments at every real external call site
+/// (`leaf`'s `printf` among them), the merged `trace` the clean heal
+/// recorded, every function listed under `"reuse"`, an all-clobbered
+/// `"regsave"` row for each of them, and a `"layouts"` array. The
+/// entry's inputs are the only part a heal reads: it re-traces them and
+/// recomputes every fact, so nothing else the entry claims reaches the
+/// rewrite. The heal runs with nothing held out, so only the entry's
+/// inputs can add the `'x'` path, and it must yield the clean cold
+/// heal's image with no demotions.
 #[test]
 fn forged_vararg_facts_cannot_reach_the_rewrite() {
     let src = r#"
@@ -334,6 +335,7 @@ fn forged_vararg_facts_cannot_reach_the_rewrite() {
 
     let clean = TempStore::new("forged-clean");
     let cold = stored_heal(&clean.store, &img, &traced, &held, 1);
+    assert_eq!(cold.degradations(), 0, "the clean heal needs no demotions");
     let fkey = wyt_core::facts_key(&img, OptLevel::Full);
     let Lookup::Hit(mut facts) = clean.store.get(FACTS_KIND, &fkey) else {
         panic!("a cold heal persists its facts");
@@ -352,18 +354,95 @@ fn forged_vararg_facts_cannot_reach_the_rewrite() {
         }
     }
     assert!(forged.len() >= 2, "getchar and leaf's printf at least");
+    let addrs: Vec<u64> = lifted.meta.func_by_addr.keys().map(|&a| u64::from(a)).collect();
+    assert_eq!(addrs.len(), 3, "leaf, helper, main");
+    let clobbered = "C".repeat(wyt_core::regsave::NUM_CELLS);
+    let empty_layout = |addr: u64| {
+        Json::obj(vec![
+            ("addr", Json::from(addr)),
+            (
+                "fold",
+                Json::obj(vec![
+                    ("sp0", Json::Null),
+                    ("base_ptrs", Json::Arr(vec![])),
+                    ("call_esp_off", Json::Arr(vec![])),
+                ]),
+            ),
+            (
+                "layout",
+                Json::obj(vec![
+                    ("vars", Json::Arr(vec![])),
+                    ("assignment", Json::Arr(vec![])),
+                    ("stack_args", Json::from(0u64)),
+                    ("reg_args", Json::Arr(vec![])),
+                ]),
+            ),
+        ])
+    };
+    let (merged, _) = wyt_lifter::trace_image(&img, &[traced[0].clone(), held[0].clone()]);
     let Json::Obj(members) = &mut facts else { panic!("facts payload is an object") };
-    members.retain(|(k, _)| k != "vararg");
+    let legacy = ["vararg", "trace", "reuse", "regsave", "layouts"];
+    members.retain(|(k, _)| !legacy.contains(&k.as_str()));
     members.push(("vararg".to_string(), Json::Arr(forged)));
+    members.push(("trace".to_string(), wyt_core::artifact::trace_to_json(&merged)));
+    members.push(("reuse".to_string(), Json::Arr(addrs.iter().map(|&a| Json::from(a)).collect())));
+    let rows =
+        addrs.iter().map(|&a| Json::Arr(vec![Json::from(a), Json::from(clobbered.as_str())]));
+    members.push(("regsave".to_string(), Json::Arr(rows.collect())));
+    members
+        .push(("layouts".to_string(), Json::Arr(addrs.iter().map(|&a| empty_layout(a)).collect())));
 
     let ts = TempStore::new("forged");
     ts.store.put(FACTS_KIND, &fkey, 1, facts).unwrap();
-    let run = stored_heal(&ts.store, &img, &traced, &held, 2);
+    let run = stored_heal(&ts.store, &img, &traced, &[], 2);
     assert!(!run.warm(), "only the facts tier exists");
     let heal = run.healing().expect("a healing request reports healing");
     assert!(heal.converged, "{heal:?}");
-    assert!(heal.funcs_reused >= 1, "the forged facts must seed reuse: {heal:?}");
+    let inputs = run.inputs().expect("a cold heal records its union input set");
+    assert!(inputs.contains(&held[0]), "the entry's inputs seed the heal: {inputs:?}");
+    assert_eq!(run.degradations(), 0, "forged facts must not demote anything");
     assert_eq!(run.image(), cold.image(), "forged facts must not change the image");
+}
+
+/// Every run of the original shares one budget: an input that retires
+/// well over 2 M steps traces, and it must heal both as a held-out
+/// input and as an input a previous run traced and left in the facts
+/// entry.
+#[test]
+fn long_running_inputs_heal_held_out_and_from_facts() {
+    let src = r#"
+        int main() {
+            int c = getchar();
+            int i;
+            int s = 1;
+            if (c == 'L') {
+                for (i = 0; i < 160000; i++) s = s * 3 + (i & 5);
+                printf("%d\n", s & 0xff);
+            }
+            return s & 0x7f;
+        }
+    "#;
+    let img = compile(src, &Profile::gcc12_o3()).unwrap().stripped();
+    let (short, long) = (vec![b"q".to_vec()], vec![b"L".to_vec()]);
+    let native = wyt_emu::run_image(&img, long[0].clone());
+    assert!(native.ok(), "{:?}", native.trap);
+    assert!(native.inst_count > 2_000_000, "{} steps", native.inst_count);
+
+    // Held out: the original's run of the long input is the reference.
+    let ts = TempStore::new("long-held");
+    let run = stored_heal(&ts.store, &img, &short, &long, 1);
+    let heal = run.healing().expect("a healing request reports healing");
+    assert!(heal.converged, "{heal:?}");
+    assert_eq!(wyt_emu::run_image(run.image(), long[0].clone()).output, native.output);
+
+    // Traced by one run, then held out by the next through the facts.
+    let ts = TempStore::new("long-facts");
+    stored_heal(&ts.store, &img, &long, &[], 1);
+    let run = stored_heal(&ts.store, &img, &short, &[], 2);
+    assert!(!run.warm(), "a different request shape misses the result tier");
+    assert!(run.inputs().expect("cold heal").contains(&long[0]), "the facts add the long input");
+    assert!(run.healing().expect("a healing request reports healing").converged);
+    assert_eq!(wyt_emu::run_image(run.image(), long[0].clone()).output, native.output);
 }
 
 /// Collect `(relative path, bytes)` of every file under a store root.
