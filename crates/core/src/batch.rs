@@ -24,7 +24,7 @@ use crate::artifact::{
     heal_from_json, heal_key, heal_payload, StoredArtifact, StoredFacts, StoredHealResult,
 };
 use crate::pipeline::{
-    recompile, validate, FaultInjector, Mode, RecompileError, Recompiled, Request,
+    recompile, recompile_probed, validate, FaultInjector, Mode, RecompileError, Recompiled, Request,
 };
 use std::collections::BTreeMap;
 use wyt_isa::image::Image;
@@ -232,25 +232,30 @@ pub fn recompile_stored(
 
 /// The facts and cold tiers of a stored heal: `prior`'s inputs (those
 /// the original image still handles cleanly) extend the held-out set of
-/// an otherwise ordinary [`recompile`].
+/// an otherwise ordinary [`recompile`]. Each is run on the original once:
+/// the probe's run is also healing's reference behaviour for it.
 fn heal_seeded(
     req: &Request,
     held_out: &[Vec<u8>],
     prior: Option<&StoredFacts>,
 ) -> Result<Recompiled, RecompileError> {
     let mut all_held: Vec<Vec<u8>> = held_out.to_vec();
+    let mut probed = Vec::new();
     for i in prior.map_or(&[][..], |f| &f.inputs) {
+        if req.inputs.contains(i) || all_held.contains(i) {
+            continue;
+        }
         // Only inputs the *original* image still handles cleanly may
         // extend coverage — a poisoned input list must not be able to
         // fail the run.
-        if !req.inputs.contains(i)
-            && !all_held.contains(i)
-            && wyt_emu::run_image(req.image, i.clone()).ok()
-        {
+        let r = wyt_emu::run_image(req.image, i.clone());
+        wyt_par::supervise::charge_steps(r.inst_count);
+        if r.ok() {
             all_held.push(i.clone());
+            probed.push(r);
         }
     }
-    recompile(&Request { held_out: Some(&all_held), ..*req })
+    recompile_probed(&Request { held_out: Some(&all_held), ..*req }, probed)
 }
 
 /// One batch-queue entry: a binary plus the inputs to trace it with.

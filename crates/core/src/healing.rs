@@ -94,9 +94,12 @@ fn replay(rec_img: &Image, native: &RunResult, input: &[u8]) -> Replay {
 /// hook corrupts each re-trace delta before it is merged, and the
 /// vararg/regsave hooks fire inside every round's re-refinement —
 /// healing must still never panic and never emit an unvalidated image.
+/// `probed` holds the original image's clean runs of the last
+/// `probed.len()` held-out inputs, already made by the caller.
 pub(crate) fn heal(
     req: &Request,
     held_out: &[Vec<u8>],
+    probed: Vec<RunResult>,
     mut rec: Recompiled,
 ) -> Result<Recompiled, RecompileError> {
     let img = req.image;
@@ -106,8 +109,9 @@ pub(crate) fn heal(
     // the same budget as every other run of the original (tracing and
     // validation). An input the original binary mishandles is not
     // healable by tracing.
+    let unprobed = held_out.len() - probed.len();
     let mut natives = Vec::with_capacity(held_out.len());
-    for (i, input) in held_out.iter().enumerate() {
+    for (i, input) in held_out[..unprobed].iter().enumerate() {
         let r = wyt_emu::run_image(img, input.clone());
         wyt_par::supervise::charge_steps(r.inst_count);
         if !r.ok() {
@@ -118,6 +122,7 @@ pub(crate) fn heal(
         }
         natives.push(r);
     }
+    natives.extend(probed);
 
     let round_cap = (held_out.len() * 2 + 4) as u64;
     let mut pending: Vec<usize> = (0..held_out.len()).collect();

@@ -528,6 +528,17 @@ fn validation_gate(
 /// round's lift fails outright; a round that recompiles but cannot
 /// validate degrades per function (or ends the loop unconverged).
 pub fn recompile(req: &Request) -> Result<Recompiled, RecompileError> {
+    recompile_probed(req, Vec::new())
+}
+
+/// [`recompile`], given the original image's runs of the last
+/// `probed.len()` held-out inputs, which the caller has already made
+/// (and charged to the watchdog) and found clean. Healing takes them as
+/// those inputs' reference behaviour instead of running them again.
+pub(crate) fn recompile_probed(
+    req: &Request,
+    probed: Vec<RunResult>,
+) -> Result<Recompiled, RecompileError> {
     let _s = req.held_out.is_some().then(|| Span::enter("healing"));
     crate::ingest::check_image(req.image).map_err(RecompileError::Ingest)?;
     // Timed like `stage()` does: the clock pair sits inside the span.
@@ -547,7 +558,7 @@ pub fn recompile(req: &Request) -> Result<Recompiled, RecompileError> {
         row.wall_ns += lift_ns;
     }
     match req.held_out {
-        Some(held_out) => crate::healing::heal(req, held_out, rec),
+        Some(held_out) => crate::healing::heal(req, held_out, probed, rec),
         None => Ok(rec),
     }
 }

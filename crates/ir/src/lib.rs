@@ -37,5 +37,5 @@ pub mod print;
 mod types;
 pub mod verify;
 
-pub use module::{Block, Function, Global, GlobalKind, InstKind, Module, Term};
+pub use module::{Block, Function, Global, GlobalKind, InstKind, Module, Subst, Term};
 pub use types::{BinOp, BlockId, CmpOp, FuncId, GlobalId, InstId, Ty, Val};

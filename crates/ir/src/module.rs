@@ -437,29 +437,6 @@ impl Function {
         &mut self.insts[id.index()]
     }
 
-    /// Replace every use of `from` with `to` in instructions and
-    /// terminators. Returns the number of uses replaced.
-    pub fn replace_all_uses(&mut self, from: Val, to: Val) -> usize {
-        let mut n = 0;
-        for kind in &mut self.insts {
-            kind.for_each_operand_mut(|v| {
-                if *v == from {
-                    *v = to;
-                    n += 1;
-                }
-            });
-        }
-        for block in &mut self.blocks {
-            block.term.for_each_operand_mut(|v| {
-                if *v == from {
-                    *v = to;
-                    n += 1;
-                }
-            });
-        }
-        n
-    }
-
     /// Blocks reachable from the entry, in reverse postorder.
     pub fn rpo(&self) -> Vec<BlockId> {
         let mut visited = vec![false; self.blocks.len()];
@@ -517,6 +494,101 @@ impl Function {
             b.term.for_each_operand(&mut bump);
         }
         counts
+    }
+}
+
+/// The value substitutions of one sweep of a function pass, applied
+/// lazily: a pass that replaces an instruction's result records it here
+/// instead of rewriting every use at once, resolves the operands of each
+/// instruction and terminator through the map as it visits them
+/// ([`Subst::apply`], [`Subst::apply_term`]), and rewrites the whole
+/// function once at the end ([`Subst::finish`]). One sweep then costs one
+/// pass over the function however many values it replaces; the result is
+/// the same function as rewriting every use at each replacement.
+#[derive(Debug)]
+pub struct Subst {
+    /// Replacement of each instruction's result, indexed by [`InstId`].
+    to: Vec<Option<Val>>,
+    /// `true` once anything has been recorded.
+    any: bool,
+}
+
+impl Subst {
+    /// An empty substitution sized for `f`'s instruction arena.
+    pub fn new(f: &Function) -> Subst {
+        Subst { to: vec![None; f.insts.len()], any: false }
+    }
+
+    /// What `v` stands for: its replacement, followed transitively. The
+    /// chain cannot cycle, because [`Subst::replace`] never records a
+    /// value that resolves back to the replaced instruction.
+    #[inline]
+    pub fn resolve(&self, mut v: Val) -> Val {
+        while let Val::Inst(i) = v {
+            match self.to.get(i.index()) {
+                Some(Some(r)) => v = *r,
+                _ => break,
+            }
+        }
+        v
+    }
+
+    /// Record that every use of `id` now means `to`. A `to` that resolves
+    /// to `id` itself (a self-referencing copy) records nothing. `id` must
+    /// have been in the arena when the sweep began.
+    pub fn replace(&mut self, id: InstId, to: Val) {
+        let to = self.resolve(to);
+        if to == Val::Inst(id) {
+            return;
+        }
+        self.to[id.index()] = Some(to);
+        self.any = true;
+    }
+
+    /// Resolve every operand of `kind` in place. Returns `true` if any
+    /// operand changed.
+    #[inline]
+    pub fn apply(&self, kind: &mut InstKind) -> bool {
+        let mut changed = false;
+        if self.any {
+            kind.for_each_operand_mut(|v| changed |= self.rewrite(v));
+        }
+        changed
+    }
+
+    /// Resolve every operand of `term` in place. Returns `true` if any
+    /// operand changed.
+    #[inline]
+    pub fn apply_term(&self, term: &mut Term) -> bool {
+        let mut changed = false;
+        if self.any {
+            term.for_each_operand_mut(|v| changed |= self.rewrite(v));
+        }
+        changed
+    }
+
+    /// End the sweep: resolve every operand of every arena entry (orphaned
+    /// ones included) and of every block's terminator (unreachable blocks
+    /// included). Returns `true` if any operand changed.
+    pub fn finish(self, f: &mut Function) -> bool {
+        let mut changed = false;
+        if self.any {
+            for kind in &mut f.insts {
+                changed |= self.apply(kind);
+            }
+            for block in &mut f.blocks {
+                changed |= self.apply_term(&mut block.term);
+            }
+        }
+        changed
+    }
+
+    #[inline]
+    fn rewrite(&self, v: &mut Val) -> bool {
+        let r = self.resolve(*v);
+        let changed = r != *v;
+        *v = r;
+        changed
     }
 }
 
@@ -624,11 +696,37 @@ mod tests {
     }
 
     #[test]
-    fn replace_all_uses_rewrites_everything() {
+    fn subst_rewrites_everything_once() {
         let mut f = diamond();
-        f.replace_all_uses(Val::Const(2), Val::Const(99));
-        let InstKind::Phi { incomings } = f.inst(InstId(1)) else { panic!() };
-        assert!(incomings.iter().any(|(_, v)| *v == Val::Const(99)));
+        // An orphaned arena entry and an unreachable block still get
+        // rewritten at the end of the sweep.
+        let dead = f.add_inst(InstKind::Copy { v: Val::Inst(InstId(1)) });
+        let lost = f.add_block();
+        f.blocks[lost.index()].term = Term::Ret(Some(Val::Inst(InstId(1))));
+        let mut s = Subst::new(&f);
+        // The phi (inst 1) becomes the cmp (inst 0), which becomes 7.
+        s.replace(InstId(1), Val::Inst(InstId(0)));
+        s.replace(InstId(0), Val::Const(7));
+        assert_eq!(s.resolve(Val::Inst(InstId(1))), Val::Const(7));
+        let mut term = f.blocks[3].term.clone();
+        assert!(s.apply_term(&mut term));
+        assert_eq!(term, Term::Ret(Some(Val::Const(7))));
+        assert!(s.finish(&mut f));
+        assert_eq!(f.blocks[3].term, Term::Ret(Some(Val::Const(7))));
+        assert_eq!(f.blocks[lost.index()].term, Term::Ret(Some(Val::Const(7))));
+        assert_eq!(*f.inst(dead), InstKind::Copy { v: Val::Const(7) });
+    }
+
+    #[test]
+    fn subst_refuses_self_reference() {
+        let mut f = diamond();
+        let mut s = Subst::new(&f);
+        s.replace(InstId(1), Val::Inst(InstId(0)));
+        // 0 := 1 resolves to 0 := 0: recorded as nothing, so no cycle.
+        s.replace(InstId(0), Val::Inst(InstId(1)));
+        assert_eq!(s.resolve(Val::Inst(InstId(0))), Val::Inst(InstId(0)));
+        assert_eq!(s.resolve(Val::Inst(InstId(1))), Val::Inst(InstId(0)));
+        assert!(!Subst::new(&f).finish(&mut f), "an empty sweep rewrites nothing");
     }
 
     #[test]

@@ -88,8 +88,9 @@ id_type!(
 );
 
 /// An SSA value: an instruction result, a function parameter, or a
-/// constant. All values are 32-bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// constant. All values are 32-bit. The order is arbitrary but total
+/// (passes use it to canonicalize commutative operands).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Val {
     /// Result of the instruction.
     Inst(InstId),

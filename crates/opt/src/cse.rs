@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use wyt_ir::verify::dominators;
-use wyt_ir::{BlockId, Function, InstKind, Module, Val};
+use wyt_ir::{BlockId, Function, InstKind, Module, Subst, Val};
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Key {
@@ -17,8 +17,9 @@ enum Key {
 fn key_of(kind: &InstKind) -> Option<Key> {
     Some(match kind {
         InstKind::Bin { op, a, b } => {
-            // Canonical operand order for commutative ops.
-            if op.commutative() && format!("{a:?}") > format!("{b:?}") {
+            // Canonical operand order for commutative ops. Any total
+            // order on `Val` matches the same pairs.
+            if op.commutative() && a > b {
                 Key::Bin(*op, *b, *a)
             } else {
                 Key::Bin(*op, *a, *b)
@@ -35,6 +36,7 @@ fn key_of(kind: &InstKind) -> Option<Key> {
 
 /// Run CSE over one function. Returns `true` on change.
 pub fn run_function(f: &mut Function) -> bool {
+    let mut subst = Subst::new(f);
     let idom = dominators(f);
     let rpo = f.rpo();
     // Children in the dominator tree.
@@ -57,13 +59,14 @@ pub fn run_function(f: &mut Function) -> bool {
         if !visited[b.index()] {
             visited[b.index()] = true;
             let mut my_inserted = Vec::new();
-            let insts = f.blocks[b.index()].insts.clone();
-            for id in insts {
+            for k in 0..f.blocks[b.index()].insts.len() {
+                let id = f.blocks[b.index()].insts[k];
+                subst.apply(f.inst_mut(id));
                 let Some(key) = key_of(f.inst(id)) else { continue };
                 match table.get(&key) {
                     Some(&prev) => {
                         *f.inst_mut(id) = InstKind::Copy { v: prev };
-                        f.replace_all_uses(Val::Inst(id), prev);
+                        subst.replace(id, prev);
                         changed = true;
                     }
                     None => {
@@ -86,6 +89,7 @@ pub fn run_function(f: &mut Function) -> bool {
             }
         }
     }
+    subst.finish(f);
     changed
 }
 
@@ -122,22 +126,37 @@ mod tests {
 
     #[test]
     fn commutative_order_is_canonicalized() {
+        // `a+b` meets `b+a` for every pairing of instruction results,
+        // parameters and constants, whichever order comes first.
         let mut f = Function::new("t");
         f.num_params = 2;
-        let a = f.push_inst(
+        let x = f.push_inst(
             f.entry,
-            InstKind::Bin { op: BinOp::Add, a: Val::Param(0), b: Val::Param(1) },
+            InstKind::Bin { op: BinOp::Sub, a: Val::Param(0), b: Val::Param(1) },
         );
-        let b = f.push_inst(
-            f.entry,
-            InstKind::Bin { op: BinOp::Add, a: Val::Param(1), b: Val::Param(0) },
-        );
-        let c = f
-            .push_inst(f.entry, InstKind::Bin { op: BinOp::Sub, a: Val::Inst(a), b: Val::Inst(b) });
-        f.blocks[0].term = Term::Ret(Some(Val::Inst(c)));
+        let vals = [Val::Inst(x), Val::Param(0), Val::Param(1), Val::Const(-3), Val::Const(7)];
+        let mut pairs = Vec::new();
+        for (i, &a) in vals.iter().enumerate() {
+            for &b in &vals[i + 1..] {
+                for op in [BinOp::Add, BinOp::Mul, BinOp::And, BinOp::Or, BinOp::Xor] {
+                    let ab = f.push_inst(f.entry, InstKind::Bin { op, a, b });
+                    let ba = f.push_inst(f.entry, InstKind::Bin { op, a: b, b: a });
+                    pairs.push((ab, ba));
+                }
+            }
+        }
+        f.blocks[0].term = Term::Ret(Some(Val::Const(0)));
         assert!(run_function(&mut f));
-        let InstKind::Bin { a: ma, b: mb, .. } = f.inst(c) else { panic!() };
-        assert_eq!(ma, mb);
+        for (ab, ba) in pairs {
+            assert_eq!(*f.inst(ba), InstKind::Copy { v: Val::Inst(ab) });
+        }
+        // Sub is not commutative: its swapped form stays.
+        let sub = f.push_inst(
+            f.entry,
+            InstKind::Bin { op: BinOp::Sub, a: Val::Param(1), b: Val::Param(0) },
+        );
+        run_function(&mut f);
+        assert!(matches!(f.inst(sub), InstKind::Bin { op: BinOp::Sub, .. }));
     }
 
     #[test]

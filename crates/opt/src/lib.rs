@@ -11,6 +11,14 @@
 //! WYTIWYG symbolizes the frame into allocas, the same pipeline promotes
 //! locals to SSA, forwards spills, and deletes the emulated-stack traffic —
 //! that asymmetry is the performance story of Table 1.
+//!
+//! Passes that replace values ([`fold`], [`cse`] and
+//! [`memory::forward_function`]) share one substitution contract, built on
+//! [`wyt_ir::Subst`]: each sweep resolves an instruction's or terminator's
+//! operands through the sweep's map when it visits them, and rewrites the
+//! whole function once at the end. The result, and the `changed` flag, are
+//! those of rewriting every use the moment a value is replaced, at one
+//! pass over the function per sweep instead of one per replaced value.
 
 pub mod cse;
 pub mod dce;

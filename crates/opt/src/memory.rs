@@ -9,9 +9,7 @@
 //! loads collapse onto their defining stores.
 
 use std::collections::HashMap;
-#[cfg(test)]
-use wyt_ir::Term;
-use wyt_ir::{BinOp, BlockId, Function, GlobalKind, InstId, InstKind, Module, Ty, Val};
+use wyt_ir::{BinOp, BlockId, Function, GlobalKind, InstId, InstKind, Module, Subst, Ty, Val};
 
 /// The root of a memory address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -191,19 +189,22 @@ fn may_alias(
 /// Store-to-load forwarding and redundant load elimination, block-local.
 pub fn forward_function(f: &mut Function, ranges: &[(u32, u32)]) -> bool {
     let escaped = escaped_allocas(f);
+    let mut subst = Subst::new(f);
     let mut changed = false;
     for b in f.rpo() {
-        // (loc, ty) -> known value
+        // (loc, ty) -> known value. Operands are resolved before they get
+        // here, so every known value is already final.
         let mut avail: Vec<(MemLoc, Ty, Val)> = Vec::new();
-        let insts = f.blocks[b.index()].insts.clone();
-        for id in insts {
-            match f.inst(id).clone() {
+        for k in 0..f.blocks[b.index()].insts.len() {
+            let id = f.blocks[b.index()].insts[k];
+            subst.apply(f.inst_mut(id));
+            match *f.inst(id) {
                 InstKind::Load { ty, addr } => {
                     let loc = resolve_addr(f, addr);
                     if let Some((_, _, v)) = avail.iter().find(|(l, t, _)| *l == loc && *t == ty) {
                         let v = *v;
                         *f.inst_mut(id) = InstKind::Copy { v };
-                        f.replace_all_uses(Val::Inst(id), v);
+                        subst.replace(id, v);
                         changed = true;
                         continue;
                     }
@@ -231,7 +232,7 @@ pub fn forward_function(f: &mut Function, ranges: &[(u32, u32)]) -> bool {
                         avail.push((loc, ty, val));
                     }
                 }
-                k if k.is_call() => {
+                ref k if k.is_call() => {
                     // Calls may write anything except non-escaping allocas
                     // (vCPU cells included: callees store to them).
                     avail.retain(|(l, _, _)| match l.base {
@@ -243,6 +244,7 @@ pub fn forward_function(f: &mut Function, ranges: &[(u32, u32)]) -> bool {
             }
         }
     }
+    subst.finish(f);
     changed
 }
 
@@ -448,7 +450,7 @@ pub fn run(m: &mut Module) -> bool {
 mod tests {
     use super::*;
     use wyt_ir::verify::verify_module;
-    use wyt_ir::{CmpOp, Module};
+    use wyt_ir::{CmpOp, Module, Term};
 
     fn check(f: Function) -> Module {
         let mut m = Module::new();
@@ -469,6 +471,34 @@ mod tests {
         let l = f.push_inst(f.entry, InstKind::Load { ty: Ty::I32, addr: Val::Inst(a) });
         f.blocks[0].term = Term::Ret(Some(Val::Inst(l)));
         assert!(forward_function(&mut f, &[]));
+        assert_eq!(f.blocks[0].term, Term::Ret(Some(Val::Const(7))));
+        check(f);
+    }
+
+    #[test]
+    fn forwarded_value_is_resolved_before_it_is_forwarded_again() {
+        // `l1` forwards to 7; the store of `l1` must then make `7`, not the
+        // replaced `l1`, the known value that `l2` forwards to.
+        let mut f = Function::new("t");
+        let a = f.push_inst(f.entry, InstKind::Alloca { size: 4, align: 4, name: "a".into() });
+        let b = f.push_inst(f.entry, InstKind::Alloca { size: 4, align: 4, name: "b".into() });
+        f.push_inst(
+            f.entry,
+            InstKind::Store { ty: Ty::I32, addr: Val::Inst(a), val: Val::Const(7) },
+        );
+        let l1 = f.push_inst(f.entry, InstKind::Load { ty: Ty::I32, addr: Val::Inst(a) });
+        let st = f.push_inst(
+            f.entry,
+            InstKind::Store { ty: Ty::I32, addr: Val::Inst(b), val: Val::Inst(l1) },
+        );
+        let l2 = f.push_inst(f.entry, InstKind::Load { ty: Ty::I32, addr: Val::Inst(b) });
+        f.blocks[0].term = Term::Ret(Some(Val::Inst(l2)));
+        assert!(forward_function(&mut f, &[]));
+        assert_eq!(*f.inst(l2), InstKind::Copy { v: Val::Const(7) });
+        assert_eq!(
+            *f.inst(st),
+            InstKind::Store { ty: Ty::I32, addr: Val::Inst(b), val: Val::Const(7) }
+        );
         assert_eq!(f.blocks[0].term, Term::Ret(Some(Val::Const(7))));
         check(f);
     }

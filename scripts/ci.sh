@@ -139,6 +139,19 @@ if [ "$MAPS" -ne "$MAP_BUDGET" ]; then
     exit 1
 fi
 
+echo "==> substitution budget (replace_all_uses / format!( in the non-test code of"
+echo "    wyt-opt and wyt-ir's module.rs: none — see DESIGN.md §3)"
+SUBST_BUDGET=0
+RESCANS=$(for f in crates/opt/src/*.rs crates/ir/src/module.rs; do
+    awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print}' "$f"
+done | grep -cE 'replace_all_uses|format!\(' || true)
+if [ "$RESCANS" -ne "$SUBST_BUDGET" ]; then
+    echo "FAIL: $RESCANS whole-function rescans or format! calls in the optimizer (budget: $SUBST_BUDGET)." >&2
+    echo "Replace values through wyt_ir::Subst: resolve operands as the sweep visits them and" >&2
+    echo "rewrite the function once at its end; compare values by their Ord, not their text." >&2
+    exit 1
+fi
+
 echo "==> bench-bin budget (crates/bench/src/bin: paper, report, wyt-batch)"
 BIN_BUDGET=3
 BINS=$(ls crates/bench/src/bin | grep -cE '^(paper|report|wyt-batch)\.rs$' || true)

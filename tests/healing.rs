@@ -237,3 +237,55 @@ fn healing_widens_a_reused_printf_from_the_merged_trace() {
     let wide = run(&img, HELD_OUT).output;
     assert_eq!(wide.iter().filter(|&&b| b == b' ').count(), 8, "four three-value lines");
 }
+
+/// A facts-seeded heal runs each facts input on the original image
+/// once: the probe that checks the original handles the input cleanly
+/// is also healing's reference run for it. So the heal makes as many
+/// emulator runs as a direct heal with the same input held out. The
+/// program is the store gate's healing program (`tests/store.rs`).
+#[test]
+fn facts_seeded_heal_runs_each_input_on_the_original_once() {
+    let _l = SINK_LOCK.lock().unwrap();
+    wyt_obs::set_enabled(false);
+
+    let src = r#"
+        int leaf(int x) {
+            int i;
+            int s = 2;
+            for (i = 0; i < x; i++) s += i * x + 1;
+            return s;
+        }
+        int helper(int x) { return leaf(x) + leaf(x + 2); }
+        int main() {
+            int c = getchar();
+            if (c == 'x') return 55;
+            printf("%d\n", helper(c & 7));
+            return helper(c & 3) & 0x7f;
+        }
+    "#;
+    let img = compile(src, &Profile::gcc12_o3()).unwrap().stripped();
+    let traced = vec![TRACED.to_vec()];
+    let held = vec![HELD_OUT.to_vec()];
+    let root = std::env::temp_dir().join(format!("wyt-heal-runs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = wyt_store::Store::open(&root).expect("temp store");
+    let stored_heal = |held: &[Vec<u8>], stamp| {
+        let req = Request { held_out: Some(held), ..Request::new(&img, &traced, Mode::Wytiwyg) };
+        wyt_core::recompile_stored(&store, &req, stamp).unwrap()
+    };
+    // The first heal records its input union, held-out input included,
+    // as the image's facts.
+    stored_heal(&held, 1);
+
+    wyt_obs::set_enabled(true);
+    let (direct, direct_obs) = wyt_obs::with_local(|| heal(&img, &traced, &held).unwrap());
+    let (seeded, seeded_obs) = wyt_obs::with_local(|| stored_heal(&[], 2));
+    wyt_obs::set_enabled(false);
+    let _ = std::fs::remove_dir_all(&root);
+
+    assert!(!seeded.warm(), "only the facts tier matches a request with nothing held out");
+    assert_eq!(seeded.image(), &direct.image, "the facts reproduce the direct heal");
+    let runs = |snap: &wyt_obs::Snapshot| snap.counters.get("emu.runs").copied();
+    assert_eq!(runs(&seeded_obs), runs(&direct_obs), "{:?}", seeded_obs.counters);
+    assert_eq!(runs(&direct_obs), Some(8), "{:?}", direct_obs.counters);
+}
