@@ -14,7 +14,9 @@
 //! empty — the sample is clean) — the CI smoke test for the
 //! observability layer and the degradation-ladder report schema. The
 //! check also drives one self-healing run (a branch side withheld from
-//! the trace) and validates the `healing` section of its report.
+//! the trace) and validates the `healing` section of its report. Of the
+//! committed `results/BENCH_*.json` it schema-checks the store bench and
+//! holds every serial grid run's job spans to its wall time.
 //!
 //! Two further subcommands back the CI observability gates:
 //!
@@ -27,6 +29,7 @@
 
 use std::process::ExitCode;
 use wyt_bench::diff::{diff_bench, render, DiffOptions};
+use wyt_bench::grid::JOB_SPANS;
 use wyt_core::batch::JOB_PHASES;
 use wyt_core::{recompile, Mode, Request};
 use wyt_minicc::{compile, Profile};
@@ -144,6 +147,28 @@ fn check_store_json(j: &wyt_obs::Json) {
     assert_eq!(corrupt, 0, "BENCH_store.json: committed run saw corrupt entries");
     assert_eq!(count("io_fatal"), 0, "BENCH_store.json: committed run exhausted I/O retries");
     assert!(hits >= 1, "BENCH_store.json: warm pass never hit the store");
+}
+
+/// Span gate for a grid's bench JSON (`paper`'s `BENCH_paper.json` or
+/// a one-table `BENCH_<table>.json`): on a serial run the jobs' disjoint
+/// [`JOB_SPANS`] must account for at least 95% of the grid's wall time,
+/// so the committed profile says where the evaluation's time goes.
+/// Parallel runs are skipped: their spans overlap in wall time.
+fn check_grid_spans(name: &str, j: &wyt_obs::Json) {
+    let par = j.get("par").unwrap_or_else(|| panic!("{name}: missing par key"));
+    if par.get("threads").and_then(|v| v.as_u64()) != Some(1) {
+        return;
+    }
+    let wall = par.get("wall_ns").and_then(|v| v.as_u64()).expect("par.wall_ns");
+    let spans = j.get("obs").and_then(|o| o.get("spans")).expect("obs.spans");
+    let covered: u64 = JOB_SPANS
+        .iter()
+        .filter_map(|s| spans.get(s).and_then(|v| v.get("total_ns")).and_then(|v| v.as_u64()))
+        .sum();
+    assert!(
+        covered as f64 >= 0.95 * wall as f64,
+        "{name}: the grid spans {JOB_SPANS:?} cover {covered} of {wall} wall ns (< 95%)"
+    );
 }
 
 /// Load and parse a JSON file, exiting with a message on failure.
@@ -362,6 +387,9 @@ fn main() -> ExitCode {
                 if name == "BENCH_store.json" {
                     check_store_json(&j);
                     store_json = true;
+                }
+                if name == "BENCH_paper.json" || name == "BENCH_figure7.json" {
+                    check_grid_spans(&name, &j);
                 }
                 bench_jsons += 1;
             }

@@ -7,12 +7,12 @@
 use crate::{note_degradations, note_healing, timed_grid, ParMeta};
 use std::collections::BTreeMap;
 use wyt_core::{
-    evaluate_accuracy, recompile, recompile_secondwrite, validate, MatchKind, Mode, Recompiled,
-    Request,
+    evaluate_accuracy, recompile, recompile_secondwrite, MatchKind, Mode, Recompiled, Request,
 };
 use wyt_emu::run_image;
 use wyt_isa::image::Image;
 use wyt_minicc::{compile, Profile};
+use wyt_obs::Span;
 use wyt_opt::OptLevel;
 use wyt_spec::Benchmark;
 
@@ -182,14 +182,27 @@ pub struct Cells {
     pub accuracy: Option<Accuracy>,
 }
 
-/// Run `pipelines` on `bench` compiled under `profile`. Every recompile
-/// is validated on the traced inputs before its ref-input run.
+/// The disjoint spans a job's work runs under, in [`run_job`] order:
+/// compiling the input binary, its native ref run, each pipeline call
+/// and Figure 7's accuracy scoring. A serial grid's wall time is their
+/// sum plus the executor's bookkeeping.
+pub const JOB_SPANS: [&str; 4] = ["grid.compile", "grid.native", "grid.recompile", "grid.accuracy"];
+
+/// Run `pipelines` on `bench` compiled under `profile`, under the
+/// [`JOB_SPANS`]. A recompile's ref-input cycles come from its
+/// pipeline's validation gate, which ran the image on every trace
+/// input, the ref input among them, before the pipeline returned it.
 pub fn run_job(bench: &Benchmark, profile: &Profile, pipelines: &[Pipeline]) -> Cells {
-    let img = compile(bench.source, profile)
-        .unwrap_or_else(|e| panic!("{} under {}: {e}", bench.name, profile.name));
-    let stripped = img.stripped();
-    let inputs = bench.trace_inputs();
+    let (img, stripped, inputs) = {
+        let _s = Span::enter("grid.compile");
+        let img = compile(bench.source, profile)
+            .unwrap_or_else(|e| panic!("{} under {}: {e}", bench.name, profile.name));
+        let stripped = img.stripped();
+        (img, stripped, bench.trace_inputs())
+    };
+    let ref_input = bench.ref_input();
     let run = |mode, opt| {
+        let _s = Span::enter("grid.recompile");
         recompile(&Request { opt, ..Request::new(&stripped, &inputs, mode) })
             .map_err(|e| e.to_string())
     };
@@ -199,7 +212,8 @@ pub fn run_job(bench: &Benchmark, profile: &Profile, pipelines: &[Pipeline]) -> 
         .map(|&p| {
             let out = match p {
                 Pipeline::Native => {
-                    let r = run_image(&img, bench.ref_input());
+                    let _s = Span::enter("grid.native");
+                    let r = run_image(&img, ref_input.clone());
                     assert!(r.ok(), "{}: native trap {:?}", bench.name, r.trap);
                     return (p, Ok(r.cycles));
                 }
@@ -208,21 +222,19 @@ pub fn run_job(bench: &Benchmark, profile: &Profile, pipelines: &[Pipeline]) -> 
                 Pipeline::NoSymClean => run(Mode::NoSymbolize, OptLevel::Clean),
                 Pipeline::WytClean => run(Mode::Wytiwyg, OptLevel::Clean),
                 Pipeline::SecondWrite => {
+                    let _s = Span::enter("grid.recompile");
                     recompile_secondwrite(&stripped, &inputs).map_err(|e| e.to_string())
                 }
             };
-            let cycles = out.and_then(|out| {
+            let cycles = out.map(|out| {
                 note_degradations(out.report.degradations.len());
                 note_healing(&out.report);
                 if p == Pipeline::Wyt {
+                    let _s = Span::enter("grid.accuracy");
                     accuracy = Some(Accuracy::of(&img, &out));
                 }
-                validate(&stripped, &out.image, &inputs).map_err(|e| e.to_string())?;
-                let r = run_image(&out.image, bench.ref_input());
-                if !r.ok() {
-                    return Err(format!("recompiled trap: {:?}", r.trap));
-                }
-                Ok(r.cycles)
+                let at = out.inputs.iter().position(|i| *i == ref_input);
+                out.replay_cycles[at.expect("the ref input is one of the trace inputs")]
             });
             (p, cycles)
         })

@@ -20,6 +20,7 @@
 //! comparison isolates the *analysis* quality, which is the paper's point.
 
 use crate::layout::{FuncLayout, ModuleLayout, StackSlotVar};
+use crate::pipeline::{validation_gate, ValidateError};
 use crate::regsave::{RegClass, RegSaveInfo, NUM_CELLS};
 use crate::spfold::{self, FoldInfo};
 use crate::symbolize;
@@ -42,6 +43,8 @@ pub enum SecondWriteError {
     UnresolvedJumpTable(u32),
     /// Lifting failed.
     Lift(LiftPipelineError),
+    /// The recompiled image does not reproduce the traced behaviour.
+    Validate(ValidateError),
     /// Downstream failure.
     Other(String),
 }
@@ -56,6 +59,7 @@ impl fmt::Display for SecondWriteError {
                 write!(f, "static analysis: unresolved jump table at {pc:#x} (PIC binary)")
             }
             SecondWriteError::Lift(e) => write!(f, "lift: {e}"),
+            SecondWriteError::Validate(e) => write!(f, "validation: {e}"),
             SecondWriteError::Other(e) => f.write_str(e),
         }
     }
@@ -172,11 +176,14 @@ fn static_layout(module: &Module, fold: &FoldInfo) -> ModuleLayout {
     out
 }
 
-/// Recompile with the SecondWrite-like baseline.
+/// Recompile with the SecondWrite-like baseline. The image goes through
+/// the same behavioural gate as the other pipelines' before it is
+/// returned.
 ///
 /// # Errors
 /// Returns a [`SecondWriteError`] for the failure classes the paper
-/// documents (SIMD, PIC jump tables) or any downstream failure.
+/// documents (SIMD, PIC jump tables), any downstream failure, or an
+/// image that diverges from the original on one of `inputs`.
 pub fn recompile_secondwrite(
     img: &Image,
     inputs: &[Vec<u8>],
@@ -227,6 +234,8 @@ pub fn recompile_secondwrite(
 
     optimize(&mut module, OptLevel::Full);
     let image = lower_module(&module).map_err(|e| SecondWriteError::Other(e.to_string()))?;
+    let pass = validation_gate(&image, inputs, &lifted.baseline_runs)
+        .map_err(SecondWriteError::Validate)?;
 
     Ok(crate::Recompiled {
         image,
@@ -238,9 +247,14 @@ pub fn recompile_secondwrite(
         fold: Some(fold),
         baseline_runs: lifted.baseline_runs,
         inputs: inputs.to_vec(),
+        replay_cycles: pass.cycles,
         report: wyt_obs::PipelineReport {
             mode: "SecondWrite".into(),
             opt: "Full".into(),
+            quality: wyt_obs::QualityStats {
+                coverage: pass.coverage,
+                ..wyt_obs::QualityStats::default()
+            },
             ..wyt_obs::PipelineReport::default()
         },
     })

@@ -232,8 +232,10 @@ pub fn recompile_stored(
 
 /// The facts and cold tiers of a stored heal: `prior`'s inputs (those
 /// the original image still handles cleanly) extend the held-out set of
-/// an otherwise ordinary [`recompile`]. Each is run on the original once:
-/// the probe's run is also healing's reference behaviour for it.
+/// an otherwise ordinary [`recompile`]. Each is traced on the original
+/// once, as a direct heal traces its held-out inputs: the probe's run is
+/// also healing's reference behaviour for it, and its trace healing's
+/// coverage should it offend.
 fn heal_seeded(
     req: &Request,
     held_out: &[Vec<u8>],
@@ -248,11 +250,10 @@ fn heal_seeded(
         // Only inputs the *original* image still handles cleanly may
         // extend coverage — a poisoned input list must not be able to
         // fail the run.
-        let r = wyt_emu::run_image(req.image, i.clone());
-        wyt_par::supervise::charge_steps(r.inst_count);
+        let (trace, r) = crate::healing::trace_original(req.image, i);
         if r.ok() {
             all_held.push(i.clone());
-            probed.push(r);
+            probed.push((trace, r));
         }
     }
     recompile_probed(&Request { held_out: Some(&all_held), ..*req }, probed)

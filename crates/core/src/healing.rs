@@ -9,10 +9,11 @@
 //!    recompiled image's [`wyt_isa::GuardSite`] side table resolves `pc`
 //!    to the owning function and the site kind (untraced branch vs
 //!    untraced indirect target).
-//! 2. **Re-trace incrementally** — only the offending input is traced on
-//!    the *original* image; its edges are diffed against the stored
-//!    merged trace. No new edges means the guard cannot be healed by
-//!    more coverage, and the loop stops (this is what makes coverage
+//! 2. **Merge the offender's trace** — every held-out input is traced on
+//!    the *original* image once, up front (that run is also its reference
+//!    behaviour); only the offending input's trace is diffed against the
+//!    stored merged trace. No new edges means the guard cannot be healed
+//!    by more coverage, and the loop stops (this is what makes coverage
 //!    growth monotone).
 //! 3. **Re-lift** — the whole merged trace is re-lifted
 //!    ([`wyt_lifter::lift_from_trace`]) and every refinement recomputes
@@ -41,7 +42,7 @@ use crate::pipeline::{
 use wyt_emu::{Machine, RunResult, Trap};
 use wyt_isa::image::Image;
 use wyt_isa::{GuardKind, TrapCode};
-use wyt_lifter::{lift_from_trace, trace_image};
+use wyt_lifter::{lift_from_trace, trace_image, Trace};
 use wyt_obs::{GuardEvent, HealingReport, Span};
 
 /// What happened when a held-out input was replayed on the recompiled
@@ -69,6 +70,18 @@ fn note_round_time(t0: Option<u64>) {
     }
 }
 
+/// Trace one held-out input on the original image under the
+/// `healing.trace` span, charging its steps to the watchdog. The run is
+/// the input's reference behaviour; the trace is what a healing round
+/// merges should the input offend.
+pub(crate) fn trace_original(img: &Image, input: &[u8]) -> (Trace, RunResult) {
+    let _s = Span::enter("healing.trace");
+    let (trace, mut runs) = trace_image(img, &[input.to_vec()]);
+    let run = runs.pop().expect("trace_image returns one run per input");
+    wyt_par::supervise::charge_steps(run.inst_count);
+    (trace, run)
+}
+
 /// Replay one held-out input on the recompiled image, with the same
 /// generously scaled fuel budget the pipeline's validation gate uses.
 fn replay(rec_img: &Image, native: &RunResult, input: &[u8]) -> Replay {
@@ -87,40 +100,40 @@ fn replay(rec_img: &Image, native: &RunResult, input: &[u8]) -> Replay {
 }
 
 /// Run the recompiled image `rec` on every `held_out` input and heal
-/// each guard trap: attribute it through the guard-site table, re-trace
-/// only the offending input, merge the delta into the stored trace,
-/// re-lift the merged trace and re-refine and re-validate against the
-/// union input set. `req`'s fault hooks apply to every round: the trace
-/// hook corrupts each re-trace delta before it is merged, and the
+/// each guard trap: attribute it through the guard-site table, merge
+/// the offending input's trace into the stored trace, re-lift the
+/// merged trace and re-refine and re-validate against the union input
+/// set. `req`'s fault hooks apply to every round: the trace hook
+/// corrupts each offender's trace before it is merged, and the
 /// vararg/regsave hooks fire inside every round's re-refinement —
 /// healing must still never panic and never emit an unvalidated image.
-/// `probed` holds the original image's clean runs of the last
-/// `probed.len()` held-out inputs, already made by the caller.
+/// `probed` holds the original image's clean traces of the last
+/// `probed.len()` held-out inputs ([`trace_original`]), already made by
+/// the caller.
 pub(crate) fn heal(
     req: &Request,
     held_out: &[Vec<u8>],
-    probed: Vec<RunResult>,
+    probed: Vec<(Trace, RunResult)>,
     mut rec: Recompiled,
 ) -> Result<Recompiled, RecompileError> {
     let img = req.image;
     let mut report = HealingReport::default();
 
-    // Native reference behaviour for every held-out input, once, under
-    // the same budget as every other run of the original (tracing and
-    // validation). An input the original binary mishandles is not
-    // healable by tracing.
+    // Trace every held-out input on the original, once, under the same
+    // budget as every other run of the original: the run is its
+    // reference behaviour, the trace its coverage should it offend. An
+    // input the original binary mishandles is not healable by tracing.
     let unprobed = held_out.len() - probed.len();
     let mut natives = Vec::with_capacity(held_out.len());
     for (i, input) in held_out[..unprobed].iter().enumerate() {
-        let r = wyt_emu::run_image(img, input.clone());
-        wyt_par::supervise::charge_steps(r.inst_count);
+        let (trace, r) = trace_original(img, input);
         if !r.ok() {
             return Err(RecompileError::Validate(ValidateError {
                 input: i,
                 kind: MismatchKind::OriginalTrapped(r.trap),
             }));
         }
-        natives.push(r);
+        natives.push((trace, r));
     }
     natives.extend(probed);
 
@@ -132,7 +145,7 @@ pub(crate) fn heal(
         let mut diverged = false;
         let mut still = Vec::new();
         for &i in &pending {
-            match replay(&rec.image, &natives[i], &held_out[i]) {
+            match replay(&rec.image, &natives[i].1, &held_out[i]) {
                 Replay::Pass => {}
                 Replay::Guard { pc, code } => {
                     still.push(i);
@@ -198,14 +211,10 @@ pub(crate) fn heal(
             pc,
         });
 
-        // 2. Re-trace only the offending input on the original image and
-        // diff against the stored merged trace. An injected trace fault
-        // corrupts the delta itself — healing under fault must degrade,
-        // not diverge.
-        let (mut delta, delta_runs) = {
-            let _s = Span::enter("healing.retrace");
-            trace_image(img, std::slice::from_ref(&held_out[idx]))
-        };
+        // 2. Diff the offending input's trace against the stored merged
+        // trace. An injected trace fault corrupts the delta itself —
+        // healing under fault must degrade, not diverge.
+        let (mut delta, delta_run) = natives[idx].clone();
         if let Some(f) = &req.faults.trace {
             f(&mut delta);
         }
@@ -224,7 +233,7 @@ pub(crate) fn heal(
 
         // 3. Re-lift the merged trace.
         let mut baselines = rec.baseline_runs.clone();
-        baselines.extend(delta_runs);
+        baselines.push(delta_run);
         let lifted = {
             let _s = Span::enter("healing.relift");
             lift_from_trace(img, merged, baselines).map_err(RecompileError::Lift)?

@@ -214,6 +214,10 @@ pub struct Recompiled {
     /// inputs, or after healing the traced inputs plus every healed
     /// offender, in healing order.
     pub inputs: Vec<Vec<u8>>,
+    /// Cycles of the image on each of `inputs`, in the same order, from
+    /// the validation gate's passing replays: the image's runtime on
+    /// every input it was validated against, with no further run.
+    pub replay_cycles: Vec<u64>,
     /// Per-stage timing, IR size deltas and recovery-quality telemetry.
     pub report: PipelineReport,
 }
@@ -440,21 +444,33 @@ pub(crate) fn replay_fuel(steps: u64) -> u64 {
     steps.saturating_mul(16).saturating_add(1_000_000)
 }
 
+/// What a passing [`check_against_baseline`] measured of the image.
+pub(crate) struct GatePass {
+    /// Stack-access classification summed over the replays; `None` with
+    /// the obs sink off.
+    pub(crate) coverage: Option<CoverageStats>,
+    /// Each replay's cycle count, aligned with the gate's inputs.
+    pub(crate) cycles: Vec<u64>,
+}
+
 /// Replay the recompiled image against the original's `baseline` runs
 /// on `inputs`, with fuel scaled from the slowest baseline run.
 ///
 /// With the obs sink on, each replay also classifies its stack accesses
 /// (machine-stack slots vs the emulated-stack global) and the sums come
 /// back as the image's [`CoverageStats`]; with it off the replays run
-/// unclassified and the result is `None`.
+/// unclassified and the coverage is `None`. Neither the fuel budget nor
+/// the classification changes a run's cycle count, so the cycles that
+/// come back are the image's runtime on each input.
 fn check_against_baseline(
     image: &Image,
     inputs: &[Vec<u8>],
     baseline: &[RunResult],
-) -> Result<Option<CoverageStats>, ValidateError> {
+) -> Result<GatePass, ValidateError> {
     let budget = replay_fuel(baseline.iter().map(|r| r.inst_count).max().unwrap_or(0));
     let classify = wyt_obs::enabled();
     let mut mem = MemStats::default();
+    let mut cycles = Vec::with_capacity(inputs.len());
     for (i, input) in inputs.iter().enumerate() {
         let a = &baseline[i];
         if !a.ok() {
@@ -494,22 +510,24 @@ fn check_against_baseline(
             });
         }
         mem.merge(&b.mem);
+        cycles.push(b.cycles);
     }
-    Ok(classify.then_some(CoverageStats {
+    let coverage = classify.then_some(CoverageStats {
         symbolized: mem.native_slot,
         residual: mem.emu_stack,
         total: mem.stack_total,
         runs: inputs.len() as u64,
-    }))
+    });
+    Ok(GatePass { coverage, cycles })
 }
 
-/// The pipeline's behavioural gate: [`check_against_baseline`] under the
-/// `validate` span.
-fn validation_gate(
+/// The behavioural gate every pipeline's image passes before it is
+/// returned: [`check_against_baseline`] under the `validate` span.
+pub(crate) fn validation_gate(
     image: &Image,
     inputs: &[Vec<u8>],
     baseline: &[RunResult],
-) -> Result<Option<CoverageStats>, ValidateError> {
+) -> Result<GatePass, ValidateError> {
     let _s = Span::enter("validate");
     check_against_baseline(image, inputs, baseline)
 }
@@ -531,13 +549,14 @@ pub fn recompile(req: &Request) -> Result<Recompiled, RecompileError> {
     recompile_probed(req, Vec::new())
 }
 
-/// [`recompile`], given the original image's runs of the last
+/// [`recompile`], given the original image's traces of the last
 /// `probed.len()` held-out inputs, which the caller has already made
 /// (and charged to the watchdog) and found clean. Healing takes them as
-/// those inputs' reference behaviour instead of running them again.
+/// those inputs' reference behaviour and coverage instead of tracing
+/// them again.
 pub(crate) fn recompile_probed(
     req: &Request,
-    probed: Vec<RunResult>,
+    probed: Vec<(Trace, RunResult)>,
 ) -> Result<Recompiled, RecompileError> {
     let _s = req.held_out.is_some().then(|| Span::enter("healing"));
     crate::ingest::check_image(req.image).map_err(RecompileError::Ingest)?;
@@ -625,8 +644,9 @@ pub fn recompile_from_lifted(
             })?;
             // No ladder here: a divergence (possible only under fault
             // injection) is a structured error.
-            rep.quality.coverage = validation_gate(&image, inputs, &baseline_runs)
+            let pass = validation_gate(&image, inputs, &baseline_runs)
                 .map_err(RecompileError::Validate)?;
+            rep.quality.coverage = pass.coverage;
             Recompiled {
                 image,
                 module,
@@ -637,6 +657,7 @@ pub fn recompile_from_lifted(
                 fold: None,
                 baseline_runs,
                 inputs: inputs.to_vec(),
+                replay_cycles: pass.cycles,
                 report: rep,
             }
         }
@@ -825,9 +846,9 @@ fn recompile_wytiwyg(
         // Behavioural gate: the image must reproduce the traced baseline.
         // A divergence demotes (the refinements got something wrong for
         // these functions) until the ladder bottoms out. Only the gate
-        // that passes reports coverage.
-        match validation_gate(&image, inputs, &baseline_runs) {
-            Ok(coverage) => rep.quality.coverage = coverage,
+        // that passes reports coverage and cycles.
+        let pass = match validation_gate(&image, inputs, &baseline_runs) {
+            Ok(pass) => pass,
             Err(e) => {
                 if step_module_demotion(
                     &mut demoted,
@@ -839,7 +860,8 @@ fn recompile_wytiwyg(
                 }
                 return Err(RecompileError::Validate(e));
             }
-        }
+        };
+        rep.quality.coverage = pass.coverage;
 
         for (fid, d) in &demoted {
             rep.degradations.push(Degradation {
@@ -859,6 +881,7 @@ fn recompile_wytiwyg(
             fold: Some(fold),
             baseline_runs,
             inputs: inputs.to_vec(),
+            replay_cycles: pass.cycles,
             report: rep,
         });
     }

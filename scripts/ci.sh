@@ -152,6 +152,19 @@ if [ "$RESCANS" -ne "$SUBST_BUDGET" ]; then
     exit 1
 fi
 
+echo "==> evaluation-validator budget (validate( in the non-test code of crates/bench/src:"
+echo "    none; every pipeline's gate validates its image before returning it)"
+VALIDATE_BUDGET=0
+VALIDATES=$(for f in crates/bench/src/*.rs crates/bench/src/bin/*.rs; do
+    awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print}' "$f"
+done | grep -c 'validate(' || true)
+if [ "$VALIDATES" -ne "$VALIDATE_BUDGET" ]; then
+    echo "FAIL: $VALIDATES validate( calls in crates/bench/src (budget: $VALIDATE_BUDGET)." >&2
+    echo "The pipeline's gate already validated the image on every traced input; read its" >&2
+    echo "cycles from Recompiled.replay_cycles instead of running the image again." >&2
+    exit 1
+fi
+
 echo "==> bench-bin budget (crates/bench/src/bin: paper, report, wyt-batch)"
 BIN_BUDGET=3
 BINS=$(ls crates/bench/src/bin | grep -cE '^(paper|report|wyt-batch)\.rs$' || true)

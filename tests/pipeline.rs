@@ -4,9 +4,13 @@
 //! paper's headline properties (functionality, performance ordering,
 //! accuracy).
 
-use wyt_core::{recompile, validate, Mode, Request};
+use std::sync::Mutex;
+use wyt_core::{recompile, validate, Mode, Recompiled, Request};
 use wyt_emu::run_image;
 use wyt_minicc::{compile, Profile};
+
+/// Serializes the tests that switch the global obs sink on.
+static SINK_LOCK: Mutex<()> = Mutex::new(());
 
 fn profiles() -> Vec<Profile> {
     vec![Profile::gcc12_o3(), Profile::gcc12_o0(), Profile::clang16_o3(), Profile::gcc44_o3()]
@@ -307,8 +311,62 @@ fn secondwrite_baseline_behaves_like_the_paper() {
     // ...works on GCC 4.4 -fno-pic and preserves behaviour.
     let legacy = compile(src, &Profile::gcc44_o3_nopic()).unwrap().stripped();
     let native = run_image(&legacy, vec![]);
-    let sw = wyt_core::recompile_secondwrite(&legacy, &[vec![]]).unwrap();
+    let _l = SINK_LOCK.lock().unwrap();
+    wyt_obs::set_enabled(true);
+    let (sw, _obs) = wyt_obs::with_local(|| wyt_core::recompile_secondwrite(&legacy, &[vec![]]));
+    wyt_obs::set_enabled(false);
+    let sw = sw.unwrap();
     let r = run_image(&sw.image, vec![]);
     assert!(r.ok(), "{:?}", r.trap);
     assert_eq!(r.output, native.output);
+    // Its image went through the validation gate, which reports the
+    // shipped image's stack coverage as for the other pipelines.
+    let cov = sw.report.quality.coverage.expect("the gate reports coverage under the sink");
+    assert_eq!(cov.symbolized + cov.residual, cov.total);
+    assert!(cov.total > 0 && cov.runs == 1, "{cov:?}");
+}
+
+/// Every pipeline's result carries its validation gate's cycles, one per
+/// input, and they are exactly what a fresh run of the image measures:
+/// the oracle for the evaluation reading its ref-input cycles from the
+/// gate. Each recompile runs the emulator twice per input, once to trace
+/// the original and once to validate the image.
+#[test]
+fn gate_cycles_match_a_fresh_run_of_every_pipeline() {
+    let src = r#"
+        int sum(int *xs, int n) {
+            int acc = 0;
+            int i;
+            for (i = 0; i < n; i++) acc += xs[i];
+            return acc;
+        }
+        int main() {
+            int arr[10];
+            int i;
+            int c = getchar();
+            for (i = 0; i < 10; i++) arr[i] = i * c;
+            printf("%d\n", sum(arr, (c & 7) + 2));
+            return c & 0x7f;
+        }
+    "#;
+    let img = compile(src, &Profile::gcc44_o3_nopic()).unwrap().stripped();
+    let inputs = vec![b"a".to_vec(), b"q".to_vec(), b"G".to_vec()];
+    let pipelines: [(&str, &dyn Fn() -> Recompiled); 3] = [
+        ("NoSymbolize", &|| recompile(&Request::new(&img, &inputs, Mode::NoSymbolize)).unwrap()),
+        ("Wytiwyg", &|| recompile(&Request::new(&img, &inputs, Mode::Wytiwyg)).unwrap()),
+        ("SecondWrite", &|| wyt_core::recompile_secondwrite(&img, &inputs).unwrap()),
+    ];
+    let _l = SINK_LOCK.lock().unwrap();
+    for (name, pipeline) in pipelines {
+        wyt_obs::set_enabled(true);
+        let (out, obs) = wyt_obs::with_local(pipeline);
+        wyt_obs::set_enabled(false);
+        assert_eq!(out.inputs, inputs, "{name}");
+        let fresh: Vec<u64> =
+            inputs.iter().map(|i| run_image(&out.image, i.clone()).cycles).collect();
+        assert_eq!(out.replay_cycles, fresh, "{name}");
+        assert!(fresh.windows(2).any(|w| w[0] != w[1]), "{name}: the inputs must differ in cycles");
+        let runs = obs.counters.get("emu.runs").copied();
+        assert_eq!(runs, Some(2 * inputs.len() as u64), "{name}: {:?}", obs.counters);
+    }
 }
