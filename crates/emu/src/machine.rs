@@ -172,9 +172,77 @@ impl RunResult {
     }
 }
 
-enum Status {
-    Running,
-    Exited(i32),
+/// What last set the flags. Only `Jcc` and `Setcc` read them, so a
+/// flag-setting instruction records its masked operands and result here
+/// and [`LazyFlags::get`] computes the four flags when one is read.
+#[derive(Debug, Clone, Copy)]
+enum FlagOp {
+    /// `res = a + b`.
+    Add,
+    /// `res = a - b` (`sub`, `cmp`, `neg`).
+    Sub,
+    /// A logical result (`and`, `or`, `xor`, `test`): CF and OF clear.
+    Logic,
+    /// A shift by a nonzero count: ZF and SF from `res`, and the CF and OF
+    /// it kept from before in bits 0 and 1 of `a`.
+    Shift,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct LazyFlags {
+    op: FlagOp,
+    a: u32,
+    b: u32,
+    res: u32,
+    /// The operation size's sign bit.
+    sign: u32,
+}
+
+impl LazyFlags {
+    /// All four flags clear: a nonzero logical result without a sign bit.
+    const CLEAR: LazyFlags = LazyFlags { op: FlagOp::Logic, a: 0, b: 0, res: 1, sign: 0 };
+
+    #[inline(always)]
+    fn record(&mut self, op: FlagOp, a: u32, b: u32, res: u32, size: Size) -> u32 {
+        let mask = size.mask();
+        let res = res & mask;
+        *self = LazyFlags { op, a: a & mask, b: b & mask, res, sign: (mask >> 1) + 1 };
+        res
+    }
+
+    #[inline(always)]
+    fn add(&mut self, a: u32, b: u32, size: Size) -> u32 {
+        self.record(FlagOp::Add, a, b, a.wrapping_add(b), size)
+    }
+
+    #[inline(always)]
+    fn sub(&mut self, a: u32, b: u32, size: Size) -> u32 {
+        self.record(FlagOp::Sub, a, b, a.wrapping_sub(b), size)
+    }
+
+    #[inline(always)]
+    fn logic(&mut self, res: u32, size: Size) -> u32 {
+        self.record(FlagOp::Logic, 0, 0, res, size)
+    }
+
+    /// A shift by a nonzero count: ZF and SF from `res`, CF and OF kept.
+    #[inline(always)]
+    fn shift(&mut self, res: u32, size: Size) {
+        let Flags { cf, of, .. } = self.get();
+        self.record(FlagOp::Shift, cf as u32 | (of as u32) << 1, 0, res, size);
+    }
+
+    #[inline(always)]
+    fn get(&self) -> Flags {
+        let LazyFlags { op, a, b, res, sign } = *self;
+        let (zf, sf) = (res == 0, res & sign != 0);
+        match op {
+            FlagOp::Add => Flags { zf, sf, cf: res < a, of: (a ^ res) & (b ^ res) & sign != 0 },
+            FlagOp::Sub => Flags { zf, sf, cf: a < b, of: (a ^ b) & (a ^ res) & sign != 0 },
+            FlagOp::Logic => Flags { zf, sf, cf: false, of: false },
+            FlagOp::Shift => Flags { zf, sf, cf: a & 1 != 0, of: a & 2 != 0 },
+        }
+    }
 }
 
 /// The emulator. Owns the memory image, register file and I/O state of one
@@ -188,8 +256,7 @@ pub struct Machine<'img> {
     pub regs: [u32; 8],
     /// The 64-bit vector register backing `vmov`.
     pub vreg: u64,
-    /// Condition flags.
-    pub flags: Flags,
+    flags: LazyFlags,
     /// Program counter.
     pub pc: u32,
     /// Memory.
@@ -237,7 +304,7 @@ impl<'img> Machine<'img> {
             ext_ids,
             regs,
             vreg: 0,
-            flags: Flags::default(),
+            flags: LazyFlags::CLEAR,
             pc: img.entry,
             mem,
             io: ExtIo::new(input),
@@ -273,7 +340,7 @@ impl<'img> Machine<'img> {
         self.emu_range = Some((lo, hi));
     }
 
-    #[inline]
+    #[inline(always)]
     fn note_mem(&mut self, addr: u32, is_store: bool) {
         if is_store {
             self.mem_stats.stores += 1;
@@ -300,10 +367,17 @@ impl<'img> Machine<'img> {
         self.inst_count
     }
 
+    /// The condition flags as the last flag-setting instruction left them.
+    pub fn flags(&self) -> Flags {
+        self.flags.get()
+    }
+
+    #[inline(always)]
     fn reg_read(&self, r: Reg, size: Size) -> u32 {
         self.regs[r.index()] & size.mask()
     }
 
+    #[inline(always)]
     fn reg_write(&mut self, r: Reg, v: u32, size: Size) {
         // Sub-register writes leave the upper bits stale (x86 semantics,
         // and the root cause of the paper's "false derives", §4.2.3).
@@ -312,6 +386,7 @@ impl<'img> Machine<'img> {
         *slot = (*slot & !mask) | (v & mask);
     }
 
+    #[inline(always)]
     fn ea(&self, m: &Mem) -> u32 {
         let mut a = m.disp as u32;
         if let Some(b) = m.base {
@@ -323,6 +398,7 @@ impl<'img> Machine<'img> {
         a
     }
 
+    #[inline(always)]
     fn read_operand(&mut self, op: &Operand, size: Size) -> (u32, u64) {
         match op {
             Operand::Reg(r) => (self.reg_read(*r, size), 0),
@@ -335,6 +411,7 @@ impl<'img> Machine<'img> {
         }
     }
 
+    #[inline(always)]
     fn write_operand(&mut self, op: &Operand, v: u32, size: Size) -> u64 {
         match op {
             Operand::Reg(r) => {
@@ -355,45 +432,7 @@ impl<'img> Machine<'img> {
         }
     }
 
-    fn set_flags_logic(&mut self, res: u32, size: Size) {
-        let bits = size.bytes() * 8;
-        let res = res & size.mask();
-        self.flags.zf = res == 0;
-        self.flags.sf = (res >> (bits - 1)) & 1 == 1;
-        self.flags.of = false;
-        self.flags.cf = false;
-    }
-
-    fn set_flags_add(&mut self, a: u32, b: u32, size: Size) -> u32 {
-        let mask = size.mask();
-        let bits = size.bytes() * 8;
-        let (a, b) = (a & mask, b & mask);
-        let res = a.wrapping_add(b) & mask;
-        self.flags.zf = res == 0;
-        self.flags.sf = (res >> (bits - 1)) & 1 == 1;
-        self.flags.cf = (a as u64 + b as u64) > mask as u64;
-        let sa = (a >> (bits - 1)) & 1;
-        let sb = (b >> (bits - 1)) & 1;
-        let sr = (res >> (bits - 1)) & 1;
-        self.flags.of = sa == sb && sr != sa;
-        res
-    }
-
-    fn set_flags_sub(&mut self, a: u32, b: u32, size: Size) -> u32 {
-        let mask = size.mask();
-        let bits = size.bytes() * 8;
-        let (a, b) = (a & mask, b & mask);
-        let res = a.wrapping_sub(b) & mask;
-        self.flags.zf = res == 0;
-        self.flags.sf = (res >> (bits - 1)) & 1 == 1;
-        self.flags.cf = a < b;
-        let sa = (a >> (bits - 1)) & 1;
-        let sb = (b >> (bits - 1)) & 1;
-        let sr = (res >> (bits - 1)) & 1;
-        self.flags.of = sa != sb && sr != sa;
-        res
-    }
-
+    #[inline(always)]
     fn push(&mut self, v: u32) {
         let sp = self.regs[Reg::Esp.index()].wrapping_sub(4);
         self.regs[Reg::Esp.index()] = sp;
@@ -401,6 +440,7 @@ impl<'img> Machine<'img> {
         self.mem.write_u32(sp, v);
     }
 
+    #[inline(always)]
     fn pop(&mut self) -> u32 {
         let sp = self.regs[Reg::Esp.index()];
         self.note_mem(sp, false);
@@ -409,286 +449,297 @@ impl<'img> Machine<'img> {
         v
     }
 
-    fn fetch(&mut self) -> Result<(Inst, u8), Trap> {
-        if !self.img.contains_code(self.pc) {
-            return Err(Trap::BadPc(self.pc));
+    /// Decode the instruction at `pc` into the cache, the first time
+    /// execution reaches it.
+    #[cold]
+    #[inline(never)]
+    fn decode<'c>(
+        img: &Image,
+        icache: &'c mut [Option<(Inst, u8)>],
+        pc: u32,
+    ) -> Result<&'c (Inst, u8), Trap> {
+        if !img.contains_code(pc) {
+            return Err(Trap::BadPc(pc));
         }
-        let off = (self.pc - self.img.text_base) as usize;
-        if let Some(hit) = self.icache[off] {
-            return Ok(hit);
-        }
-        match wyt_isa::decode(&self.img.text[off..]) {
-            Ok((inst, len)) => {
-                let entry = (inst, len as u8);
-                self.icache[off] = Some(entry);
-                Ok(entry)
-            }
-            Err(_) => Err(Trap::BadDecode(self.pc)),
+        let off = (pc - img.text_base) as usize;
+        match wyt_isa::decode(&img.text[off..]) {
+            Ok((inst, len)) => Ok(icache[off].insert((inst, len as u8))),
+            Err(_) => Err(Trap::BadDecode(pc)),
         }
     }
 
-    fn step<S: TraceSink>(&mut self, sink: &mut S) -> Result<Status, Trap> {
-        if self.inst_count >= self.fuel || self.cycles >= self.cycle_budget {
-            return Err(Trap::OutOfFuel);
+    /// Execute the external call at `pc` to import `idx`.
+    #[cold]
+    #[inline(never)]
+    fn call_ext<S: TraceSink>(
+        &mut self,
+        sink: &mut S,
+        pc: u32,
+        idx: u16,
+    ) -> Result<ExtOutcome, Trap> {
+        let Some(ext) = self.ext_ids.get(idx as usize).copied().flatten() else {
+            return Err(Trap::UnknownImport(pc, idx));
+        };
+        let esp = self.regs[Reg::Esp.index()];
+        sink.ext_call(pc, idx, ext, esp, &self.mem);
+        // Split borrows: argument reads and handler effects both touch
+        // memory, so stage the arguments eagerly.
+        let mut staged = [0u32; 16];
+        for (i, slot) in staged.iter_mut().enumerate() {
+            *slot = self.mem.read_u32(esp.wrapping_add(4 * i as u32));
         }
-        let (inst, len) = self.fetch()?;
-        let pc = self.pc;
-        let next = pc.wrapping_add(len as u32);
-        self.inst_count += 1;
-        let mut cost: u64 = 1;
-        let mut new_pc = next;
+        let mut src: &[u32] = &staged;
+        let outcome = dispatch(ext, &mut self.mem, &mut self.io, &mut src);
+        if let ExtOutcome::Ret { value, .. } = outcome {
+            self.regs[Reg::Eax.index()] = value;
+        }
+        Ok(outcome)
+    }
 
-        match inst {
-            Inst::Nop => {}
-            Inst::Halt => {
-                self.cycles += 1;
-                return Ok(Status::Exited(self.regs[Reg::Eax.index()] as i32));
+    /// The decode-execute loop: runs until the program exits (`Ok` with
+    /// its exit code) or traps. Everything an instruction needs on its
+    /// way through is inlined into this one function; decode misses,
+    /// external calls and trap construction stay out of line.
+    fn exec<S: TraceSink>(&mut self, sink: &mut S) -> Result<i32, Trap> {
+        // The loop's own state lives in locals, written back once at the end.
+        let (mut pc, mut cycles, mut retired, mut flags) =
+            (self.pc, self.cycles, self.inst_count, self.flags);
+        let (fuel, cycle_budget, text_base) = (self.fuel, self.cycle_budget, self.img.text_base);
+        let mut icache = std::mem::take(&mut self.icache);
+        let end = loop {
+            if retired >= fuel || cycles >= cycle_budget {
+                break trap(Trap::OutOfFuel);
             }
-            Inst::Mov { size, dst, src } => {
-                let (v, c1) = self.read_operand(&src, size);
-                let c2 = self.write_operand(&dst, v, size);
-                cost += c1 + c2;
-            }
-            Inst::Movzx { from, dst, src } => {
-                let (v, c1) = self.read_operand(&src, from);
-                self.reg_write(dst, v, Size::D);
-                cost += c1;
-            }
-            Inst::Movsx { from, dst, src } => {
-                let (v, c1) = self.read_operand(&src, from);
-                let bits = from.bytes() * 8;
-                let sext = ((v as i32) << (32 - bits)) >> (32 - bits);
-                self.reg_write(dst, sext as u32, Size::D);
-                cost += c1;
-            }
-            Inst::Lea { dst, mem } => {
-                let a = self.ea(&mem);
-                self.reg_write(dst, a, Size::D);
-            }
-            Inst::Alu { op, size, dst, src } => {
-                let (b, c1) = self.read_operand(&src, size);
-                let (a, c2) = self.read_operand(&dst, size);
-                let res = match op {
-                    AluOp::Add => self.set_flags_add(a, b, size),
-                    AluOp::Sub => self.set_flags_sub(a, b, size),
-                    AluOp::And => {
-                        let r = a & b;
-                        self.set_flags_logic(r, size);
-                        r
-                    }
-                    AluOp::Or => {
-                        let r = a | b;
-                        self.set_flags_logic(r, size);
-                        r
-                    }
-                    AluOp::Xor => {
-                        let r = a ^ b;
-                        self.set_flags_logic(r, size);
-                        r
-                    }
-                };
-                let c3 = self.write_operand(&dst, res, size);
-                cost += c1 + c2.max(c3); // a mem dst is read+written once
-            }
-            Inst::Cmp { size, a, b } => {
-                let (bv, c1) = self.read_operand(&b, size);
-                let (av, c2) = self.read_operand(&a, size);
-                self.set_flags_sub(av, bv, size);
-                cost += c1 + c2;
-            }
-            Inst::Test { size, a, b } => {
-                let (bv, c1) = self.read_operand(&b, size);
-                let (av, c2) = self.read_operand(&a, size);
-                self.set_flags_logic(av & bv, size);
-                cost += c1 + c2;
-            }
-            Inst::Imul { dst, src } => {
-                let (b, c1) = self.read_operand(&src, Size::D);
-                let a = self.reg_read(dst, Size::D);
-                self.reg_write(dst, a.wrapping_mul(b), Size::D);
-                cost += 2 + c1;
-            }
-            Inst::ImulI { dst, src, imm } => {
-                let (a, c1) = self.read_operand(&src, Size::D);
-                self.reg_write(dst, a.wrapping_mul(imm as u32), Size::D);
-                cost += 2 + c1;
-            }
-            Inst::Idiv { src } => {
-                let (d, c1) = self.read_operand(&src, Size::D);
-                let a = self.regs[Reg::Eax.index()] as i32;
-                let d = d as i32;
-                if d == 0 || (a == i32::MIN && d == -1) {
-                    return Err(Trap::DivideError(pc));
+            let (inst, len) = match icache.get(pc.wrapping_sub(text_base) as usize) {
+                Some(Some(hit)) => hit,
+                _ => match Self::decode(self.img, &mut icache, pc) {
+                    Ok(miss) => miss,
+                    Err(t) => break Err(t),
+                },
+            };
+            let next = pc.wrapping_add(*len as u32);
+            retired += 1;
+            let mut cost: u64 = 1;
+            let mut new_pc = next;
+
+            match *inst {
+                Inst::Nop => {}
+                Inst::Halt => {
+                    cycles += 1;
+                    break Ok(self.regs[Reg::Eax.index()] as i32);
                 }
-                self.regs[Reg::Eax.index()] = (a / d) as u32;
-                self.regs[Reg::Edx.index()] = (a % d) as u32;
-                cost += 11 + c1;
-            }
-            Inst::Neg { size, dst } => {
-                let (a, c1) = self.read_operand(&dst, size);
-                let res = self.set_flags_sub(0, a, size);
-                let c2 = self.write_operand(&dst, res, size);
-                cost += c1.max(c2);
-            }
-            Inst::Not { size, dst } => {
-                let (a, c1) = self.read_operand(&dst, size);
-                let c2 = self.write_operand(&dst, !a, size);
-                cost += c1.max(c2);
-            }
-            Inst::Shift { op, size, dst, amount } => {
-                let amt = match amount {
-                    ShiftAmount::Imm(i) => i as u32,
-                    ShiftAmount::Cl => self.regs[Reg::Ecx.index()] & 0xff,
-                } & 31;
-                let (a, c1) = self.read_operand(&dst, size);
-                let bits = size.bytes() * 8;
-                let res = match op {
-                    ShiftOp::Shl => a.wrapping_shl(amt),
-                    ShiftOp::Shr => (a & size.mask()).wrapping_shr(amt),
-                    ShiftOp::Sar => {
-                        let sext = ((a as i32) << (32 - bits)) >> (32 - bits);
-                        (sext >> amt.min(31)) as u32
-                    }
-                } & size.mask();
-                if amt != 0 {
-                    let masked = res & size.mask();
-                    self.flags.zf = masked == 0;
-                    self.flags.sf = (masked >> (bits - 1)) & 1 == 1;
+                Inst::Mov { size, dst, src } => {
+                    let (v, c1) = self.read_operand(&src, size);
+                    let c2 = self.write_operand(&dst, v, size);
+                    cost += c1 + c2;
                 }
-                let c2 = self.write_operand(&dst, res, size);
-                cost += c1.max(c2);
-            }
-            Inst::Push { src } => {
-                let (v, c1) = self.read_operand(&src, Size::D);
-                self.push(v);
-                cost += 2 + c1;
-            }
-            Inst::Pop { dst } => {
-                let v = self.pop();
-                let c1 = self.write_operand(&dst, v, Size::D);
-                cost += 2 + c1;
-            }
-            Inst::Call { target } => {
-                self.push(next);
-                sink.transfer(pc, target, TransferKind::Call);
-                new_pc = target;
-                cost += 3;
-            }
-            Inst::CallInd { target } => {
-                let (t, c1) = self.read_operand(&target, Size::D);
-                self.push(next);
-                sink.transfer(pc, t, TransferKind::IndCall);
-                new_pc = t;
-                cost += 4 + c1;
-            }
-            Inst::CallExt { idx } => {
-                let Some(ext) = self.ext_ids.get(idx as usize).copied().flatten() else {
-                    return Err(Trap::UnknownImport(pc, idx));
-                };
-                let esp = self.regs[Reg::Esp.index()];
-                sink.ext_call(pc, idx, ext, esp, &self.mem);
-                // Split borrows: argument reads and handler effects both
-                // touch memory, so stage the arguments eagerly.
-                let outcome = {
-                    let mut staged = [0u32; 16];
-                    for (i, slot) in staged.iter_mut().enumerate() {
-                        *slot = self.mem.read_u32(esp.wrapping_add(4 * i as u32));
-                    }
-                    let mut src: &[u32] = &staged;
-                    dispatch(ext, &mut self.mem, &mut self.io, &mut src)
-                };
-                match outcome {
-                    ExtOutcome::Ret { value, cost: c } => {
-                        self.regs[Reg::Eax.index()] = value;
-                        cost += 5 + c;
-                    }
-                    ExtOutcome::Exit(code) => {
-                        self.cycles += cost + 5;
-                        return Ok(Status::Exited(code));
-                    }
-                    ExtOutcome::Abort => return Err(Trap::Aborted),
+                Inst::Movzx { from, dst, src } => {
+                    let (v, c1) = self.read_operand(&src, from);
+                    self.reg_write(dst, v, Size::D);
+                    cost += c1;
                 }
-            }
-            Inst::Ret { pop } => {
-                let ra = self.pop();
-                let sp = self.regs[Reg::Esp.index()];
-                self.regs[Reg::Esp.index()] = sp.wrapping_add(pop as u32);
-                cost += 3;
-                if ra == RETURN_SENTINEL {
-                    self.cycles += cost;
-                    return Ok(Status::Exited(self.regs[Reg::Eax.index()] as i32));
+                Inst::Movsx { from, dst, src } => {
+                    let (v, c1) = self.read_operand(&src, from);
+                    let bits = from.bytes() * 8;
+                    let sext = ((v as i32) << (32 - bits)) >> (32 - bits);
+                    self.reg_write(dst, sext as u32, Size::D);
+                    cost += c1;
                 }
-                sink.transfer(pc, ra, TransferKind::Ret);
-                new_pc = ra;
-            }
-            Inst::Jmp { target } => {
-                sink.transfer(pc, target, TransferKind::Jump);
-                new_pc = target;
-            }
-            Inst::JmpInd { target } => {
-                let (t, c1) = self.read_operand(&target, Size::D);
-                sink.transfer(pc, t, TransferKind::IndJump);
-                new_pc = t;
-                cost += 1 + c1;
-            }
-            Inst::Jcc { cc, target } => {
-                if self.flags.cond(cc) {
-                    sink.transfer(pc, target, TransferKind::CondTaken);
+                Inst::Lea { dst, mem } => {
+                    let a = self.ea(&mem);
+                    self.reg_write(dst, a, Size::D);
+                }
+                Inst::Alu { op, size, dst, src } => {
+                    let (b, c1) = self.read_operand(&src, size);
+                    let (a, c2) = self.read_operand(&dst, size);
+                    let res = match op {
+                        AluOp::Add => flags.add(a, b, size),
+                        AluOp::Sub => flags.sub(a, b, size),
+                        AluOp::And => flags.logic(a & b, size),
+                        AluOp::Or => flags.logic(a | b, size),
+                        AluOp::Xor => flags.logic(a ^ b, size),
+                    };
+                    let c3 = self.write_operand(&dst, res, size);
+                    cost += c1 + c2.max(c3); // a mem dst is read+written once
+                }
+                Inst::Cmp { size, a, b } => {
+                    let (bv, c1) = self.read_operand(&b, size);
+                    let (av, c2) = self.read_operand(&a, size);
+                    flags.sub(av, bv, size);
+                    cost += c1 + c2;
+                }
+                Inst::Test { size, a, b } => {
+                    let (bv, c1) = self.read_operand(&b, size);
+                    let (av, c2) = self.read_operand(&a, size);
+                    flags.logic(av & bv, size);
+                    cost += c1 + c2;
+                }
+                Inst::Imul { dst, src } => {
+                    let (b, c1) = self.read_operand(&src, Size::D);
+                    let a = self.reg_read(dst, Size::D);
+                    self.reg_write(dst, a.wrapping_mul(b), Size::D);
+                    cost += 2 + c1;
+                }
+                Inst::ImulI { dst, src, imm } => {
+                    let (a, c1) = self.read_operand(&src, Size::D);
+                    self.reg_write(dst, a.wrapping_mul(imm as u32), Size::D);
+                    cost += 2 + c1;
+                }
+                Inst::Idiv { src } => {
+                    let (d, c1) = self.read_operand(&src, Size::D);
+                    let a = self.regs[Reg::Eax.index()] as i32;
+                    let d = d as i32;
+                    if d == 0 || (a == i32::MIN && d == -1) {
+                        break trap(Trap::DivideError(pc));
+                    }
+                    self.regs[Reg::Eax.index()] = (a / d) as u32;
+                    self.regs[Reg::Edx.index()] = (a % d) as u32;
+                    cost += 11 + c1;
+                }
+                Inst::Neg { size, dst } => {
+                    let (a, c1) = self.read_operand(&dst, size);
+                    let res = flags.sub(0, a, size);
+                    let c2 = self.write_operand(&dst, res, size);
+                    cost += c1.max(c2);
+                }
+                Inst::Not { size, dst } => {
+                    let (a, c1) = self.read_operand(&dst, size);
+                    let c2 = self.write_operand(&dst, !a, size);
+                    cost += c1.max(c2);
+                }
+                Inst::Shift { op, size, dst, amount } => {
+                    let amt = match amount {
+                        ShiftAmount::Imm(i) => i as u32,
+                        ShiftAmount::Cl => self.regs[Reg::Ecx.index()] & 0xff,
+                    } & 31;
+                    let (a, c1) = self.read_operand(&dst, size);
+                    let bits = size.bytes() * 8;
+                    let res = match op {
+                        ShiftOp::Shl => a.wrapping_shl(amt),
+                        ShiftOp::Shr => (a & size.mask()).wrapping_shr(amt),
+                        ShiftOp::Sar => {
+                            let sext = ((a as i32) << (32 - bits)) >> (32 - bits);
+                            (sext >> amt.min(31)) as u32
+                        }
+                    } & size.mask();
+                    if amt != 0 {
+                        flags.shift(res, size);
+                    }
+                    let c2 = self.write_operand(&dst, res, size);
+                    cost += c1.max(c2);
+                }
+                Inst::Push { src } => {
+                    let (v, c1) = self.read_operand(&src, Size::D);
+                    self.push(v);
+                    cost += 2 + c1;
+                }
+                Inst::Pop { dst } => {
+                    let v = self.pop();
+                    let c1 = self.write_operand(&dst, v, Size::D);
+                    cost += 2 + c1;
+                }
+                Inst::Call { target } => {
+                    self.push(next);
+                    sink.transfer(pc, target, TransferKind::Call);
                     new_pc = target;
-                } else {
-                    sink.transfer(pc, next, TransferKind::CondFall);
+                    cost += 3;
                 }
+                Inst::CallInd { target } => {
+                    let (t, c1) = self.read_operand(&target, Size::D);
+                    self.push(next);
+                    sink.transfer(pc, t, TransferKind::IndCall);
+                    new_pc = t;
+                    cost += 4 + c1;
+                }
+                Inst::CallExt { idx } => match self.call_ext(sink, pc, idx) {
+                    Ok(ExtOutcome::Ret { cost: c, .. }) => cost += 5 + c,
+                    Ok(ExtOutcome::Exit(code)) => {
+                        cycles += cost + 5;
+                        break Ok(code);
+                    }
+                    Ok(ExtOutcome::Abort) => break trap(Trap::Aborted),
+                    Err(t) => break trap(t),
+                },
+                Inst::Ret { pop } => {
+                    let ra = self.pop();
+                    let sp = self.regs[Reg::Esp.index()];
+                    self.regs[Reg::Esp.index()] = sp.wrapping_add(pop as u32);
+                    cost += 3;
+                    if ra == RETURN_SENTINEL {
+                        cycles += cost;
+                        break Ok(self.regs[Reg::Eax.index()] as i32);
+                    }
+                    sink.transfer(pc, ra, TransferKind::Ret);
+                    new_pc = ra;
+                }
+                Inst::Jmp { target } => {
+                    sink.transfer(pc, target, TransferKind::Jump);
+                    new_pc = target;
+                }
+                Inst::JmpInd { target } => {
+                    let (t, c1) = self.read_operand(&target, Size::D);
+                    sink.transfer(pc, t, TransferKind::IndJump);
+                    new_pc = t;
+                    cost += 1 + c1;
+                }
+                Inst::Jcc { cc, target } => {
+                    if flags.get().cond(cc) {
+                        sink.transfer(pc, target, TransferKind::CondTaken);
+                        new_pc = target;
+                    } else {
+                        sink.transfer(pc, next, TransferKind::CondFall);
+                    }
+                }
+                Inst::Setcc { cc, dst } => {
+                    let v = flags.get().cond(cc) as u32;
+                    self.reg_write(dst, v, Size::B);
+                }
+                Inst::Leave => {
+                    self.regs[Reg::Esp.index()] = self.regs[Reg::Ebp.index()];
+                    let v = self.pop();
+                    self.regs[Reg::Ebp.index()] = v;
+                    cost += 2;
+                }
+                Inst::VmovLd { mem } => {
+                    let a = self.ea(&mem);
+                    self.note_mem(a, false);
+                    self.vreg = self.mem.read_u64(a);
+                    cost += 2;
+                }
+                Inst::VmovSt { mem } => {
+                    let a = self.ea(&mem);
+                    self.note_mem(a, true);
+                    self.mem.write_u64(a, self.vreg);
+                    cost += 2;
+                }
+                Inst::Trap { code } => break trap(Trap::TrapInst { pc, code }),
             }
-            Inst::Setcc { cc, dst } => {
-                let v = self.flags.cond(cc) as u32;
-                self.reg_write(dst, v, Size::B);
-            }
-            Inst::Leave => {
-                self.regs[Reg::Esp.index()] = self.regs[Reg::Ebp.index()];
-                let v = self.pop();
-                self.regs[Reg::Ebp.index()] = v;
-                cost += 2;
-            }
-            Inst::VmovLd { mem } => {
-                let a = self.ea(&mem);
-                self.note_mem(a, false);
-                self.vreg = self.mem.read_u64(a);
-                cost += 2;
-            }
-            Inst::VmovSt { mem } => {
-                let a = self.ea(&mem);
-                self.note_mem(a, true);
-                self.mem.write_u64(a, self.vreg);
-                cost += 2;
-            }
-            Inst::Trap { code } => return Err(Trap::TrapInst { pc, code }),
-        }
 
-        if self.mem.cap_hit() {
-            return Err(Trap::MemLimit(pc));
-        }
-        self.cycles += cost;
-        self.pc = new_pc;
-        Ok(Status::Running)
+            if self.mem.cap_hit() {
+                break trap(Trap::MemLimit(pc));
+            }
+            cycles += cost;
+            pc = new_pc;
+        };
+        (self.pc, self.cycles, self.inst_count, self.flags) = (pc, cycles, retired, flags);
+        self.icache = icache;
+        end
     }
 
     /// Run to completion, reporting trace events to `sink`.
     pub fn run_with<S: TraceSink>(&mut self, sink: &mut S) -> RunResult {
-        loop {
-            let (exit_code, trap) = match self.step(sink) {
-                Ok(Status::Running) => continue,
-                Ok(Status::Exited(code)) => (code, None),
-                Err(trap) => (0, Some(trap)),
-            };
-            self.flush_obs(trap.as_ref());
-            return RunResult {
-                exit_code,
-                trap,
-                cycles: self.cycles,
-                inst_count: self.inst_count,
-                mem: self.mem_stats,
-                output: std::mem::take(&mut self.io.output),
-            };
+        let (exit_code, trap) = match self.exec(sink) {
+            Ok(code) => (code, None),
+            Err(trap) => (0, Some(trap)),
+        };
+        self.flush_obs(trap.as_ref());
+        RunResult {
+            exit_code,
+            trap,
+            cycles: self.cycles,
+            inst_count: self.inst_count,
+            mem: self.mem_stats,
+            output: std::mem::take(&mut self.io.output),
         }
     }
 
@@ -724,6 +775,14 @@ impl<'img> Machine<'img> {
     pub fn run(&mut self) -> RunResult {
         self.run_with(&mut NullSink)
     }
+}
+
+/// End the loop with `t`, kept out of line so that the loop carries no
+/// trap construction.
+#[cold]
+#[inline(never)]
+fn trap(t: Trap) -> Result<i32, Trap> {
+    Err(t)
 }
 
 /// Convenience: run `img` on `input` and return the result.
@@ -1079,6 +1138,239 @@ mod tests {
         assert_eq!(rec.0.len(), 2);
         assert_eq!(rec.0[0].2, TransferKind::Call);
         assert_eq!(rec.0[1].2, TransferKind::Ret);
+    }
+
+    /// The eager flag computation the lazy flags replaced: each
+    /// flag-setting instruction computed all four flags on the spot.
+    mod eager {
+        use super::*;
+
+        pub fn set_flags_logic(flags: &mut Flags, res: u32, size: Size) {
+            let bits = size.bytes() * 8;
+            let res = res & size.mask();
+            flags.zf = res == 0;
+            flags.sf = (res >> (bits - 1)) & 1 == 1;
+            flags.of = false;
+            flags.cf = false;
+        }
+
+        pub fn set_flags_add(flags: &mut Flags, a: u32, b: u32, size: Size) -> u32 {
+            let mask = size.mask();
+            let bits = size.bytes() * 8;
+            let (a, b) = (a & mask, b & mask);
+            let res = a.wrapping_add(b) & mask;
+            flags.zf = res == 0;
+            flags.sf = (res >> (bits - 1)) & 1 == 1;
+            flags.cf = (a as u64 + b as u64) > mask as u64;
+            let sa = (a >> (bits - 1)) & 1;
+            let sb = (b >> (bits - 1)) & 1;
+            let sr = (res >> (bits - 1)) & 1;
+            flags.of = sa == sb && sr != sa;
+            res
+        }
+
+        pub fn set_flags_sub(flags: &mut Flags, a: u32, b: u32, size: Size) -> u32 {
+            let mask = size.mask();
+            let bits = size.bytes() * 8;
+            let (a, b) = (a & mask, b & mask);
+            let res = a.wrapping_sub(b) & mask;
+            flags.zf = res == 0;
+            flags.sf = (res >> (bits - 1)) & 1 == 1;
+            flags.cf = a < b;
+            let sa = (a >> (bits - 1)) & 1;
+            let sb = (b >> (bits - 1)) & 1;
+            let sr = (res >> (bits - 1)) & 1;
+            flags.of = sa != sb && sr != sa;
+            res
+        }
+
+        /// A shift's result and its flags: ZF and SF from the result when
+        /// the masked count is nonzero, CF and OF untouched.
+        pub fn shift(flags: &mut Flags, op: ShiftOp, a: u32, count: u32, size: Size) -> u32 {
+            let amt = count & 0xff & 31;
+            let bits = size.bytes() * 8;
+            let res = match op {
+                ShiftOp::Shl => a.wrapping_shl(amt),
+                ShiftOp::Shr => (a & size.mask()).wrapping_shr(amt),
+                ShiftOp::Sar => {
+                    let sext = ((a as i32) << (32 - bits)) >> (32 - bits);
+                    (sext >> amt.min(31)) as u32
+                }
+            } & size.mask();
+            if amt != 0 {
+                flags.zf = res == 0;
+                flags.sf = (res >> (bits - 1)) & 1 == 1;
+            }
+            res
+        }
+    }
+
+    /// A flag-setting instruction form under test, on `eax` (and `ebx`,
+    /// or the count in `cl` for shifts).
+    #[derive(Debug, Clone, Copy)]
+    enum Form {
+        Alu(AluOp),
+        Cmp,
+        Test,
+        Neg,
+        Shift(ShiftOp),
+    }
+
+    impl Form {
+        const ALL: [Form; 11] = [
+            Form::Alu(AluOp::Add),
+            Form::Alu(AluOp::Sub),
+            Form::Alu(AluOp::And),
+            Form::Alu(AluOp::Or),
+            Form::Alu(AluOp::Xor),
+            Form::Cmp,
+            Form::Test,
+            Form::Neg,
+            Form::Shift(ShiftOp::Shl),
+            Form::Shift(ShiftOp::Shr),
+            Form::Shift(ShiftOp::Sar),
+        ];
+
+        fn inst(self, size: Size) -> Inst {
+            let (eax, ebx) = (Operand::Reg(Reg::Eax), Operand::Reg(Reg::Ebx));
+            match self {
+                Form::Alu(op) => Inst::Alu { op, size, dst: eax, src: ebx },
+                Form::Cmp => Inst::Cmp { size, a: eax, b: ebx },
+                Form::Test => Inst::Test { size, a: eax, b: ebx },
+                Form::Neg => Inst::Neg { size, dst: eax },
+                Form::Shift(op) => Inst::Shift { op, size, dst: eax, amount: ShiftAmount::Cl },
+            }
+        }
+
+        /// The form's result (the value left in `eax`'s low `size` bytes)
+        /// under the eager reference; `b` is `ebx`, or the count for shifts.
+        fn eager(self, flags: &mut Flags, a: u32, b: u32, size: Size) -> u32 {
+            let (a_in, mask) = (a & size.mask(), size.mask());
+            match self {
+                Form::Alu(AluOp::Add) => eager::set_flags_add(flags, a_in, b & mask, size),
+                Form::Alu(AluOp::Sub) => eager::set_flags_sub(flags, a_in, b & mask, size),
+                Form::Alu(op) => {
+                    let r = match op {
+                        AluOp::And => a_in & b,
+                        AluOp::Or => a_in | b,
+                        _ => a_in ^ b,
+                    } & mask;
+                    eager::set_flags_logic(flags, r, size);
+                    r
+                }
+                Form::Cmp => {
+                    eager::set_flags_sub(flags, a_in, b & mask, size);
+                    a_in
+                }
+                Form::Test => {
+                    eager::set_flags_logic(flags, a_in & b, size);
+                    a_in
+                }
+                Form::Neg => eager::set_flags_sub(flags, 0, a_in, size),
+                Form::Shift(op) => eager::shift(flags, op, a_in, b, size),
+            }
+        }
+    }
+
+    /// The flag state before the form: `(edi, esi)` through one of four
+    /// setters — a compare, an add, a test, and a compare followed by a
+    /// shift, which leaves CF/OF from the compare and ZF/SF of its own.
+    fn prior(kind: usize, (x, y): (u32, u32), flags: &mut Flags) -> Vec<Inst> {
+        let (edi, esi) = (Operand::Reg(Reg::Edi), Operand::Reg(Reg::Esi));
+        let cmp = Inst::Cmp { size: Size::D, a: edi, b: esi };
+        match kind {
+            0 => {
+                eager::set_flags_sub(flags, x, y, Size::D);
+                vec![cmp]
+            }
+            1 => {
+                eager::set_flags_add(flags, x, y, Size::D);
+                vec![Inst::Alu { op: AluOp::Add, size: Size::D, dst: edi, src: esi }]
+            }
+            2 => {
+                eager::set_flags_logic(flags, x & y, Size::D);
+                vec![Inst::Test { size: Size::D, a: edi, b: esi }]
+            }
+            _ => {
+                eager::set_flags_sub(flags, x, y, Size::D);
+                eager::shift(flags, ShiftOp::Shl, y, 1, Size::D);
+                let shl = Inst::Shift {
+                    op: ShiftOp::Shl,
+                    size: Size::D,
+                    dst: esi,
+                    amount: ShiftAmount::Imm(1),
+                };
+                vec![cmp, shl]
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_flags_match_the_eager_reference() {
+        const EDGES: [u32; 11] =
+            [0, 1, 0x7f, 0x80, 0xff, 0x7fff, 0x8000, 0xffff, 0x7fff_ffff, 0x8000_0000, 0xffff_ffff];
+        const PRIORS: [(u32, u32); 4] =
+            [(0x7fff_ffff, 0xffff_ffff), (0, 0), (0x8000_0000, 1), (1, 2)];
+        const COUNTS: [u32; 5] = [0, 1, 7, 31, 32];
+        let mut checked = 0;
+        for form in Form::ALL {
+            for size in [Size::B, Size::W, Size::D] {
+                for kind in 0..4 {
+                    // prior; form; then `setcc dl; mov [data+i], dl` for every cc.
+                    let mut img = Image::new();
+                    img.data = vec![0; Cc::ALL.len()];
+                    let mut a = Asm::new();
+                    for inst in prior(kind, (0, 0), &mut Flags::default()) {
+                        a.emit(inst);
+                    }
+                    a.emit(form.inst(size));
+                    for (i, cc) in Cc::ALL.into_iter().enumerate() {
+                        a.emit(Inst::Setcc { cc, dst: Reg::Edx });
+                        a.emit(Inst::Mov {
+                            size: Size::B,
+                            dst: Operand::Mem(Mem::abs((img.data_base + i as u32) as i32)),
+                            src: Operand::Reg(Reg::Edx),
+                        });
+                    }
+                    a.emit(Inst::Halt);
+                    let out = a.finish(img.text_base);
+                    img.text = out.bytes;
+                    img.entry = img.text_base;
+
+                    let bs: &[u32] = match form {
+                        Form::Neg => &[0],
+                        Form::Shift(_) => &COUNTS,
+                        _ => &EDGES,
+                    };
+                    for &(x, y) in &PRIORS {
+                        for &av in &EDGES {
+                            for &bv in bs {
+                                let mut want = Flags::default();
+                                prior(kind, (x, y), &mut want);
+                                let res = form.eager(&mut want, av, bv, size);
+                                let mut m = Machine::new(&img, vec![]);
+                                m.regs[Reg::Edi.index()] = x;
+                                m.regs[Reg::Esi.index()] = y;
+                                m.regs[Reg::Eax.index()] = av;
+                                m.regs[Reg::Ebx.index()] = bv;
+                                m.regs[Reg::Ecx.index()] = bv;
+                                let r = m.run();
+                                assert!(r.ok(), "{:?}", r.trap);
+                                let what = format!("{form:?} {size} prior {kind} ({x:#x}, {y:#x}) a={av:#x} b={bv:#x}");
+                                assert_eq!(m.flags(), want, "{what}");
+                                assert_eq!(m.regs[Reg::Eax.index()] & size.mask(), res, "{what}");
+                                for (i, cc) in Cc::ALL.into_iter().enumerate() {
+                                    let got = m.mem.read_u8(img.data_base + i as u32);
+                                    assert_eq!(got, want.cond(cc) as u8, "set{cc} after {what}");
+                                }
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, (7 * 11 * 11 + 11 + 3 * 11 * 5) * 3 * 4 * 4);
     }
 
     #[test]

@@ -50,7 +50,7 @@ fn run(img: &wyt_isa::image::Image, input: &[u8]) -> wyt_emu::RunResult {
 
 #[test]
 fn heals_untraced_branch_with_incremental_relift() {
-    let _l = SINK_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&SINK_LOCK);
     wyt_obs::set_enabled(false);
 
     let img = compile(SRC, &Profile::gcc12_o3()).unwrap();
@@ -103,7 +103,7 @@ fn heals_untraced_branch_with_incremental_relift() {
 
 #[test]
 fn healing_preserves_previously_passing_inputs_byte_identically() {
-    let _l = SINK_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&SINK_LOCK);
     wyt_obs::set_enabled(false);
 
     let img = compile(SRC, &Profile::gcc12_o3()).unwrap();
@@ -123,7 +123,7 @@ fn healing_preserves_previously_passing_inputs_byte_identically() {
 
 #[test]
 fn healing_is_idempotent_and_deterministic() {
-    let _l = SINK_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&SINK_LOCK);
     wyt_obs::set_enabled(false);
 
     let img = compile(SRC, &Profile::gcc12_o3()).unwrap();
@@ -150,7 +150,7 @@ fn healing_is_idempotent_and_deterministic() {
 
 #[test]
 fn healing_reports_identical_serial_vs_parallel() {
-    let _l = SINK_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&SINK_LOCK);
     wyt_obs::set_enabled(false);
 
     let img = compile(SRC, &Profile::gcc12_o3()).unwrap();
@@ -170,7 +170,7 @@ fn healing_reports_identical_serial_vs_parallel() {
 
 #[test]
 fn held_out_input_that_misbehaves_natively_is_rejected() {
-    let _l = SINK_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&SINK_LOCK);
     wyt_obs::set_enabled(false);
 
     // An input the *original* binary cannot handle is not healable.
@@ -198,7 +198,7 @@ fn held_out_input_that_misbehaves_natively_is_rejected() {
 /// push the module down the degradation ladder.
 #[test]
 fn healing_widens_a_reused_printf_from_the_merged_trace() {
-    let _l = SINK_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&SINK_LOCK);
     wyt_obs::set_enabled(false);
 
     let src = r#"
@@ -254,7 +254,7 @@ fn healing_widens_a_reused_printf_from_the_merged_trace() {
 /// (`tests/store.rs`).
 #[test]
 fn facts_seeded_heal_runs_each_input_on_the_original_once() {
-    let _l = SINK_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&SINK_LOCK);
     wyt_obs::set_enabled(false);
 
     let src = r#"

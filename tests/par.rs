@@ -35,7 +35,7 @@ fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 
 #[test]
 fn serial_and_parallel_recompiles_are_byte_identical() {
-    let _l = PAR_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&PAR_LOCK);
     let img = compile(SRC, &Profile::gcc44_o3()).unwrap().stripped();
 
     // Enable the sink so the validation replays classify stack accesses
@@ -72,7 +72,7 @@ fn serial_and_parallel_recompiles_are_byte_identical() {
 
 #[test]
 fn bench_measurement_rows_match_serial_run() {
-    let _l = PAR_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&PAR_LOCK);
     wyt_obs::set_enabled(false);
     let suite = wyt_spec::suite();
     let bench = &suite[0];
@@ -85,7 +85,7 @@ fn bench_measurement_rows_match_serial_run() {
 
 #[test]
 fn timed_grid_verifies_against_serial_and_records_threads() {
-    let _l = PAR_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&PAR_LOCK);
     wyt_obs::set_enabled(false);
     with_threads(4, || {
         let jobs: Vec<u64> = (0..16).collect();

@@ -311,7 +311,7 @@ fn secondwrite_baseline_behaves_like_the_paper() {
     // ...works on GCC 4.4 -fno-pic and preserves behaviour.
     let legacy = compile(src, &Profile::gcc44_o3_nopic()).unwrap().stripped();
     let native = run_image(&legacy, vec![]);
-    let _l = SINK_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&SINK_LOCK);
     wyt_obs::set_enabled(true);
     let (sw, _obs) = wyt_obs::with_local(|| wyt_core::recompile_secondwrite(&legacy, &[vec![]]));
     wyt_obs::set_enabled(false);
@@ -356,7 +356,7 @@ fn gate_cycles_match_a_fresh_run_of_every_pipeline() {
         ("Wytiwyg", &|| recompile(&Request::new(&img, &inputs, Mode::Wytiwyg)).unwrap()),
         ("SecondWrite", &|| wyt_core::recompile_secondwrite(&img, &inputs).unwrap()),
     ];
-    let _l = SINK_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&SINK_LOCK);
     for (name, pipeline) in pipelines {
         wyt_obs::set_enabled(true);
         let (out, obs) = wyt_obs::with_local(pipeline);

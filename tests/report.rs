@@ -35,7 +35,7 @@ fn recompiled(mode: Mode) -> Recompiled {
 
 #[test]
 fn wytiwyg_report_is_deterministic_and_pins_stage_schema() {
-    let _l = SINK_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&SINK_LOCK);
     wyt_obs::set_enabled(false);
 
     let a = recompiled(Mode::Wytiwyg).report;
@@ -83,7 +83,7 @@ fn wytiwyg_report_is_deterministic_and_pins_stage_schema() {
 
 #[test]
 fn nosymbolize_report_keeps_emulated_stack_roots() {
-    let _l = SINK_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&SINK_LOCK);
     wyt_obs::set_enabled(false);
 
     let r = recompiled(Mode::NoSymbolize).report;
@@ -100,7 +100,7 @@ fn nosymbolize_report_keeps_emulated_stack_roots() {
 
 #[test]
 fn coverage_counts_partition_stack_references() {
-    let _l = SINK_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&SINK_LOCK);
     for mode in [Mode::NoSymbolize, Mode::Wytiwyg] {
         wyt_obs::set_enabled(true);
         wyt_obs::reset();
@@ -147,7 +147,7 @@ fn coverage_counts_partition_stack_references() {
 /// than the trace replay nested inside the lift.
 #[test]
 fn lift_stage_row_covers_the_traced_lift() {
-    let _l = SINK_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&SINK_LOCK);
     wyt_obs::set_enabled(true);
     wyt_obs::reset();
     let rep = recompiled(Mode::Wytiwyg).report;
@@ -176,7 +176,7 @@ fn guard_counters(snap: &wyt_obs::Snapshot, prefix: &str) -> BTreeMap<String, u6
 /// interpreter's `interp.trap.guard.*` counters agree per kind.
 #[test]
 fn machine_and_interp_guard_counters_agree_per_kind() {
-    let _l = SINK_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&SINK_LOCK);
 
     // One untraced branch side, one untraced indirect target.
     let cases: [(&str, &[u8], &[u8], &str); 2] = [

@@ -54,7 +54,7 @@ fn traced_recompile(threads: usize) -> (Vec<trace::TraceEvent>, Recompiled) {
 
 #[test]
 fn deterministic_tick_export_is_byte_identical_serial_vs_parallel() {
-    let _l = TRACE_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&TRACE_LOCK);
     clean();
     trace::set_enabled(true);
 
@@ -74,7 +74,7 @@ fn deterministic_tick_export_is_byte_identical_serial_vs_parallel() {
 
 #[test]
 fn wall_clock_export_validates_with_worker_tracks_and_stage_order() {
-    let _l = TRACE_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&TRACE_LOCK);
     clean();
     // Sink + span events: the full pipeline (including the sink-gated
     // coverage classification) runs, and worker profiling is live.
@@ -119,7 +119,7 @@ fn wall_clock_export_validates_with_worker_tracks_and_stage_order() {
 
 #[test]
 fn flush_guard_writes_a_validating_trace_file() {
-    let _l = TRACE_LOCK.lock().unwrap();
+    let _l = wyt_obs::lock_ok(&TRACE_LOCK);
     clean();
     trace::set_enabled(true);
     {
