@@ -15,8 +15,9 @@
 //! observability layer and the degradation-ladder report schema. The
 //! check also drives one self-healing run (a branch side withheld from
 //! the trace) and validates the `healing` section of its report. Of the
-//! committed `results/BENCH_*.json` it schema-checks the store bench and
-//! holds every serial grid run's job spans to its wall time.
+//! committed `results/BENCH_*.json` it checks that every span entry's
+//! quantiles are ordered, schema-checks the store bench and holds every
+//! serial grid run's job spans to its wall time.
 //!
 //! Two further subcommands back the CI observability gates:
 //!
@@ -121,20 +122,13 @@ fn check_store_json(j: &wyt_obs::Json) {
             }
         }
     }
-    // Latency histograms: the suite runs cold + warm, so every hist
-    // must have samples and ordered quantiles.
-    let hists = j.get("obs").and_then(|o| o.get("hists")).expect("BENCH_store.json: obs.hists");
-    for h in ["batch.job.cold", "batch.job.warm", "store.lookup", "store.put"] {
-        let hist = hists.get(h).unwrap_or_else(|| panic!("obs.hists has {h}"));
-        let get = |k: &str| {
-            hist.get(k).and_then(|v| v.as_u64()).unwrap_or_else(|| panic!("obs.hists {h} has {k}"))
-        };
-        assert!(get("count") >= 1, "obs.hists {h}: no samples");
-        let (p50, p90, p99, max) = (get("p50_ns"), get("p90_ns"), get("p99_ns"), get("max_ns"));
-        assert!(
-            p50 <= p90 && p90 <= p99 && p99 <= max,
-            "obs.hists {h}: quantiles out of order ({p50}, {p90}, {p99}, {max})"
-        );
+    // Store latencies: the suite runs cold + warm, so every job looks
+    // up, the cold pass writes and recompiles, and each span has
+    // samples (its quantiles are ordered: `check_span_quantiles`).
+    let spans = j.get("obs").and_then(|o| o.get("spans")).expect("BENCH_store.json: obs.spans");
+    for name in ["store.get", "store.put", "store.recompile"] {
+        let count = spans.get(name).and_then(|s| s.get("count")).and_then(|v| v.as_u64());
+        assert!(count >= Some(1), "BENCH_store.json: obs.spans.{name} has no samples");
     }
     let s = j.get("store").expect("BENCH_store.json: store counter section");
     let count = |k: &str| {
@@ -147,6 +141,26 @@ fn check_store_json(j: &wyt_obs::Json) {
     assert_eq!(corrupt, 0, "BENCH_store.json: committed run saw corrupt entries");
     assert_eq!(count("io_fatal"), 0, "BENCH_store.json: committed run exhausted I/O retries");
     assert!(hits >= 1, "BENCH_store.json: warm pass never hit the store");
+}
+
+/// Every `obs.spans` entry of a bench JSON carries ordered exact
+/// quantiles of its spans' durations: `p50 ≤ p90 ≤ p99 ≤ max`.
+fn check_span_quantiles(name: &str, j: &wyt_obs::Json) {
+    let Some(wyt_obs::Json::Obj(spans)) = j.get("obs").and_then(|o| o.get("spans")) else {
+        panic!("{name}: missing obs.spans object");
+    };
+    for (span, s) in spans {
+        let get = |k: &str| {
+            s.get(k)
+                .and_then(|v| v.as_u64())
+                .unwrap_or_else(|| panic!("{name}: obs.spans.{span} has no {k}"))
+        };
+        let (p50, p90, p99, max) = (get("p50_ns"), get("p90_ns"), get("p99_ns"), get("max_ns"));
+        assert!(
+            p50 <= p90 && p90 <= p99 && p99 <= max,
+            "{name}: obs.spans.{span} quantiles out of order ({p50}, {p90}, {p99}, {max})"
+        );
+    }
 }
 
 /// Span gate for a grid's bench JSON (`paper`'s `BENCH_paper.json` or
@@ -271,18 +285,7 @@ fn main() -> ExitCode {
     let rep = &out.report;
 
     match fmt {
-        OutputFormat::Pretty => {
-            print!("{}", rep.render_pretty());
-            // Latency histograms recorded during the run (store, batch,
-            // healing), if any subsystem produced samples.
-            let hists = wyt_obs::snapshot().hists;
-            if !hists.is_empty() {
-                println!("latency:");
-                for (name, h) in &hists {
-                    println!("  {name}: {}", h.render());
-                }
-            }
-        }
+        OutputFormat::Pretty => print!("{}", rep.render_pretty()),
         _ => println!("{}", rep.to_json(true).pretty()),
     }
 
@@ -384,6 +387,7 @@ fn main() -> ExitCode {
                 let bs =
                     bh.get("sites_healed").and_then(|v| v.as_u64()).expect("healing.sites_healed");
                 assert_eq!((br, bs), (0, 0), "{name}: the clean bench corpus must not heal");
+                check_span_quantiles(&name, &j);
                 if name == "BENCH_store.json" {
                     check_store_json(&j);
                     store_json = true;

@@ -9,7 +9,7 @@
 //!   ([`DiffOptions::timing_ratio`]).
 //! - **counter** — everything else: degradation and healing counts,
 //!   store hit/miss/corrupt counters, coverage partitions, cycle
-//!   ratios, row names/keys/warm flags, histogram sample counts.
+//!   ratios, row names/keys/warm flags, span counts.
 //!   Compared exactly; any drift is a hard failure.
 //!
 //! Schema drift (a key present on one side only, arrays of different

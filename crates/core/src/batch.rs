@@ -541,10 +541,6 @@ pub fn run_batch_supervised(
         };
         match sup {
             Supervised::Ok(Ok(o)) => {
-                wyt_obs::record_hist(
-                    if o.warm() { "batch.job.warm" } else { "batch.job.cold" },
-                    wall_ns,
-                );
                 row.outcome = if o.warm() { JobOutcome::Warm } else { JobOutcome::Cold };
                 row.warm = o.warm();
                 row.degradations = o.degradations();
@@ -570,9 +566,9 @@ pub fn run_batch_supervised(
             return run_job(i);
         }
         let (mut row, snap) = wyt_obs::with_local(|| run_job(i));
-        let totals = snap.span_totals();
+        let stats = snap.span_stats();
         for (span, _) in JOB_PHASES {
-            row.phases.insert(span, totals.get(span).map_or(0, |t| t.0));
+            row.phases.insert(span, stats.get(span).map_or(0, |s| s.total_ns));
         }
         wyt_obs::fold(snap);
         row

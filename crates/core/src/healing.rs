@@ -61,15 +61,6 @@ enum Replay {
     Diverge,
 }
 
-/// Record one healing round's wall time into the `healing.round`
-/// latency histogram (`t0` is `None` when the sink was off at round
-/// start, making the whole thing a no-op).
-fn note_round_time(t0: Option<u64>) {
-    if let Some(t0) = t0 {
-        wyt_obs::record_hist("healing.round", wyt_obs::mono_ns() - t0);
-    }
-}
-
 /// Trace one held-out input on the original image under the
 /// `healing.trace` span, charging its steps to the watchdog. The run is
 /// the input's reference behaviour; the trace is what a healing round
@@ -179,7 +170,9 @@ pub(crate) fn heal(
         // fuel; a pathological heal loop is cancelled here, at a round
         // boundary, rather than hanging the batch queue.
         wyt_par::supervise::charge_round();
-        let round_t0 = wyt_obs::enabled().then(wyt_obs::mono_ns);
+        // The round's span closes on every exit from this iteration,
+        // including a failed re-lift.
+        let _round = Span::enter("healing.round");
 
         // 1. Attribute the trap through the image's guard-site table.
         let site = rec.image.guard_sites.iter().find(|s| s.pc == pc);
@@ -225,7 +218,6 @@ pub(crate) fn heal(
             // any behaviour of the input on the original binary.
             report.sites_unhealed += 1;
             wyt_obs::counter("guard.unhealed", 1);
-            note_round_time(round_t0);
             break false;
         }
         wyt_obs::counter("guard.new_edges", merge_delta.new_edges as u64);
@@ -249,12 +241,10 @@ pub(crate) fn heal(
                 report.sites_healed += 1;
                 wyt_obs::counter("guard.healed", 1);
                 rec = new_rec;
-                note_round_time(round_t0);
             }
             Err(_) => {
                 report.sites_unhealed += 1;
                 wyt_obs::counter("guard.unhealed", 1);
-                note_round_time(round_t0);
                 break false;
             }
         }

@@ -623,11 +623,7 @@ pub fn recompile_from_lifted(
     base_rep.quality.emu_refs_before = emu_stack_refs(&pristine);
     verify(&pristine)?;
 
-    // Bracket the executor's per-worker accumulators so the report can
-    // carry exactly this recompilation's utilization (timing-gated in
-    // the JSON, so determinism gates never see it).
-    let par_base = wyt_par::worker_profile();
-    let mut rec = match mode {
+    let rec = match mode {
         Mode::NoSymbolize => {
             // BinRec hands the lifted module to the full LLVM pipeline; the
             // optimizer simply cannot see through the emulated stack.
@@ -665,7 +661,6 @@ pub fn recompile_from_lifted(
             recompile_wytiwyg(inputs, opt, faults, base_rep, pristine, meta, trace, baseline_runs)?
         }
     };
-    rec.report.workers = wyt_par::worker_profile_delta(&par_base);
     Ok(rec)
 }
 

@@ -6,6 +6,10 @@
 //! dependency-free JSON value type with writer and parser ([`json`]) so
 //! bench runs and CI produce machine-diffable output.
 //!
+//! Spans are the one timing record: per-name totals and exact latency
+//! quantiles are computed from span durations ([`Snapshot::span_stats`]),
+//! and the trace export ([`trace`]) renders the same events.
+//!
 //! Design rules, in priority order:
 //!
 //! 1. **Disabled means free.** Every hot-path entry point
@@ -25,7 +29,6 @@
 //! reads the `WYT_OBS` environment variable (`json`, `pretty`, or `1`).
 
 pub mod env;
-pub mod hist;
 pub mod json;
 pub mod report;
 pub mod sink;
@@ -33,15 +36,14 @@ pub mod span;
 pub mod trace;
 
 pub use env::{env_u64, env_usize, env_usize_opt};
-pub use hist::Hist;
 pub use json::{Json, JsonLimits, ParseError, ParseErrorKind};
 pub use report::{
     CoverageStats, Degradation, FuncQuality, GuardEvent, HealingReport, IrSize, LiftCounts,
-    MemStats, PipelineReport, QualityStats, StageStats, WorkerStat,
+    MemStats, PipelineReport, QualityStats, StageStats,
 };
 pub use sink::{
-    counter, enabled, fold, init_from_env, observing, record_hist, reset, set_enabled, snapshot,
-    with_local, OutputFormat, Snapshot,
+    counter, enabled, fold, init_from_env, observing, reset, set_enabled, snapshot, with_local,
+    OutputFormat, Snapshot, SpanStats,
 };
 pub use span::{fmt_ns, mono_ns, Span};
 

@@ -320,46 +320,6 @@ impl HealingReport {
     }
 }
 
-/// Utilization of one `wyt-par` worker over a recompilation: how many
-/// tasks it executed, how often it stole work, and how its wall time
-/// split between running tasks and waiting for them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerStat {
-    /// Worker index (0 = the calling thread).
-    pub worker: u32,
-    /// Tasks this worker executed.
-    pub tasks: u64,
-    /// Successful steals from sibling workers.
-    pub steals: u64,
-    /// Nanoseconds spent inside tasks.
-    pub busy_ns: u64,
-    /// Nanoseconds spent outside tasks (claiming, stealing, waiting).
-    pub idle_ns: u64,
-}
-
-impl WorkerStat {
-    /// `busy / (busy + idle)`, or 0 for a worker that recorded nothing.
-    pub fn utilization(&self) -> f64 {
-        let total = self.busy_ns + self.idle_ns;
-        if total == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / total as f64
-        }
-    }
-
-    /// `{worker, tasks, steals, busy_ns, idle_ns}`.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("worker", Json::from(u64::from(self.worker))),
-            ("tasks", Json::from(self.tasks)),
-            ("steals", Json::from(self.steals)),
-            ("busy_ns", Json::from(self.busy_ns)),
-            ("idle_ns", Json::from(self.idle_ns)),
-        ])
-    }
-}
-
 /// Everything one recompilation measured about itself.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineReport {
@@ -379,11 +339,6 @@ pub struct PipelineReport {
     /// Self-healing telemetry; `None` for a plain (non-healing)
     /// recompilation.
     pub healing: Option<HealingReport>,
-    /// Per-worker executor utilization over this recompilation
-    /// (empty when nothing was profiled). Wall-clock data, so it is
-    /// timing-gated in [`PipelineReport::to_json`] and never appears in
-    /// the deterministic form.
-    pub workers: Vec<WorkerStat>,
 }
 
 impl PipelineReport {
@@ -417,20 +372,6 @@ impl PipelineReport {
                 match &self.healing {
                     Some(h) => h.to_json(),
                     None => Json::Null,
-                },
-            ),
-            (
-                "par",
-                if with_timings && !self.workers.is_empty() {
-                    Json::obj(vec![(
-                        "workers",
-                        Json::Arr(self.workers.iter().map(WorkerStat::to_json).collect()),
-                    )])
-                } else {
-                    // Worker busy/idle splits are wall-clock data: the
-                    // deterministic form always renders null here so the
-                    // serial-vs-parallel byte-identity gates stay exact.
-                    Json::Null
                 },
             ),
         ])
@@ -501,20 +442,6 @@ impl PipelineReport {
                 out.push_str(&format!("  fn {:<20} → {} ({})\n", d.name, d.rung, d.reason));
             }
         }
-        if !self.workers.is_empty() {
-            out.push_str(&format!("par: {} worker(s)\n", self.workers.len()));
-            for w in &self.workers {
-                out.push_str(&format!(
-                    "  worker {:<3} {:>5} task(s), {:>4} steal(s), busy {} / idle {} ({:.0}% util)\n",
-                    w.worker,
-                    w.tasks,
-                    w.steals,
-                    fmt_ns(w.busy_ns),
-                    fmt_ns(w.idle_ns),
-                    w.utilization() * 100.0,
-                ));
-            }
-        }
         if let Some(h) = &self.healing {
             out.push_str(&format!(
                 "healing: {} round(s), {} healed / {} unhealed, {} funcs{}\n",
@@ -565,28 +492,7 @@ mod tests {
             },
             degradations: Vec::new(),
             healing: None,
-            workers: vec![WorkerStat {
-                worker: 0,
-                tasks: 4,
-                steals: 1,
-                busy_ns: 900,
-                idle_ns: 100,
-            }],
         }
-    }
-
-    #[test]
-    fn worker_stats_are_timing_gated() {
-        let r = sample();
-        // Deterministic form: always null, whatever was profiled.
-        assert!(matches!(r.to_json_deterministic().get("par"), Some(Json::Null)));
-        // Timed form: full utilization section.
-        let timed = r.to_json(true);
-        let workers = timed.get("par").unwrap().get("workers").unwrap().as_arr().unwrap();
-        assert_eq!(workers.len(), 1);
-        assert_eq!(workers[0].get("tasks").unwrap().as_u64(), Some(4));
-        assert!((r.workers[0].utilization() - 0.9).abs() < 1e-9);
-        assert!(r.render_pretty().contains("worker 0"));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! this module exports that list as Chrome trace-event JSON.
 //!
 //! There is no second collector. The `TRACE_ON` bit of the sink's state
-//! word ([`set_enabled`]) turns on span events without counters or
-//! histograms, so a trace export does not pay for the sink; with the
-//! sink on, spans are recorded anyway. Spans recorded inside a
+//! word ([`set_enabled`]) turns on span events without counters, so a
+//! trace export does not pay for the sink; with the sink on, spans are
+//! recorded anyway. Spans recorded inside a
 //! [`crate::with_local`] scope — which is how `wyt-par` wraps every
 //! task — are folded back in task-index order, so the list is the same
 //! for a serial run and a `WYT_PAR=4` run.
@@ -348,7 +348,6 @@ mod tests {
         clean();
         set_enabled(true);
         crate::counter("c", 1);
-        crate::record_hist("h", 1);
         let ((), snap) = crate::with_local(|| {
             let _s = Span::enter("scoped");
             crate::counter("c", 1);
@@ -358,7 +357,7 @@ mod tests {
         let snap = crate::snapshot();
         clean();
         assert_eq!(snap.spans.len(), 2);
-        assert!(snap.counters.is_empty() && snap.hists.is_empty());
+        assert!(snap.counters.is_empty());
     }
 
     /// Far more nested spans than any fixed-size buffer would hold: the

@@ -36,16 +36,12 @@
 //! are scoped threads (`std::thread::scope`), so tasks may freely
 //! borrow from the caller's stack; nothing outlives the call.
 //!
-//! ## Profiling
+//! ## Tracing
 //!
-//! While any `wyt-obs` collector is on, each worker tallies tasks
-//! executed, successful steals, and busy/idle nanoseconds into a
-//! process-global per-slot accumulator ([`worker_profile`] /
-//! [`worker_profile_delta`]); the pipeline brackets a recompile and
-//! reports the delta as the `par.workers` utilization section of its
-//! report. Workers also pin their slot id as their span track
-//! ([`wyt_obs::trace::track_guard`]), so the wall-clock trace export
-//! shows one track per worker.
+//! The executor keeps no timing record of its own. Each worker pins its
+//! slot id as its span track ([`wyt_obs::trace::track_guard`]), so the
+//! wall-clock trace export shows one track per worker and the tasks'
+//! spans on it.
 //!
 //! ## Configuration
 //!
@@ -210,39 +206,6 @@ struct Done<R> {
     obs: Option<wyt_obs::Snapshot>,
 }
 
-/// Per-worker-slot utilization accumulated across every pool run since
-/// startup. Indexed by worker id; updated once per worker per
-/// [`par_indexed`] call (never on the task hot path) and only while
-/// some collector is on, so the lock is uncontended and profiling off
-/// costs nothing.
-static PROFILE: Mutex<Vec<wyt_obs::WorkerStat>> = Mutex::new(Vec::new());
-
-/// Snapshot of the per-worker utilization accumulators (empty until a
-/// pool runs with observability on).
-pub fn worker_profile() -> Vec<wyt_obs::WorkerStat> {
-    wyt_obs::lock_ok(&PROFILE).clone()
-}
-
-/// The per-worker utilization accumulated since `base` (a
-/// [`worker_profile`] snapshot): callers bracket a region and get just
-/// that region's tasks/steals/busy/idle per worker.
-pub fn worker_profile_delta(base: &[wyt_obs::WorkerStat]) -> Vec<wyt_obs::WorkerStat> {
-    worker_profile()
-        .into_iter()
-        .enumerate()
-        .map(|(i, w)| {
-            let b = base.get(i).copied().unwrap_or_default();
-            wyt_obs::WorkerStat {
-                worker: w.worker,
-                tasks: w.tasks - b.tasks,
-                steals: w.steals - b.steals,
-                busy_ns: w.busy_ns - b.busy_ns,
-                idle_ns: w.idle_ns - b.idle_ns,
-            }
-        })
-        .collect()
-}
-
 /// Run `f(i)` for every `i in 0..n` and return the results **in index
 /// order**. Runs inline (serially, on the caller's thread, with no sink
 /// scoping) when `n <= 1`, the configured worker count is 1, or the
@@ -316,22 +279,10 @@ fn worker<R>(
     // The worker's slot id is its span track, so the trace export gets
     // one Chrome track per worker.
     let _track = wyt_obs::trace::track_guard(id as u32);
-    let prof = wyt_obs::observing();
-    let t_start = prof.then(wyt_obs::mono_ns);
-    let mut tasks = 0u64;
-    let mut steals = 0u64;
-    let mut busy = 0u64;
     let mut out = Vec::new();
     loop {
         while let Some(i) = ranges[id].claim() {
-            if prof {
-                let t0 = wyt_obs::mono_ns();
-                out.push(run_one(i));
-                busy += wyt_obs::mono_ns() - t0;
-                tasks += 1;
-            } else {
-                out.push(run_one(i));
-            }
+            out.push(run_one(i));
         }
         // Dry: steal the upper half of the fullest victim. Exit only
         // when every range is empty (in-flight tasks are owned by the
@@ -344,24 +295,8 @@ fn worker<R>(
         let Some((_, v)) = victim else { break };
         if let Some((lo, hi)) = ranges[v].steal() {
             ranges[id].refill(lo, hi);
-            steals += 1;
         }
         // A failed steal means the victim drained meanwhile; rescan.
-    }
-    if let Some(t0) = t_start {
-        let idle = (wyt_obs::mono_ns() - t0).saturating_sub(busy);
-        let mut profile = wyt_obs::lock_ok(&PROFILE);
-        if profile.len() <= id {
-            let next = profile.len()..=id;
-            profile.extend(
-                next.map(|w| wyt_obs::WorkerStat { worker: w as u32, ..Default::default() }),
-            );
-        }
-        let slot = &mut profile[id];
-        slot.tasks += tasks;
-        slot.steals += steals;
-        slot.busy_ns += busy;
-        slot.idle_ns += idle;
     }
     out
 }
@@ -515,33 +450,6 @@ mod tests {
         assert_eq!(threads(), MAX_THREADS);
         THREADS.store(0, Ordering::Relaxed);
         assert!(threads() >= 1);
-    }
-
-    #[test]
-    fn worker_profile_accumulates_when_observing() {
-        let _l = TEST_LOCK.lock().unwrap();
-        let _t = ThreadCount::set(4);
-        wyt_obs::set_enabled(true);
-        let base = worker_profile();
-        par_indexed(64, |i| std::hint::black_box(i * 2));
-        let delta = worker_profile_delta(&base);
-        wyt_obs::set_enabled(false);
-        wyt_obs::reset();
-        assert_eq!(delta.iter().map(|w| w.tasks).sum::<u64>(), 64);
-        assert!(!delta.is_empty());
-        assert_eq!(delta[0].worker, 0);
-        assert!(delta[0].busy_ns + delta[0].idle_ns > 0);
-    }
-
-    #[test]
-    fn worker_profile_is_off_when_not_observing() {
-        let _l = TEST_LOCK.lock().unwrap();
-        let _t = ThreadCount::set(4);
-        wyt_obs::set_enabled(false);
-        let base = worker_profile();
-        par_indexed(64, |i| std::hint::black_box(i));
-        let delta = worker_profile_delta(&base);
-        assert!(delta.iter().all(|w| w.tasks == 0), "profiling off records nothing");
     }
 
     #[test]

@@ -290,17 +290,7 @@ impl Store {
 
     /// Look up `(kind, key)`, re-validating the entry end to end.
     pub fn get(&self, kind: &str, key: &str) -> Lookup {
-        // The clock reads are gated like every other instrumentation
-        // site: disabled observability costs one atomic load.
-        let t0 = wyt_obs::enabled().then(wyt_obs::mono_ns);
-        let r = self.get_inner(kind, key);
-        if let Some(t0) = t0 {
-            wyt_obs::record_hist("store.lookup", wyt_obs::mono_ns() - t0);
-        }
-        r
-    }
-
-    fn get_inner(&self, kind: &str, key: &str) -> Lookup {
+        let _s = wyt_obs::Span::enter("store.get");
         let path = self.path_for(kind, key);
         let text = match self.retry_io(|| self.fs.read_to_string(&path)) {
             Ok(t) => t,
@@ -384,15 +374,7 @@ impl Store {
     /// # Errors
     /// Propagates filesystem failures.
     pub fn put(&self, kind: &str, key: &str, stamp: u64, payload: Json) -> io::Result<()> {
-        let t0 = wyt_obs::enabled().then(wyt_obs::mono_ns);
-        let r = self.put_inner(kind, key, stamp, payload);
-        if let Some(t0) = t0 {
-            wyt_obs::record_hist("store.put", wyt_obs::mono_ns() - t0);
-        }
-        r
-    }
-
-    fn put_inner(&self, kind: &str, key: &str, stamp: u64, payload: Json) -> io::Result<()> {
+        let _s = wyt_obs::Span::enter("store.put");
         let checksum = sha256_hex(payload.to_string().as_bytes());
         let entry = Json::obj(vec![
             ("wyt_store", Json::from(FORMAT_VERSION)),

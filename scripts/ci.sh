@@ -115,6 +115,21 @@ if [ "$REPLAYS" -ne "$REPLAY_BUDGET" ]; then
     exit 1
 fi
 
+echo "==> clock-read budget (mono_ns / Instant::now / SystemTime in the non-test code of"
+echo "    crates/*/src outside wyt-obs and wyt-bench: batch.rs's import and job wall pair,"
+echo "    pipeline.rs's import and three stage-row pairs)"
+CLOCK_BUDGET=10
+CLOCKS=$(for f in crates/*/src/*.rs; do
+    case "$f" in crates/obs/* | crates/bench/*) continue ;; esac
+    awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print}' "$f"
+done | grep -cE 'mono_ns|Instant::now|SystemTime' || true)
+if [ "$CLOCKS" -ne "$CLOCK_BUDGET" ]; then
+    echo "FAIL: $CLOCKS clock reads outside wyt-obs and wyt-bench (budget: $CLOCK_BUDGET)." >&2
+    echo "Spans are the one timing record: time it with a \`Span\`, and read durations and" >&2
+    echo "quantiles from Snapshot::span_stats." >&2
+    exit 1
+fi
+
 echo "==> CFG-rebuild budget (build_cfg / recover_functions in wyt-core non-test code:"
 echo "    none; wyt-core reaches the lifter only through lift_image* / lift_from_trace)"
 CFG_BUDGET=0

@@ -4,8 +4,9 @@
 //! deterministic — idempotent on a healed image and byte-identical at
 //! any thread count.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use wyt_core::{recompile, Mode, RecompileError, Recompiled, Request};
+use wyt_core::{recompile, FaultInjector, Mode, RecompileError, Recompiled, Request};
 use wyt_emu::Machine;
 use wyt_minicc::{compile, Profile};
 use wyt_testkit::{check_source, OracleConfig};
@@ -297,4 +298,44 @@ fn facts_seeded_heal_runs_each_input_on_the_original_once() {
     let runs = |snap: &wyt_obs::Snapshot| snap.counters.get("emu.runs").copied();
     assert_eq!(runs(&seeded_obs), runs(&direct_obs), "{:?}", seeded_obs.counters);
     assert_eq!(runs(&direct_obs), Some(7), "{:?}", direct_obs.counters);
+}
+
+/// Every healing round runs under one `healing.round` span, however it
+/// ends: a round that heals the guard, and a round whose re-trace adds
+/// no coverage and stops the loop unhealed.
+#[test]
+fn every_healing_round_is_one_span() {
+    let _l = wyt_obs::lock_ok(&SINK_LOCK);
+    let img = compile(SRC, &Profile::gcc12_o3()).unwrap();
+    let (traced, held_out) = ([TRACED.to_vec()], [HELD_OUT.to_vec()]);
+    // Pass the initial lift's trace through and empty every re-trace
+    // delta, so the one guard can never heal.
+    let calls = AtomicUsize::new(0);
+    let starve = FaultInjector {
+        trace: Some(Box::new(move |t| {
+            if calls.fetch_add(1, Ordering::SeqCst) > 0 {
+                t.edges.clear();
+                t.ext_calls.clear();
+            }
+        })),
+        ..FaultInjector::default()
+    };
+    let starved = Request {
+        faults: &starve,
+        held_out: Some(&held_out),
+        ..Request::new(&img, &traced, Mode::Wytiwyg)
+    };
+
+    wyt_obs::set_enabled(true);
+    let (healed, healed_obs) = wyt_obs::with_local(|| heal(&img, &traced, &held_out).unwrap());
+    let (stuck, stuck_obs) = wyt_obs::with_local(|| recompile(&starved).unwrap());
+    wyt_obs::set_enabled(false);
+
+    for (rec, obs, converged) in [(healed, healed_obs, true), (stuck, stuck_obs, false)] {
+        let r = rec.report.healing.expect("a healing request reports healing");
+        assert_eq!(r.converged, converged, "{r:?}");
+        assert!(r.rounds >= 1, "{r:?}");
+        let spans = obs.span_stats().get("healing.round").map_or(0, |s| s.count);
+        assert_eq!(spans, r.rounds, "one healing.round span per round: {r:?}");
+    }
 }

@@ -125,7 +125,7 @@ fn coverage_counts_partition_stack_references() {
         );
         assert!(ca.total > 0, "{mode:?}: the program uses its stack");
         // Coverage rides on the validation replay: no span of its own.
-        assert!(!snap.span_totals().contains_key("coverage"), "{mode:?}: no coverage replay");
+        assert!(!snap.span_stats().contains_key("coverage"), "{mode:?}: no coverage replay");
         match mode {
             // The emulated stack survives recompilation without symbols.
             Mode::NoSymbolize => assert!(ca.residual > 0, "residual traffic expected"),
@@ -151,11 +151,11 @@ fn lift_stage_row_covers_the_traced_lift() {
     wyt_obs::set_enabled(true);
     wyt_obs::reset();
     let rep = recompiled(Mode::Wytiwyg).report;
-    let totals = wyt_obs::snapshot().span_totals();
+    let stats = wyt_obs::snapshot().span_stats();
     wyt_obs::set_enabled(false);
     wyt_obs::reset();
 
-    let (trace_ns, traces) = totals["lift.trace"];
+    let wyt_obs::SpanStats { total_ns: trace_ns, count: traces, .. } = stats["lift.trace"];
     assert_eq!(traces, 1, "one recompile traces once");
     let lift_ns = rep.stage("lift").expect("lift row").wall_ns;
     assert!(lift_ns >= trace_ns, "lift row {lift_ns} ns < its lift.trace span {trace_ns} ns");
