@@ -25,7 +25,7 @@ use crate::regsave::{RegClass, RegSaveInfo, NUM_CELLS};
 use crate::spfold::{self, FoldInfo};
 use crate::symbolize;
 use crate::vararg;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use wyt_backend::lower_module;
 use wyt_ir::{BinOp, FuncId, InstId, InstKind, Module, Val};
@@ -259,11 +259,3 @@ pub fn recompile_secondwrite(
         },
     })
 }
-
-/// Expose the static splitting decision for tests.
-pub fn frame_is_single_symbol(layout: &ModuleLayout, f: FuncId) -> bool {
-    layout.funcs.get(&f).map(|fl| fl.vars.len() == 1 && fl.vars[0].size() > 4).unwrap_or(false)
-}
-
-/// Re-export used by [`static_layout`] consumers.
-pub type StaticAssignments = BTreeMap<InstId, (usize, i32)>;

@@ -159,10 +159,21 @@ impl Hooks for RegSaveHook {
     fn fn_enter(
         &mut self,
         f: FuncId,
-        _callsite: Option<(FuncId, InstId)>,
+        callsite: Option<(FuncId, InstId)>,
         _args: &[Tagged],
         mem: &Memory,
     ) {
+        // Forwarding edges: cells of the (still current) parent frame that
+        // hold its entry token pass it untouched to this callee.
+        if callsite.is_some() {
+            if let Some(parent) = self.frames.last() {
+                for cell in 0..NUM_CELLS {
+                    if self.cell_shadows[cell] == Some(parent.entry_tokens[cell]) {
+                        self.facts[fact_slot(parent.func, cell)].forwarded_to.insert((f, cell));
+                    }
+                }
+            }
+        }
         let serial = self.active.len() as u32;
         self.active.push(true);
         let sp0 = mem.read_u32(vcpu_reg_addr(wyt_isa::Reg::Esp));
@@ -205,7 +216,7 @@ impl Hooks for RegSaveHook {
         // Record observed targets per call site (used for indirect calls).
         self.indirect_targets.entry((caller, inst)).or_default().insert(callee);
         // Forwarding edges (cells still holding the caller's entry token)
-        // are recorded by the wrapper hook at fn_enter, where the callee's
+        // are recorded at the callee's fn_enter, where the callee's
         // identity and the parent frame are both at hand.
     }
 
@@ -277,81 +288,6 @@ impl Hooks for RegSaveHook {
     }
 }
 
-/// Complete the forwarding bookkeeping that `call_pre`/`fn_enter` split:
-/// executed as part of [`analyze`] by re-walking with a second composite
-/// hook is unnecessary — instead forwarding edges are recorded here at
-/// `fn_enter` time via the parent frame.
-struct ForwardingHook {
-    inner: RegSaveHook,
-}
-
-impl Hooks for ForwardingHook {
-    fn fn_enter(
-        &mut self,
-        f: FuncId,
-        callsite: Option<(FuncId, InstId)>,
-        args: &[Tagged],
-        mem: &Memory,
-    ) {
-        // Record forwarding edges from the (still current) parent frame.
-        if callsite.is_some() {
-            if let Some(parent) = self.inner.frames.last() {
-                let pf = parent.func;
-                let mut fw = Vec::new();
-                for cell in 0..NUM_CELLS {
-                    if self.inner.cell_shadows[cell] == Some(parent.entry_tokens[cell]) {
-                        fw.push(cell);
-                    }
-                }
-                for cell in fw {
-                    self.inner.facts[fact_slot(pf, cell)].forwarded_to.insert((f, cell));
-                }
-            }
-        }
-        self.inner.fn_enter(f, callsite, args, mem);
-    }
-
-    fn fn_exit(&mut self, f: FuncId, ret: Option<Tagged>, mem: &Memory) {
-        self.inner.fn_exit(f, ret, mem);
-    }
-
-    fn call_pre(&mut self, caller: FuncId, inst: InstId, callee: FuncId, mem: &Memory) {
-        self.inner.call_pre(caller, inst, callee, mem);
-    }
-
-    fn bin(
-        &mut self,
-        f: FuncId,
-        i: InstId,
-        op: BinOp,
-        a: Tagged,
-        b: Tagged,
-        r: u32,
-    ) -> Option<Shadow> {
-        self.inner.bin(f, i, op, a, b, r)
-    }
-
-    fn cmp(&mut self, f: FuncId, i: InstId, op: CmpOp, a: Tagged, b: Tagged) {
-        self.inner.cmp(f, i, op, a, b)
-    }
-
-    fn load(&mut self, f: FuncId, i: InstId, ty: Ty, addr: Tagged, val: u32) -> Option<Shadow> {
-        self.inner.load(f, i, ty, addr, val)
-    }
-
-    fn store(&mut self, f: FuncId, i: InstId, ty: Ty, addr: Tagged, val: Tagged) {
-        self.inner.store(f, i, ty, addr, val)
-    }
-
-    fn transparent(&mut self, s: Option<Shadow>) -> Option<Shadow> {
-        self.inner.transparent(s)
-    }
-
-    fn ext_call(&mut self, f: FuncId, i: InstId, e: ExtId, args: &ExtArgs<'_>, mem: &Memory) {
-        self.inner.ext_call(f, i, e, args, mem)
-    }
-}
-
 /// Run the saved-register analysis over all inputs and classify.
 ///
 /// # Errors
@@ -366,10 +302,9 @@ pub fn analyze(
     // (FuncId, cell), so the result equals a serial sweep).
     let funcs = module.funcs.len();
     let runs = wyt_par::par_map(inputs, |_, input| {
-        let hook = ForwardingHook { inner: RegSaveHook::new(funcs) };
-        let mut interp = Interp::new(module, input.clone(), hook);
+        let mut interp = Interp::new(module, input.clone(), RegSaveHook::new(funcs));
         let out = interp.run();
-        (out.error, interp.hooks.inner)
+        (out.error, interp.hooks)
     });
     let mut facts = vec![CellFacts::default(); funcs * NUM_CELLS];
     let mut indirect: HashMap<(FuncId, InstId), BTreeSet<FuncId>> = HashMap::new();

@@ -82,10 +82,6 @@ pub trait Hooks {
     }
     /// A store executed.
     fn store(&mut self, f: FuncId, inst: InstId, ty: Ty, addr: Tagged, val: Tagged) {}
-    /// An alloca produced address `addr`.
-    fn alloca(&mut self, f: FuncId, inst: InstId, addr: u32) -> Option<Shadow> {
-        None
-    }
     /// A value is copied verbatim (phi, select, copy). Maps the chosen
     /// input's shadow to the result's shadow (the paper's `copy` op).
     fn transparent(&mut self, s: Option<Shadow>) -> Option<Shadow> {
@@ -554,11 +550,9 @@ impl<'m, H: Hooks> Interp<'m, H> {
                 InstKind::Alloca { size, align, .. } => {
                     let a = align.max(4);
                     self.nsp = (self.nsp - size.max(1)) & !(a - 1);
-                    let addr = self.nsp;
-                    let s = self.hooks.alloca(cur_func, inst_id, addr);
                     let fr = frames.last_mut().unwrap();
-                    fr.vals[inst_id.index()] = addr;
-                    fr.shadows[inst_id.index()] = s;
+                    fr.vals[inst_id.index()] = self.nsp;
+                    fr.shadows[inst_id.index()] = None;
                     fr.idx += 1;
                 }
                 InstKind::GlobalAddr { g } => {

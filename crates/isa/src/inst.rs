@@ -43,14 +43,6 @@ impl Reg {
     pub fn index(self) -> usize {
         self as usize
     }
-
-    /// Registers that the default calling convention requires a callee to
-    /// preserve (`ebx`, `esp`, `ebp`, `esi`, `edi`). Note that WYTIWYG never
-    /// *relies* on this — compilers may deviate for internal functions — it
-    /// exists so the mini-C compiler can emit conventional code.
-    pub fn is_callee_saved_by_convention(self) -> bool {
-        matches!(self, Reg::Ebx | Reg::Esp | Reg::Ebp | Reg::Esi | Reg::Edi)
-    }
 }
 
 impl fmt::Display for Reg {
@@ -175,13 +167,6 @@ pub enum Operand {
     Imm(i32),
     /// A memory operand.
     Mem(Mem),
-}
-
-impl Operand {
-    /// `true` for [`Operand::Mem`].
-    pub fn is_mem(&self) -> bool {
-        matches!(self, Operand::Mem(_))
-    }
 }
 
 impl fmt::Display for Operand {

@@ -73,11 +73,6 @@ impl Trace {
         self.edges.iter().filter(|(_, _, k)| k.is_call()).map(|(_, t, _)| *t).collect()
     }
 
-    /// All transfer-target addresses (block-start candidates).
-    pub fn all_targets(&self) -> BTreeSet<u32> {
-        self.edges.iter().map(|(_, t, _)| *t).collect()
-    }
-
     /// Fold another trace's observations into this one (the incremental
     /// merge step of the healing loop). Returns how many of `other`'s
     /// edges and ext-call bindings were new. A site both traces saw keeps

@@ -93,8 +93,7 @@ pub fn run_function(f: &mut Function) -> bool {
     changed
 }
 
-/// CSE over every function (function-local; sharded across the pool
-/// for large modules).
+/// CSE over every function (function-local).
 pub fn run(m: &mut Module) -> bool {
     crate::for_each_func(m, run_function)
 }

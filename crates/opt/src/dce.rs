@@ -44,8 +44,7 @@ pub fn run_function(f: &mut Function) -> bool {
     changed
 }
 
-/// DCE over every function (function-local; sharded across the pool
-/// for large modules).
+/// DCE over every function (function-local).
 pub fn run(m: &mut Module) -> bool {
     crate::for_each_func(m, run_function)
 }

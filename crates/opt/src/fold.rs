@@ -231,8 +231,7 @@ pub fn simplify_ext(f: &mut Function) -> bool {
     changed
 }
 
-/// Run all folding sub-passes over a module once (function-local;
-/// sharded across the pool for large modules).
+/// Run all folding sub-passes over a module once (function-local).
 pub fn run(m: &mut Module) -> bool {
     crate::for_each_func(m, |f| run_function(f) | reassociate(f) | simplify_ext(f))
 }

@@ -116,41 +116,17 @@ pub fn optimize(m: &mut Module, level: OptLevel) {
     }
 }
 
-/// Modules below this many arena instructions are transformed serially:
-/// the passes are cheap enough that scoped-thread startup would cost
-/// more than the sharded work saves.
-const PAR_MIN_INSTS: usize = 4096;
-
-/// Apply a **function-local** pass to every function of `m`, sharding
-/// the functions across the `wyt-par` pool when the module is large
-/// enough to pay for it.
+/// Apply a **function-local** pass to every function of `m`, in index
+/// order.
 ///
 /// Function-local means the pass may read and write only the one
 /// function it is given — exactly the contract of every pass here
-/// except inlining (which stays serial). Each `Function` is moved to
-/// exactly one worker and the vector is reassembled in index order, so
-/// the resulting module is byte-identical to a serial sweep.
-pub(crate) fn for_each_func(m: &mut Module, pass: impl Fn(&mut Function) -> bool + Sync) -> bool {
-    let arena_insts: usize = m.funcs.iter().map(|f| f.insts.len()).sum();
-    if m.funcs.len() < 2 || arena_insts < PAR_MIN_INSTS || !wyt_par::parallel() {
-        let mut changed = false;
-        for f in &mut m.funcs {
-            changed |= pass(f);
-        }
-        return changed;
-    }
-    let funcs = std::mem::take(&mut m.funcs);
+/// except inlining.
+pub(crate) fn for_each_func(m: &mut Module, pass: impl Fn(&mut Function) -> bool) -> bool {
     let mut changed = false;
-    m.funcs = wyt_par::par_map_take(funcs, |_, mut f| {
-        let c = pass(&mut f);
-        (c, f)
-    })
-    .into_iter()
-    .map(|(c, f)| {
-        changed |= c;
-        f
-    })
-    .collect();
+    for f in &mut m.funcs {
+        changed |= pass(f);
+    }
     changed
 }
 

@@ -439,8 +439,7 @@ pub fn run_function(f: &mut Function, ranges: &[(u32, u32)]) -> bool {
 }
 
 /// Run forwarding, dead-store elimination and mem2reg over a module:
-/// one serial module-level alias precomputation, then a function-local
-/// sweep (sharded across the pool for large modules).
+/// one module-level alias precomputation, then a function-local sweep.
 pub fn run(m: &mut Module) -> bool {
     let ranges = private_ranges(m);
     crate::for_each_func(m, |f| run_function(f, &ranges))

@@ -1,8 +1,9 @@
 //! # wyt-par — zero-dependency deterministic parallel execution
 //!
-//! A scoped-thread, work-stealing executor for the recompile pipeline,
-//! the optimizer, the bench suite and the differential oracle. Std-only
-//! and `--offline`-safe, like every other crate in the workspace.
+//! A scoped-thread, work-stealing executor for the recompile pipeline's
+//! per-input replays, the batch and bench grids, and the property and
+//! fuzz corpora. Std-only and `--offline`-safe, like every other crate
+//! in the workspace.
 //!
 //! ## Determinism contract
 //!
@@ -17,9 +18,9 @@
 //!   sink scope ([`wyt_obs::with_local`]) and folded into the enclosing
 //!   sink **in task-index order** after the join, so counters and span
 //!   streams match a serial run exactly (timings aside);
-//! - tasks spawned from inside a worker run **serially inline**
-//!   ([`in_pool`]), so nested parallelism cannot reorder anything and
-//!   cannot oversubscribe the machine.
+//! - tasks spawned from inside a worker run **serially inline** (a
+//!   thread-local marks pool workers), so nested parallelism cannot
+//!   reorder anything and cannot oversubscribe the machine.
 //!
 //! Callers own the other half: tasks must be independent (no shared
 //! mutable state), and any cross-task merge must be done on the
@@ -54,7 +55,6 @@ pub mod supervise;
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Environment variable selecting the worker count (`0`/`1` = serial).
 pub const ENV: &str = "WYT_PAR";
@@ -100,15 +100,10 @@ pub fn set_threads(n: usize) {
     THREADS.store(n.clamp(1, MAX_THREADS), Ordering::Relaxed);
 }
 
-/// Is this thread currently a pool worker? Parallel entry points check
-/// this and run inline when nested.
-pub fn in_pool() -> bool {
+/// Is this thread currently a pool worker? [`par_indexed`] checks this
+/// and runs inline when nested.
+fn in_pool() -> bool {
     IN_POOL.with(Cell::get)
-}
-
-/// Would a parallel entry point actually fan out right now?
-pub fn parallel() -> bool {
-    threads() > 1 && !in_pool()
 }
 
 /// One worker's claimable index range, packed `hi << 32 | lo`. Owners
@@ -311,28 +306,11 @@ where
     par_indexed(items.len(), |i| f(i, &items[i]))
 }
 
-/// [`par_indexed`] over owned items: each is moved into exactly one
-/// task (the way `wyt-opt` shards `Module::funcs` across workers).
-pub fn par_map_take<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    if !parallel() || items.len() <= 1 {
-        return items.into_iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
-    par_indexed(slots.len(), |i| {
-        let item = wyt_obs::lock_ok(&slots[i]).take().expect("each slot is claimed exactly once");
-        f(i, item)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Mutex;
 
     /// Tests mutate the process-global thread count; serialize them.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -407,17 +385,6 @@ mod tests {
             par_indexed(256, task)
         };
         assert_eq!(serial, par);
-    }
-
-    #[test]
-    fn par_map_take_moves_each_item_once() {
-        let _l = TEST_LOCK.lock().unwrap();
-        let _t = ThreadCount::set(4);
-        let items: Vec<String> = (0..64).map(|i| format!("v{i}")).collect();
-        let out = par_map_take(items, |i, s| format!("{i}:{s}"));
-        assert_eq!(out.len(), 64);
-        assert_eq!(out[63], "63:v63");
-        assert_eq!(out[0], "0:v0");
     }
 
     #[test]

@@ -10,12 +10,11 @@
 //! order — that is the whole failure-persistence story, no files needed.
 //!
 //! Cases are independent by construction (each derives its own seed),
-//! so [`check`] evaluates them on the `wyt-par` pool. Determinism is
-//! unchanged: if several cases fail, the harness reports the one with
-//! the **lowest case index** — exactly the case the serial loop would
-//! have stopped at — and shrinking stays serial, so the panic message
-//! (seed, counterexample, error) is byte-identical to a serial run.
-//! `WYT_PAR=0` restores the serial early-exit loop.
+//! so [`check`] evaluates them all through [`wyt_par::par_indexed`]
+//! (inline at one thread). If several cases fail, the harness reports
+//! the one with the **lowest case index** and replays and shrinks it on
+//! the calling thread, so the panic message (seed, counterexample,
+//! error) is the same at every thread count.
 
 use crate::rng::{mix, Rng};
 use std::fmt::Debug;
@@ -64,13 +63,12 @@ fn env_seed() -> Option<u64> {
 /// Check `prop` on `cfg.cases` values drawn from `gen`, shrinking any
 /// counterexample with `shrink` (see [`shrink_vec`] for the common case).
 ///
-/// Cases run concurrently on the `wyt-par` pool (serially under
-/// `WYT_PAR=0`); generation and the property need `Sync` for that, the
-/// shrinker runs only on the calling thread.
+/// Cases run through the `wyt-par` pool; generation and the property
+/// need `Sync` for that, the shrinker runs only on the calling thread.
 ///
-/// Panics on the lowest-indexed (shrunk) counterexample — the same case
-/// a serial scan stops at — printing the case seed and the exact
-/// `WYT_PROP_SEED` incantation that reproduces it.
+/// Panics on the lowest-indexed (shrunk) counterexample, printing the
+/// case seed and the exact `WYT_PROP_SEED` incantation that reproduces
+/// it.
 pub fn check<T, G, S, P>(name: &str, cfg: &Config, gen: G, shrink: S, prop: P)
 where
     T: Debug + Clone,
@@ -82,17 +80,7 @@ where
         run_case(name, u32::MAX, seed, cfg, &gen, &shrink, &prop);
         return;
     }
-    if !wyt_par::parallel() {
-        // Serial: evaluate in order, stop at the first failure.
-        for i in 0..cfg.cases {
-            let seed = mix(cfg.seed, i as u64);
-            run_case(name, i, seed, cfg, &gen, &shrink, &prop);
-        }
-        return;
-    }
-    // Parallel: evaluate every case on the pool, then report the
-    // lowest-indexed failure (identical to the serial stop point; the
-    // only difference is that later cases also ran).
+    // Evaluate every case, then report the lowest-indexed failure.
     let failed: Option<u32> = wyt_par::par_indexed(cfg.cases as usize, |i| {
         let seed = mix(cfg.seed, i as u64);
         let mut rng = Rng::new(seed);
@@ -104,7 +92,8 @@ where
     .next();
     if let Some(i) = failed {
         // Regenerate the failing case from its seed on this thread and
-        // shrink serially — the panic message matches a serial run's.
+        // shrink it there, so the panic message is the same at every
+        // thread count.
         run_case(name, i, mix(cfg.seed, i as u64), cfg, &gen, &shrink, &prop);
         unreachable!("case {i} failed on the pool but passed when replayed");
     }
@@ -243,29 +232,38 @@ mod tests {
     #[test]
     fn shrinking_minimizes_vec_counterexamples() {
         // Property: no vector contains a 7. Generator plants plenty of
-        // them; the shrunk counterexample must be exactly [7].
-        let res = std::panic::catch_unwind(|| {
-            check(
-                "no_sevens",
-                &Config::cases(20),
-                |r| vec_of(r, 8, 32, |r| r.range_u32(0, 10)),
-                |v| shrink_vec(v),
-                |v| {
-                    if v.contains(&7) {
-                        Err("found a 7".into())
-                    } else {
-                        Ok(())
-                    }
-                },
-            );
-        });
-        let msg = *res.unwrap_err().downcast::<String>().expect("string panic");
+        // them, so several cases fail; the harness must report the same
+        // (lowest-indexed) case, shrunk to exactly [7], at every thread
+        // count.
+        let fail_at = |threads: usize| {
+            let prev = wyt_par::threads();
+            wyt_par::set_threads(threads);
+            let res = std::panic::catch_unwind(|| {
+                check(
+                    "no_sevens",
+                    &Config::cases(20),
+                    |r| vec_of(r, 8, 32, |r| r.range_u32(0, 10)),
+                    |v| shrink_vec(v),
+                    |v| {
+                        if v.contains(&7) {
+                            Err("found a 7".into())
+                        } else {
+                            Ok(())
+                        }
+                    },
+                );
+            });
+            wyt_par::set_threads(prev);
+            *res.unwrap_err().downcast::<String>().expect("string panic")
+        };
+        let msg = fail_at(1);
         // The counterexample Debug print of vec![7] is "[\n    7,\n]" in
         // the alternate format; accept any single-element rendering.
         assert!(
             msg.contains("counterexample: [\n    7,\n]") || msg.contains("counterexample: [7]"),
             "fully shrunk: {msg}"
         );
+        assert_eq!(fail_at(4), msg, "the panic message does not depend on the thread count");
     }
 
     #[test]

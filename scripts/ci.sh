@@ -115,6 +115,22 @@ if [ "$REPLAYS" -ne "$REPLAY_BUDGET" ]; then
     exit 1
 fi
 
+echo "==> fan-out budget (wyt_par::par_* call sites in the non-test code of crates/*/src"
+echo "    outside wyt-par: the regsave and bounds per-input replays, the batch jobs,"
+echo "    the bench grid, the property harness and the fuzz campaign)"
+FANOUT_BUDGET=6
+FANOUTS=$(for f in $(find crates/*/src -name '*.rs' | sort); do
+    case "$f" in crates/par/*) continue ;; esac
+    awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print}' "$f"
+done | grep -c 'wyt_par::par_' || true)
+if [ "$FANOUTS" -ne "$FANOUT_BUDGET" ]; then
+    echo "FAIL: $FANOUTS wyt_par::par_* call sites outside wyt-par (budget: $FANOUT_BUDGET)." >&2
+    echo "A new fan-out needs a lone-job measurement: time one cold job at 1 and 2 threads" >&2
+    echo "and record both wall times (DESIGN.md §9). par_indexed already runs inline at one" >&2
+    echo "thread and when nested, so callers never choose between serial and parallel." >&2
+    exit 1
+fi
+
 echo "==> clock-read budget (mono_ns / Instant::now / SystemTime in the non-test code of"
 echo "    crates/*/src outside wyt-obs and wyt-bench: batch.rs's import and job wall pair,"
 echo "    pipeline.rs's import and three stage-row pairs)"

@@ -14,16 +14,42 @@ use wyt_minicc::{compile, Profile};
 
 static PAR_LOCK: Mutex<()> = Mutex::new(());
 
+/// Reads its input and takes a different path per input: digits recurse
+/// to different depths through a frame with a local array, other bytes
+/// fill a caller array that a helper sums. Each input's replay sees its
+/// own frames, so the per-input fan-out has something to merge.
 const SRC: &str = r#"
-int sq(int x) { return x * x; }
-int main() {
-    int i;
+int depth(int n) {
+    int buf[4];
+    buf[n & 3] = n * 3;
+    if (n <= 0) return buf[0];
+    return depth(n - 1) + buf[n & 3];
+}
+int sum(int *xs, int n) {
     int acc = 0;
-    for (i = 0; i < 9; i++) acc += sq(i) - i / 3;
+    int i;
+    for (i = 0; i < n; i++) acc += xs[i];
+    return acc;
+}
+int main() {
+    int v[8];
+    int n = 0;
+    int acc = 0;
+    int c;
+    while ((c = getchar()) >= 0) {
+        if (c >= '0' && c <= '9') acc += depth(c - '0');
+        else if (n < 8) { v[n] = c; n++; }
+    }
+    acc += sum(v, n);
     printf("%d\n", acc);
     return acc & 0x7f;
 }
 "#;
+
+/// Inputs whose runs take different paths through [`SRC`].
+fn inputs() -> Vec<Vec<u8>> {
+    vec![b"3".to_vec(), b"ab".to_vec(), b"7x9".to_vec(), b"".to_vec()]
+}
 
 /// Run `f` with the pool pinned to `n` workers, then drop back to serial.
 fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
@@ -37,20 +63,29 @@ fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 fn serial_and_parallel_recompiles_are_byte_identical() {
     let _l = wyt_obs::lock_ok(&PAR_LOCK);
     let img = compile(SRC, &Profile::gcc44_o3()).unwrap().stripped();
+    // Several inputs, so the regsave and bounds replays fan out across
+    // the pool at 4 threads (one input would run inline). The bounds
+    // merge is order-sensitive, so this also checks input order.
+    let inputs = inputs();
+    let run = || recompile(&Request::new(&img, &inputs, Mode::Wytiwyg)).unwrap();
 
     // Enable the sink so the validation replays classify stack accesses
     // and the coverage counts land in the report.
     wyt_obs::set_enabled(true);
     wyt_obs::reset();
-    let serial =
-        with_threads(1, || recompile(&Request::new(&img, &[vec![]], Mode::Wytiwyg)).unwrap());
+    let serial = with_threads(1, run);
     let serial_obs = wyt_obs::snapshot();
     wyt_obs::reset();
-    let par = with_threads(4, || recompile(&Request::new(&img, &[vec![]], Mode::Wytiwyg)).unwrap());
+    let par = with_threads(4, run);
     let par_obs = wyt_obs::snapshot();
     wyt_obs::set_enabled(false);
     wyt_obs::reset();
 
+    assert!(
+        serial.replay_cycles.windows(2).all(|w| w[0] != w[1]),
+        "the inputs take different paths: {:?}",
+        serial.replay_cycles
+    );
     assert_eq!(serial.image, par.image, "recompiled image must not depend on thread count");
     assert_eq!(
         serial.report.to_json_deterministic().to_string(),
