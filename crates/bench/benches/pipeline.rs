@@ -7,10 +7,13 @@
 //! `wyt_bench::timing` — no external benchmarking dependencies. A
 //! positional argument keeps only the rows whose name contains it:
 //! `cargo bench -p wyt-bench -- emu` prints just the emulator's
-//! ns-per-step rows.
+//! ns-per-step rows, and `-- interp` just the IR interpreter's.
 
+use std::collections::BTreeSet;
 use wyt_bench::timing::{Bencher, Sample};
-use wyt_core::{recompile, Mode, Request};
+use wyt_core::{recompile, regsave, runtime, spfold, vararg, Mode, Request};
+use wyt_ir::interp::{Interp, NoHooks};
+use wyt_ir::Module;
 use wyt_isa::asm::Asm;
 use wyt_isa::image::Image;
 use wyt_isa::{AluOp, Cc, Inst, Mem, Operand, Reg, Size};
@@ -18,7 +21,8 @@ use wyt_lifter::lift_image;
 use wyt_minicc::{compile, Profile};
 
 /// The cold-suite programs of `wyt-benchmark`, whose emulator time the
-/// `emu_*` rows break down per guest instruction.
+/// `emu_*` rows break down per guest instruction, and whose refinement
+/// replays the `interp_*` rows break down per interpreter step.
 const SUITE: [&str; 5] = ["mcf", "gobmk", "bzip2", "xalancbmk", "gcc"];
 
 /// Iterations of each emulator micro-loop (4–6 guest instructions each).
@@ -77,14 +81,56 @@ fn main() {
             continue;
         };
         let steps = wyt_emu::run_image(&img, input).inst_count;
-        let ns = |d: std::time::Duration| d.as_nanos() as f64 / steps as f64;
-        println!(
-            "{}  {:.2} ns/step (median {:.2}, {steps} steps)",
-            s.row(),
-            ns(s.min),
-            ns(s.median)
-        );
+        print_per_step(&s, steps);
     }
+
+    // The IR interpreter per step, on the lifted cold-suite programs
+    // (GCC 12 -O3) over their trace inputs: bare on the lifted module,
+    // then each refinement replay on the module the pipeline hands it.
+    // One thread, so a row's time is the replays' summed time.
+    wyt_par::set_threads(1);
+    for name in SUITE {
+        let rows = ["bare", "regsave", "bounds"].map(|r| format!("interp_{name}_{r}"));
+        if filter.is_some_and(|f| !rows.iter().any(|r| r.contains(f))) {
+            continue;
+        }
+        let bench = wyt_spec::by_name(name).expect("suite");
+        let img = compile(bench.source, &Profile::gcc12_o3()).unwrap().stripped();
+        let inputs = bench.trace_inputs();
+        let lifted = lift_image(&img, &inputs).unwrap();
+        let bare = lifted.module.clone();
+        let mut module = lifted.module;
+        vararg::apply(&mut module, &vararg::from_trace(&lifted.trace, &lifted.meta));
+        let reginfo = regsave::analyze(&module, &lifted.meta, &inputs).unwrap();
+        let regsave_module = module.clone();
+        let none = BTreeSet::new();
+        spfold::insert_save_restore(&mut module, &lifted.meta, &reginfo, &none);
+        let (fold, _) = spfold::fold(&mut module, &lifted.meta, &reginfo, &none);
+
+        let steps = |m: &Module| -> u64 {
+            inputs.iter().map(|i| Interp::new(m, i.clone(), NoHooks).run().steps).sum()
+        };
+        let [bare_row, regsave_row, bounds_row] = &rows;
+        if let Some(s) = measure(&b, filter, bare_row, || steps(&bare)) {
+            print_per_step(&s, steps(&bare));
+        }
+        if let Some(s) = measure(&b, filter, regsave_row, || {
+            regsave::analyze(&regsave_module, &lifted.meta, &inputs).unwrap()
+        }) {
+            print_per_step(&s, steps(&regsave_module));
+        }
+        if let Some(s) = measure(&b, filter, bounds_row, || {
+            runtime::trace_bounds(&module, &fold, &inputs).unwrap()
+        }) {
+            print_per_step(&s, steps(&module));
+        }
+    }
+}
+
+/// Print `s` with its time per step of a run of `steps` steps.
+fn print_per_step(s: &Sample, steps: u64) {
+    let ns = |d: std::time::Duration| d.as_nanos() as f64 / steps as f64;
+    println!("{}  {:.2} ns/step (median {:.2}, {steps} steps)", s.row(), ns(s.min), ns(s.median));
 }
 
 /// Time `f` as row `name`, unless the command line names a filter that

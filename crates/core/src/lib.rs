@@ -56,6 +56,7 @@ pub mod accuracy;
 pub mod artifact;
 pub mod baseline;
 pub mod batch;
+mod flat;
 pub mod healing;
 pub mod ingest;
 pub mod layout;

@@ -10,6 +10,7 @@
 //! constraint "if it is an argument anywhere downstream, it is an argument
 //! here" — exactly the paper's deferred constraint scheme.
 
+use crate::flat::FlatIndex;
 use crate::shadowmem::ShadowMem;
 use std::collections::{BTreeSet, HashMap};
 use wyt_emu::{ExtId, Memory};
@@ -26,6 +27,7 @@ pub const ESP_CELL: usize = 4;
 /// Cell index of a vcpu cell address, if it is one. The cells are
 /// consecutive words from [`VCPU_BASE`]: the eight GPRs in register-index
 /// order, then the two vector halves.
+#[inline]
 pub fn cell_of_addr(addr: u32) -> Option<usize> {
     let off = addr.wrapping_sub(VCPU_BASE);
     (off < 4 * NUM_CELLS as u32 && off.is_multiple_of(4)).then_some(off as usize / 4)
@@ -53,13 +55,16 @@ struct CellFacts {
     forwarded_to: BTreeSet<(FuncId, usize)>,
 }
 
+/// Observed callees per call site.
+pub type CallTargets = HashMap<(FuncId, InstId), BTreeSet<FuncId>>;
+
 /// Result of the analysis.
 #[derive(Debug, Clone)]
 pub struct RegSaveInfo {
     /// Classification per function per cell.
     pub class: HashMap<FuncId, [RegClass; NUM_CELLS]>,
     /// Observed callees per indirect call site.
-    pub indirect_targets: HashMap<(FuncId, InstId), BTreeSet<FuncId>>,
+    pub indirect_targets: CallTargets,
 }
 
 impl RegSaveInfo {
@@ -86,6 +91,16 @@ fn fact_slot(f: FuncId, cell: usize) -> usize {
     f.index() * NUM_CELLS + cell
 }
 
+/// What one call instruction (by flat index) has reached.
+#[derive(Debug, Clone, Copy)]
+struct CallSeen {
+    /// The first callee, or `u32::MAX` before the first call. Further
+    /// distinct callees go to [`RegSaveHook::more_callees`].
+    first: u32,
+    /// Cells whose forwarding edge to `first` is already recorded.
+    forwarded: u16,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Token {
     /// The [`fact_slot`] of the function and cell the token was minted for.
@@ -102,7 +117,8 @@ struct Frame {
 }
 
 /// The analysis hook.
-pub struct RegSaveHook {
+pub struct RegSaveHook<'a> {
+    index: &'a FlatIndex,
     tokens: Vec<Token>,
     /// Per [`fact_slot`].
     facts: Vec<CellFacts>,
@@ -115,37 +131,63 @@ pub struct RegSaveHook {
     /// Address → shadow for spilled tokens (4-byte entries).
     addr_map: ShadowMem,
     cur_esp: u32,
-    indirect_targets: HashMap<(FuncId, InstId), BTreeSet<FuncId>>,
+    /// Per call instruction (flat index).
+    calls: Vec<CallSeen>,
+    /// `(flat call instruction, callee)` for every callee after a call
+    /// site's first.
+    more_callees: BTreeSet<(u32, FuncId)>,
 }
 
-impl RegSaveHook {
-    fn new(funcs: usize) -> RegSaveHook {
+impl<'a> RegSaveHook<'a> {
+    fn new(index: &'a FlatIndex) -> RegSaveHook<'a> {
         RegSaveHook {
+            index,
             tokens: Vec::new(),
-            facts: vec![CellFacts::default(); funcs * NUM_CELLS],
+            facts: vec![CellFacts::default(); index.funcs() * NUM_CELLS],
             frames: Vec::new(),
             active: Vec::new(),
             cell_shadows: [None; NUM_CELLS],
             addr_map: ShadowMem::new(),
             cur_esp: 0,
-            indirect_targets: HashMap::new(),
+            calls: vec![CallSeen { first: u32::MAX, forwarded: 0 }; index.insts()],
+            more_callees: BTreeSet::new(),
         }
     }
 
+    /// The replay's facts, and its observed callees keyed for
+    /// [`RegSaveInfo`].
+    fn finish(self) -> (Vec<CellFacts>, CallTargets) {
+        let key = |flat: usize| self.index.key(flat);
+        let mut targets = CallTargets::new();
+        for (flat, seen) in self.calls.iter().enumerate() {
+            if seen.first != u32::MAX {
+                targets.entry(key(flat)).or_default().insert(FuncId(seen.first));
+            }
+        }
+        for &(flat, callee) in &self.more_callees {
+            targets.entry(key(flat as usize)).or_default().insert(callee);
+        }
+        (self.facts, targets)
+    }
+
+    #[inline]
     fn token(&self, s: Shadow) -> Token {
         self.tokens[s as usize]
     }
 
     /// A shadow is meaningful only while its owning frame is live.
+    #[inline]
     fn live(&self, s: Shadow) -> bool {
         self.active[self.token(s).serial as usize]
     }
 
+    #[inline]
     fn fact(&mut self, s: Shadow) -> &mut CellFacts {
         let slot = self.token(s).slot as usize;
         &mut self.facts[slot]
     }
 
+    #[inline]
     fn mark_op_use(&mut self, s: Option<Shadow>) {
         if let Some(s) = s {
             if self.live(s) {
@@ -155,7 +197,7 @@ impl RegSaveHook {
     }
 }
 
-impl Hooks for RegSaveHook {
+impl Hooks for RegSaveHook<'_> {
     fn fn_enter(
         &mut self,
         f: FuncId,
@@ -164,14 +206,23 @@ impl Hooks for RegSaveHook {
         mem: &Memory,
     ) {
         // Forwarding edges: cells of the (still current) parent frame that
-        // hold its entry token pass it untouched to this callee.
-        if callsite.is_some() {
-            if let Some(parent) = self.frames.last() {
-                for cell in 0..NUM_CELLS {
-                    if self.cell_shadows[cell] == Some(parent.entry_tokens[cell]) {
-                        self.facts[fact_slot(parent.func, cell)].forwarded_to.insert((f, cell));
-                    }
+        // hold its entry token pass it untouched to this callee. An edge
+        // from this call site to its first callee is inserted only once.
+        if let (Some((cf, ci)), Some(parent)) = (callsite, self.frames.last()) {
+            let mut cells = 0u16;
+            for cell in 0..NUM_CELLS {
+                if self.cell_shadows[cell] == Some(parent.entry_tokens[cell]) {
+                    cells |= 1 << cell;
                 }
+            }
+            let (parent, at) = (parent.func, self.index.flat(cf, ci));
+            let seen = &mut self.calls[at];
+            if seen.first == f.0 {
+                cells &= !seen.forwarded;
+                seen.forwarded |= cells;
+            }
+            for cell in (0..NUM_CELLS).filter(|c| cells & (1 << c) != 0) {
+                self.facts[fact_slot(parent, cell)].forwarded_to.insert((f, cell));
             }
         }
         let serial = self.active.len() as u32;
@@ -214,12 +265,19 @@ impl Hooks for RegSaveHook {
 
     fn call_pre(&mut self, caller: FuncId, inst: InstId, callee: FuncId, _mem: &Memory) {
         // Record observed targets per call site (used for indirect calls).
-        self.indirect_targets.entry((caller, inst)).or_default().insert(callee);
+        let at = self.index.flat(caller, inst);
+        let seen = &mut self.calls[at];
+        if seen.first == u32::MAX {
+            seen.first = callee.0;
+        } else if seen.first != callee.0 {
+            self.more_callees.insert((at as u32, callee));
+        }
         // Forwarding edges (cells still holding the caller's entry token)
         // are recorded at the callee's fn_enter, where the callee's
         // identity and the parent frame are both at hand.
     }
 
+    #[inline]
     fn bin(
         &mut self,
         _f: FuncId,
@@ -234,11 +292,13 @@ impl Hooks for RegSaveHook {
         None
     }
 
+    #[inline]
     fn cmp(&mut self, _f: FuncId, _i: InstId, _op: CmpOp, a: Tagged, b: Tagged) {
         self.mark_op_use(a.1);
         self.mark_op_use(b.1);
     }
 
+    #[inline]
     fn load(&mut self, _f: FuncId, _i: InstId, ty: Ty, addr: Tagged, _val: u32) -> Option<Shadow> {
         self.mark_op_use(addr.1);
         if let Some(cell) = cell_of_addr(addr.0) {
@@ -250,6 +310,7 @@ impl Hooks for RegSaveHook {
         None
     }
 
+    #[inline]
     fn store(&mut self, _f: FuncId, _i: InstId, ty: Ty, addr: Tagged, val: Tagged) {
         self.mark_op_use(addr.1);
         if let Some(cell) = cell_of_addr(addr.0) {
@@ -259,21 +320,21 @@ impl Hooks for RegSaveHook {
             self.cell_shadows[cell] = val.1.filter(|s| self.live(*s));
             return;
         }
-        self.addr_map.invalidate_range(addr.0, ty.bytes());
-        let Some(s) = val.1.filter(|s| self.live(*s)) else { return };
-        // Is the destination inside the current frame?
-        let in_frame = self
-            .frames
-            .last()
-            .map(|fr| addr.0 < fr.sp0 && addr.0 >= self.cur_esp.min(fr.sp0.saturating_sub(1 << 20)))
-            .unwrap_or(false);
-        if in_frame && ty == Ty::I32 {
-            self.addr_map.insert(addr.0, s);
-        } else {
+        let spill = val.1.filter(|s| self.live(*s)).and_then(|s| {
+            // Is the destination inside the current frame?
+            let in_frame = self.frames.last().is_some_and(|fr| {
+                addr.0 < fr.sp0 && addr.0 >= self.cur_esp.min(fr.sp0.saturating_sub(1 << 20))
+            });
+            if in_frame && ty == Ty::I32 {
+                return Some(s);
+            }
             self.fact(s).stored_outside = true;
-        }
+            None
+        });
+        self.addr_map.store(addr.0, ty.bytes(), spill);
     }
 
+    #[inline]
     fn transparent(&mut self, s: Option<Shadow>) -> Option<Shadow> {
         s.filter(|s| self.live(*s))
     }
@@ -301,25 +362,26 @@ pub fn analyze(
     // facts in input order (the merge is a monotone union per
     // (FuncId, cell), so the result equals a serial sweep).
     let funcs = module.funcs.len();
+    let index = FlatIndex::new(module);
     let runs = wyt_par::par_map(inputs, |_, input| {
-        let mut interp = Interp::new(module, input.clone(), RegSaveHook::new(funcs));
+        let mut interp = Interp::new(module, input.clone(), RegSaveHook::new(&index));
         let out = interp.run();
-        (out.error, interp.hooks)
+        (out.error, interp.hooks.finish())
     });
     let mut facts = vec![CellFacts::default(); funcs * NUM_CELLS];
-    let mut indirect: HashMap<(FuncId, InstId), BTreeSet<FuncId>> = HashMap::new();
-    for (error, hook) in runs {
+    let mut indirect = CallTargets::new();
+    for (error, (hook_facts, targets)) in runs {
         if let Some(e) = error {
             return Err(e);
         }
-        for (e, v) in facts.iter_mut().zip(hook.facts) {
+        for (e, v) in facts.iter_mut().zip(hook_facts) {
             e.entered |= v.entered;
             e.used_in_op |= v.used_in_op;
             e.stored_outside |= v.stored_outside;
             e.not_restored |= v.not_restored;
             e.forwarded_to.extend(v.forwarded_to);
         }
-        for (k, v) in hook.indirect_targets {
+        for (k, v) in targets {
             indirect.entry(k).or_default().extend(v);
         }
     }

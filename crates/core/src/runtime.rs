@@ -16,6 +16,7 @@
 //!   call-site descriptor, not as callee variables (§4.2.5);
 //! - linked variables merge only when both have defined bounds (§4.2.4).
 
+use crate::flat::FlatIndex;
 use crate::shadowmem::ShadowMem;
 use crate::spfold::FoldInfo;
 use std::collections::{BTreeSet, HashMap};
@@ -112,12 +113,10 @@ struct Frame {
 }
 
 /// The fold as dense per-instruction tables, built once per
-/// [`trace_bounds`] and shared by its replays. Instruction `i` of
-/// function `f` sits at flat index `func_off[f] + i`, so flat order is
-/// [`VarKey`] order.
+/// [`trace_bounds`] and shared by its replays. Flat order is [`VarKey`]
+/// order.
 struct Tables {
-    /// First flat index of each function, plus the total at the end.
-    func_off: Vec<u32>,
+    index: FlatIndex,
     /// Per instruction: the sp0 offset of the base pointer it defines.
     base: Vec<Option<i32>>,
     /// Per function: its entry `sp0` load.
@@ -126,31 +125,17 @@ struct Tables {
 
 impl Tables {
     fn new(module: &Module, fold: &FoldInfo) -> Tables {
-        let mut func_off = vec![0];
-        let mut total = 0;
-        for f in &module.funcs {
-            total += f.insts.len() as u32;
-            func_off.push(total);
-        }
-        let base = vec![None; total as usize];
-        let mut tables = Tables { func_off, base, sp0: vec![None; module.funcs.len()] };
+        let index = FlatIndex::new(module);
+        let base = vec![None; index.insts()];
+        let mut tables = Tables { index, base, sp0: vec![None; module.funcs.len()] };
         for (&f, folded) in &fold.funcs {
             tables.sp0[f.index()] = folded.sp0;
             for (&i, &k) in &folded.base_ptrs {
-                let at = tables.flat(f, i);
+                let at = tables.index.flat(f, i);
                 tables.base[at] = Some(k);
             }
         }
         tables
-    }
-
-    fn flat(&self, f: FuncId, i: InstId) -> usize {
-        self.func_off[f.index()] as usize + i.index()
-    }
-
-    fn key(&self, flat: usize) -> VarKey {
-        let f = self.func_off.partition_point(|&o| o as usize <= flat) - 1;
-        (FuncId(f as u32), InstId((flat - self.func_off[f] as usize) as u32))
     }
 }
 
@@ -177,7 +162,7 @@ struct BoundsHook<'a> {
 impl<'a> BoundsHook<'a> {
     /// New runtime over the folded module's tables.
     fn new(tables: &'a Tables) -> BoundsHook<'a> {
-        let insts = tables.base.len();
+        let insts = tables.index.insts();
         BoundsHook {
             tables,
             pis: Vec::new(),
@@ -191,29 +176,35 @@ impl<'a> BoundsHook<'a> {
         }
     }
 
+    #[inline]
     fn mk(&mut self, pi: Pi) -> Shadow {
         self.pis.push(pi);
         self.pis.len() as Shadow - 1
     }
 
+    #[inline]
     fn pi(&self, s: Shadow) -> Pi {
         self.pis[s as usize]
     }
 
+    #[inline]
     fn live(&self, s: Shadow) -> bool {
         self.active[self.pi(s).serial as usize]
     }
 
+    #[inline]
     fn live_pi(&self, s: Option<Shadow>) -> Option<Pi> {
         let pi = self.pi(s?);
         self.active[pi.serial as usize].then_some(pi)
     }
 
+    #[inline]
     fn var_data(&mut self, var: u32) -> &mut VarData {
         self.vars[var as usize].get_or_insert_with(VarData::default)
     }
 
     /// Record a dereference at `pi` covering `size` bytes.
+    #[inline]
     fn deref(&mut self, pi: Pi, size: u32) {
         match pi.var {
             PiVar::Var(var) => self.var_data(var).access(pi.off, size),
@@ -223,6 +214,7 @@ impl<'a> BoundsHook<'a> {
         }
     }
 
+    #[inline]
     fn link(&mut self, a: Pi, b: Pi) {
         if let (PiVar::Var(ka), PiVar::Var(kb)) = (a.var, b.var) {
             if ka != kb {
@@ -233,13 +225,11 @@ impl<'a> BoundsHook<'a> {
 
     /// The `(value, shadow)` of the first eight stack words at `sp`: the
     /// arguments of an unrecovered external call.
-    fn raw_args(&self, sp: u32, mem: &Memory) -> Vec<(u32, Option<Shadow>)> {
-        (0..8)
-            .map(|k| {
-                let a = sp.wrapping_add(4 * k);
-                (mem.read_u32(a), self.addr_map.get(a))
-            })
-            .collect()
+    fn raw_args(&self, sp: u32, mem: &Memory) -> [Tagged; 8] {
+        std::array::from_fn(|k| {
+            let a = sp.wrapping_add(4 * k as u32);
+            (mem.read_u32(a), self.addr_map.get(a))
+        })
     }
 
     fn apply_ext_effects(&mut self, ext: ExtId, argv: &[(u32, Option<Shadow>)], mem: &Memory) {
@@ -290,7 +280,7 @@ impl<'a> BoundsHook<'a> {
     /// Everything this replay learned, keyed for [`BoundsInfo`].
     fn into_info(self) -> BoundsInfo {
         let tables = self.tables;
-        let keyed = |flat: usize| tables.key(flat);
+        let keyed = |flat: usize| tables.index.key(flat);
         BoundsInfo {
             vars: (self.vars.into_iter().enumerate())
                 .filter_map(|(i, v)| Some((keyed(i), v?)))
@@ -320,7 +310,7 @@ impl Hooks for BoundsHook<'_> {
         let serial = self.active.len() as u32;
         self.active.push(true);
         self.entered[f.index()] = true;
-        let callsite = callsite.map(|(cf, ci)| self.tables.flat(cf, ci) as u32);
+        let callsite = callsite.map(|(cf, ci)| self.tables.index.flat(cf, ci) as u32);
         self.frames.push(Frame { serial, callsite });
     }
 
@@ -330,6 +320,7 @@ impl Hooks for BoundsHook<'_> {
         }
     }
 
+    #[inline]
     fn bin(
         &mut self,
         f: FuncId,
@@ -340,7 +331,7 @@ impl Hooks for BoundsHook<'_> {
         res: u32,
     ) -> Option<Shadow> {
         // Is this instruction a registered base pointer?
-        let at = self.tables.flat(f, inst);
+        let at = self.tables.index.flat(f, inst);
         if let Some(k) = self.tables.base[at] {
             let frame = self.frames.last()?;
             let serial = frame.serial;
@@ -399,12 +390,14 @@ impl Hooks for BoundsHook<'_> {
         }
     }
 
+    #[inline]
     fn cmp(&mut self, _f: FuncId, _i: InstId, _op: CmpOp, a: Tagged, b: Tagged) {
         if let (Some(p), Some(q)) = (self.live_pi(a.1), self.live_pi(b.1)) {
             self.link(p, q);
         }
     }
 
+    #[inline]
     fn load(&mut self, f: FuncId, inst: InstId, ty: Ty, addr: Tagged, _val: u32) -> Option<Shadow> {
         // The entry sp0 load re-reads the stack pointer: as the frame's
         // own pointer it is never dereferenced, so it is not tracked.
@@ -420,28 +413,30 @@ impl Hooks for BoundsHook<'_> {
         None
     }
 
+    #[inline]
     fn store(&mut self, _f: FuncId, _i: InstId, ty: Ty, addr: Tagged, val: Tagged) {
         if let Some(pi) = self.live_pi(addr.1) {
             self.deref(pi, ty.bytes());
         }
-        self.addr_map.invalidate_range(addr.0, ty.bytes());
-        if ty == Ty::I32 {
-            if let Some(s) = val.1.filter(|s| self.live(*s)) {
-                self.addr_map.insert(addr.0, s);
-            }
-        }
+        let kept = val.1.filter(|s| ty == Ty::I32 && self.live(*s));
+        self.addr_map.store(addr.0, ty.bytes(), kept);
     }
 
+    #[inline]
     fn transparent(&mut self, s: Option<Shadow>) -> Option<Shadow> {
         s.filter(|s| self.live(*s))
     }
 
     fn ext_call(&mut self, _f: FuncId, _i: InstId, ext: ExtId, args: &ExtArgs<'_>, mem: &Memory) {
+        let raw;
         let argv = match args {
-            ExtArgs::Explicit(vals) => vals.to_vec(),
-            ExtArgs::Raw { sp, .. } => self.raw_args(*sp, mem),
+            ExtArgs::Explicit(vals) => vals,
+            ExtArgs::Raw { sp, .. } => {
+                raw = self.raw_args(*sp, mem);
+                &raw[..]
+            }
         };
-        self.apply_ext_effects(ext, &argv, mem);
+        self.apply_ext_effects(ext, argv, mem);
     }
 
     fn ext_ret(
@@ -456,15 +451,16 @@ impl Hooks for BoundsHook<'_> {
         let sig = ext_sig(ext);
         for eff in &sig.effects {
             if let ExtEffect::DeriveRet { base } = *eff {
-                let argv = match args {
-                    ExtArgs::Explicit(vals) => vals.to_vec(),
-                    ExtArgs::Raw { sp, .. } => self.raw_args(*sp, mem),
+                let arg = match args {
+                    ExtArgs::Explicit(vals) => vals.get(base).copied(),
+                    ExtArgs::Raw { sp, .. } => self.raw_args(*sp, mem).get(base).copied(),
                 };
-                if let Some(pi) = self.live_pi(argv.get(base).and_then(|a| a.1)) {
+                let Some((base_val, shadow)) = arg else { continue };
+                if let Some(pi) = self.live_pi(shadow) {
                     if ret == 0 {
                         return None; // e.g. strchr miss
                     }
-                    let delta = ret.wrapping_sub(argv[base].0) as i32;
+                    let delta = ret.wrapping_sub(base_val) as i32;
                     let off = pi.off + delta;
                     return Some(self.mk(Pi { off, ..pi }));
                 }

@@ -4,15 +4,40 @@
 //! the bounds runtime (§4.2, pointers that round-trip through memory)
 //! attach a shadow to 32-bit words in guest memory. `ShadowMem` keeps
 //! them in a [`Pages`] table on the same grid as [`wyt_emu::Memory`], so
-//! a lookup is two array indexes. An entry holds `shadow + 1`; 0 means
-//! "none", so a fresh page is all-absent.
+//! a lookup is two array indexes. The page of the virtual register cells,
+//! which lifted code touches on nearly every step, is kept outside the
+//! table, always resident. An entry holds `shadow + 1`; 0 means "none",
+//! so a fresh page is all-absent.
 
-use wyt_emu::{pages, Pages};
+use wyt_emu::pages::Page;
+use wyt_emu::{pages, Pages, PAGE_SIZE};
 use wyt_ir::interp::Shadow;
+use wyt_lifter::VCPU_BASE;
+
+/// First address of the page holding the lifter's virtual register
+/// cells. Nearly every lifted instruction reads or writes a cell, so this
+/// page is kept out of the table: a probe is a compare and one index.
+const HOT: u32 = VCPU_BASE & !(PAGE_SIZE - 1);
 
 /// A sparse map from guest byte addresses to shadows.
-#[derive(Default)]
-pub struct ShadowMem(Pages<u32>);
+pub struct ShadowMem {
+    /// Every page but the [`HOT`] one.
+    pages: Pages<u32>,
+    /// The [`HOT`] page, always resident.
+    hot: Box<Page<u32>>,
+}
+
+impl Default for ShadowMem {
+    fn default() -> ShadowMem {
+        ShadowMem { pages: Pages::default(), hot: Box::new([0; PAGE_SIZE as usize]) }
+    }
+}
+
+/// `addr`'s index in the [`HOT`] page, if it lies there.
+#[inline]
+fn hot_offset(addr: u32) -> Option<usize> {
+    (addr & !(PAGE_SIZE - 1) == HOT).then(|| pages::offset(addr))
+}
 
 impl ShadowMem {
     /// An empty map.
@@ -23,7 +48,11 @@ impl ShadowMem {
     /// The shadow stored at `addr`, if any.
     #[inline]
     pub fn get(&self, addr: u32) -> Option<Shadow> {
-        self.0.get(addr)?.checked_sub(1)
+        match hot_offset(addr) {
+            Some(off) => self.hot[off],
+            None => self.pages.get(addr)?,
+        }
+        .checked_sub(1)
     }
 
     /// Attach `s` to `addr`, replacing any previous shadow.
@@ -36,8 +65,17 @@ impl ShadowMem {
     }
 
     fn set(&mut self, addr: u32, v: u32) {
-        if let Some(page) = self.0.page_mut(addr, true) {
+        if let Some(page) = self.page_mut(addr, true) {
             page[pages::offset(addr)] = v;
+        }
+    }
+
+    /// The page holding `addr`; an absent one is allocated if `alloc`.
+    #[inline]
+    fn page_mut(&mut self, addr: u32, alloc: bool) -> Option<&mut Page<u32>> {
+        match hot_offset(addr) {
+            Some(_) => Some(&mut self.hot),
+            None => self.pages.page_mut(addr, alloc),
         }
     }
 
@@ -47,7 +85,36 @@ impl ShadowMem {
     pub fn invalidate_range(&mut self, addr: u32, size: u32) {
         let (lo, hi) = (addr.saturating_sub(3), addr.wrapping_add(size));
         if hi > lo {
-            self.0.for_each_resident(lo, hi - lo, |_, entries| entries.fill(0));
+            self.pages.for_each_resident(lo, hi - lo, |_, entries| entries.fill(0));
+            let (lo, hi) = (lo.max(HOT), (hi as u64).min(HOT as u64 + PAGE_SIZE as u64) as u32);
+            if hi > lo {
+                self.hot[(lo - HOT) as usize..(hi - HOT) as usize].fill(0);
+            }
+        }
+    }
+
+    /// A guest store of `size` bytes at `addr`: [`ShadowMem::invalidate_range`],
+    /// then attach `s`, if given, to `addr`. When the invalidated keys
+    /// lie in `addr`'s page, as they do for any word not at a page's
+    /// edge, that is one page probe.
+    #[inline]
+    pub fn store(&mut self, addr: u32, size: u32, s: Option<Shadow>) {
+        let off = pages::offset(addr);
+        // `addr - 3 .. addr + size` within the page; `<` keeps `addr +
+        // size` from wrapping past the top of the address space.
+        if off < 3 || off + size as usize >= PAGE_SIZE as usize {
+            self.invalidate_range(addr, size);
+            if let Some(s) = s {
+                self.insert(addr, s);
+            }
+            return;
+        }
+        debug_assert!(s != Some(Shadow::MAX));
+        if let Some(page) = self.page_mut(addr, s.is_some()) {
+            page[off - 3..off + size as usize].fill(0);
+            if let Some(s) = s {
+                page[off] = s.wrapping_add(1);
+            }
         }
     }
 
@@ -57,13 +124,19 @@ impl ShadowMem {
     /// resident shadow pages are walked, however large `len` is.
     pub fn copy(&mut self, dst: u32, src: u32, len: u32) {
         let mut moved = Vec::new();
-        self.0.for_each_resident(src, len, |k, entries| {
+        self.pages.for_each_resident(src, len, |k, entries| {
             for (i, &v) in entries.iter().enumerate() {
                 if v != 0 {
                     moved.push((k.wrapping_add(i as u32), v));
                 }
             }
         });
+        for (i, &v) in self.hot.iter().enumerate() {
+            let k = (HOT + i as u32).wrapping_sub(src);
+            if v != 0 && k < len {
+                moved.push((k, v));
+            }
+        }
         self.invalidate_range(dst, len);
         for (k, v) in moved {
             self.set(dst.wrapping_add(k), v);
@@ -118,7 +191,7 @@ mod tests {
     /// (saturating), near `u32::MAX` (wrapping), and across a page and a
     /// directory-slot boundary.
     fn addr(rng: &mut Rng) -> u32 {
-        let bases = [0u32, 0x1000, 0x40_0000, u32::MAX - 15];
+        let bases = [0u32, 0x1000, 0x40_0000, HOT, HOT + PAGE_SIZE, u32::MAX - 15];
         bases[rng.below(bases.len() as u64) as usize].wrapping_add(rng.below(24)).wrapping_sub(4)
     }
 
@@ -155,6 +228,29 @@ mod tests {
                     shadow.copy(a, src, len);
                     reference.copy(a, src, len);
                 }
+            }
+            if step % 200 == 0 {
+                assert_same(&shadow, &reference, &mut rng);
+            }
+        }
+        assert_same(&shadow, &reference, &mut rng);
+    }
+
+    #[test]
+    fn store_is_invalidate_then_insert() {
+        let mut rng = Rng(0x5eed_0002);
+        let mut shadow = ShadowMem::new();
+        let mut reference = Reference::default();
+        for step in 0..4000 {
+            // Page-edge and top-of-memory offsets, where the one-probe
+            // path must give way to the general one.
+            let a = addr(&mut rng).wrapping_add([0, 0xff8, 0xffc, 0xffd][rng.below(4) as usize]);
+            let size = [1, 2, 4][rng.below(3) as usize];
+            let s = (rng.below(3) != 0).then(|| rng.below(1000));
+            shadow.store(a, size, s);
+            reference.invalidate_range(a, size);
+            if let Some(s) = s {
+                reference.0.insert(a, s);
             }
             if step % 200 == 0 {
                 assert_same(&shadow, &reference, &mut rng);

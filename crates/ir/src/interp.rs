@@ -12,10 +12,29 @@
 //! recursion), shares the [`wyt_emu::Memory`] model with the machine
 //! emulator, and calls the same external-function handlers, so a lifted
 //! program and its original binary observe identical I/O.
+//!
+//! [`Interp::new`] lowers the module once into a flat replay form, and
+//! every run executes that form:
+//!
+//! - each function becomes a run of [`Op`]s in one array, block after
+//!   block, each block's instructions followed by its terminator;
+//! - operands are slots of the frame's *window*: parameters first, then
+//!   the function's constants, then one slot per instruction result. A
+//!   frame is a window on one stack of `(value, shadow)` slots;
+//! - `GlobalAddr` and `FuncAddr` fold to their addresses, branch targets
+//!   are op indexes, and an edge into a block with phis carries its phi
+//!   moves, run as one parallel copy;
+//! - indirect calls resolve through a table sorted by address.
+//!
+//! Lowering never fails. Malformed IR — an out-of-range global, function,
+//! block or extern, a phi with no incoming for an edge — lowers to an op
+//! or edge that raises its [`InterpError`] only when it runs: after that
+//! step is counted and after every hook call the operation makes before
+//! it fails.
 
-use crate::module::{Global, InstKind, Module, Term};
+use crate::module::{Function, Global, InstKind, Module, Term};
 use crate::types::{BinOp, BlockId, CmpOp, FuncId, InstId, Ty, Val};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use wyt_emu::{dispatch, ExtId, ExtIo, ExtOutcome, Memory};
 use wyt_isa::{GuardKind, TrapCode};
@@ -134,12 +153,10 @@ pub enum InterpError {
     /// `unreachable` executed.
     Unreachable(FuncId, BlockId),
     /// An instruction referenced an out-of-range index (global, function,
-    /// block) — malformed IR reached the interpreter.
+    /// block, instruction) — malformed IR reached the interpreter.
     BadIndex(&'static str, u32),
     /// A phi at a branch target had no incoming for the source block.
     MissingBlockArg(FuncId, BlockId),
-    /// The frame stack was empty where a frame was required.
-    FrameUnderflow,
 }
 
 impl fmt::Display for InterpError {
@@ -158,7 +175,6 @@ impl fmt::Display for InterpError {
             InterpError::MissingBlockArg(func, b) => {
                 write!(f, "phi in {func} {b} has no incoming for the branching block")
             }
-            InterpError::FrameUnderflow => write!(f, "frame stack underflow"),
         }
     }
 }
@@ -219,20 +235,548 @@ pub fn layout_globals(globals: &[Global]) -> Vec<u32> {
         .collect()
 }
 
-struct Frame {
+/// An index into the current frame's window.
+type Slot = u32;
+
+/// Parameters from this index on get no slot and read as 0, as an
+/// argument the caller did not pass does. It bounds a window against a
+/// malformed parameter index; no call passes this many arguments.
+const MAX_PARAM_SLOTS: u32 = 1 << 16;
+
+/// One step of the replay form. Every op, terminators and phis included,
+/// is one interpreter step.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Bin {
+        op: BinOp,
+        a: Slot,
+        b: Slot,
+        dst: Slot,
+        inst: InstId,
+    },
+    Cmp {
+        op: CmpOp,
+        a: Slot,
+        b: Slot,
+        dst: Slot,
+        inst: InstId,
+    },
+    Ext {
+        signed: bool,
+        from: Ty,
+        v: Slot,
+        dst: Slot,
+    },
+    Load {
+        ty: Ty,
+        addr: Slot,
+        dst: Slot,
+        inst: InstId,
+    },
+    Store {
+        ty: Ty,
+        addr: Slot,
+        val: Slot,
+        inst: InstId,
+    },
+    /// `size` is already at least 1; `mask` clears the alignment bits.
+    Alloca {
+        size: u32,
+        mask: u32,
+        dst: Slot,
+    },
+    /// `GlobalAddr` or `FuncAddr`, folded to the address.
+    Const {
+        value: u32,
+        dst: Slot,
+    },
+    Select {
+        c: Slot,
+        a: Slot,
+        b: Slot,
+        dst: Slot,
+    },
+    Copy {
+        v: Slot,
+        dst: Slot,
+    },
+    /// A phi: the edge into its block already wrote it.
+    Nop,
+    Call {
+        callee: FuncId,
+        site: u32,
+        inst: InstId,
+    },
+    CallInd {
+        target: Slot,
+        site: u32,
+        inst: InstId,
+    },
+    CallExtRaw {
+        ext: ExtId,
+        sp: Slot,
+        dst: Slot,
+        inst: InstId,
+    },
+    CallExt {
+        ext: ExtId,
+        site: u32,
+        inst: InstId,
+    },
+    /// Malformed IR: raises `Code::errors[err]`.
+    Fail {
+        err: u32,
+    },
+    /// An edge without phi moves: most branches, taken without a look
+    /// at `Code::edges`.
+    Jump {
+        pc: u32,
+    },
+    /// An edge with phi moves, or a malformed one: `Code::edges[edge]`.
+    Br {
+        edge: u32,
+    },
+    /// A two-way branch whose edges have no phi moves.
+    JumpIf {
+        c: Slot,
+        t: u32,
+        f: u32,
+    },
+    /// A two-way branch over `Code::edges`.
+    CondBr {
+        c: Slot,
+        t: u32,
+        f: u32,
+    },
+    Switch {
+        v: Slot,
+        sw: u32,
+    },
+    Ret {
+        v: Option<Slot>,
+    },
+    Trap {
+        code: u8,
+    },
+    Unreachable {
+        block: BlockId,
+    },
+}
+
+/// A CFG edge that a plain jump cannot take.
+#[derive(Debug, Clone, Copy)]
+enum Edge {
+    /// Run the phi moves `Code::moves[lo..hi]` as one parallel copy, then
+    /// continue at `pc`.
+    To { pc: u32, lo: u32, hi: u32 },
+    /// A branch to a missing block, or into phis without an incoming for
+    /// the branching block: raises `Code::errors[err]`.
+    Fail { err: u32 },
+}
+
+/// A call's arguments, `Code::args[lo..hi]`, and the slot that receives
+/// its result.
+#[derive(Debug, Clone, Copy)]
+struct Site {
+    lo: u32,
+    hi: u32,
+    dst: Slot,
+}
+
+/// A switch: cases `Code::cases[lo..hi]` (the first match wins), then the
+/// default edge.
+#[derive(Debug, Clone, Copy)]
+struct SwitchTable {
+    lo: u32,
+    hi: u32,
+    default: u32,
+}
+
+/// A function's entry and the layout of its window: parameters in
+/// `[0, params)`, then its constants `Code::pool[pool.0..pool.1]`, then
+/// result slots up to `slots`.
+#[derive(Debug, Clone, Copy)]
+struct FuncCode {
+    /// The entry block's first op; `None` if the entry block does not
+    /// exist, which is an error when the function is entered.
+    entry_pc: Option<u32>,
+    entry: BlockId,
+    params: u32,
+    pool: (u32, u32),
+    slots: u32,
+}
+
+/// The whole module in replay form.
+#[derive(Debug, Default)]
+struct Code {
+    ops: Vec<Op>,
+    funcs: Vec<FuncCode>,
+    edges: Vec<Edge>,
+    /// Phi moves `(from, to)`, grouped by edge.
+    moves: Vec<(Slot, Slot)>,
+    switches: Vec<SwitchTable>,
+    /// `(value, edge)` per switch case.
+    cases: Vec<(i32, u32)>,
+    sites: Vec<Site>,
+    /// Argument slots of every call site.
+    args: Vec<Slot>,
+    /// Constant slot values of every function.
+    pool: Vec<u32>,
+    errors: Vec<InterpError>,
+    /// `(address, function)` of every lifted entry, sorted by address.
+    by_addr: Vec<(u32, FuncId)>,
+}
+
+impl Code {
+    /// Lower `module` in one pass over its functions.
+    fn new(module: &Module, global_addrs: &[u32]) -> Code {
+        let mut code = Code::default();
+        let ext_ids: Vec<Option<ExtId>> =
+            module.externs.iter().map(|n| ExtId::from_name(n)).collect();
+        for (i, f) in module.funcs.iter().enumerate() {
+            let lower = Lower {
+                code: &mut code,
+                module,
+                global_addrs,
+                ext_ids: &ext_ids,
+                fid: FuncId(i as u32),
+                f,
+                params: 0,
+                consts: Vec::new(),
+                slot_of: vec![Slot::MAX; f.insts.len()],
+                next: 0,
+                zero: None,
+                block_pc: Vec::new(),
+                phi_edges: HashMap::new(),
+            };
+            let fc = lower.func();
+            code.funcs.push(fc);
+        }
+        // A stable sort keeps equal addresses in function order; the last
+        // function with an address owns it.
+        let mut by_addr: Vec<(u32, FuncId)> = (module.funcs.iter().enumerate())
+            .filter_map(|(i, f)| Some((f.orig_addr?, FuncId(i as u32))))
+            .collect();
+        by_addr.sort_by_key(|e| e.0);
+        for e in by_addr {
+            match code.by_addr.last_mut() {
+                Some(last) if last.0 == e.0 => *last = e,
+                _ => code.by_addr.push(e),
+            }
+        }
+        code
+    }
+
+    fn error(&mut self, e: InterpError) -> u32 {
+        self.errors.push(e);
+        self.errors.len() as u32 - 1
+    }
+
+    fn edge(&mut self, e: Edge) -> u32 {
+        self.edges.push(e);
+        self.edges.len() as u32 - 1
+    }
+}
+
+/// Lowering state for one function.
+struct Lower<'a> {
+    code: &'a mut Code,
+    module: &'a Module,
+    global_addrs: &'a [u32],
+    ext_ids: &'a [Option<ExtId>],
+    fid: FuncId,
+    f: &'a Function,
+    params: u32,
+    /// The function's distinct constants, sorted.
+    consts: Vec<i32>,
+    /// Per instruction: its result slot, once it has one.
+    slot_of: Vec<Slot>,
+    /// Next free result slot.
+    next: Slot,
+    /// A slot nothing writes, for operands that name no instruction.
+    zero: Option<Slot>,
+    block_pc: Vec<u32>,
+    /// Per `(pred, target)` where the target starts with phis: the edge's
+    /// moves, or `None` if a phi has no incoming for `pred`.
+    phi_edges: HashMap<(BlockId, BlockId), Option<(u32, u32)>>,
+}
+
+impl Lower<'_> {
+    fn func(mut self) -> FuncCode {
+        let f = self.f;
+        // Every operand the function's blocks can read.
+        let (mut params, mut consts) = (0, Vec::new());
+        let mut visit = |v| match v {
+            Val::Param(p) if p < MAX_PARAM_SLOTS => params = params.max(p + 1),
+            Val::Const(c) => consts.push(c),
+            _ => {}
+        };
+        for b in &f.blocks {
+            for i in &b.insts {
+                if let Some(kind) = f.insts.get(i.index()) {
+                    kind.for_each_operand(&mut visit);
+                }
+            }
+            b.term.for_each_operand(&mut visit);
+        }
+        consts.sort_unstable();
+        consts.dedup();
+        let pool_lo = self.code.pool.len() as u32;
+        self.code.pool.extend(consts.iter().map(|&c| c as u32));
+        self.params = params;
+        self.next = params + consts.len() as u32;
+        self.consts = consts;
+
+        let mut pc = self.code.ops.len() as u32;
+        for b in &f.blocks {
+            self.block_pc.push(pc);
+            pc += b.insts.len() as u32 + 1;
+        }
+        self.lower_phi_edges();
+        for (bi, b) in f.blocks.iter().enumerate() {
+            for &i in &b.insts {
+                let op = self.inst(i);
+                self.code.ops.push(op);
+            }
+            let op = self.term(BlockId(bi as u32), &b.term);
+            self.code.ops.push(op);
+        }
+        FuncCode {
+            entry_pc: self.block_pc.get(f.entry.index()).copied(),
+            entry: f.entry,
+            params,
+            pool: (pool_lo, self.code.pool.len() as u32),
+            slots: self.next,
+        }
+    }
+
+    fn fresh(&mut self) -> Slot {
+        self.next += 1;
+        self.next - 1
+    }
+
+    /// The result slot of instruction `i`.
+    fn result(&mut self, i: InstId) -> Slot {
+        match self.slot_of.get(i.index()).copied() {
+            Some(Slot::MAX) => {
+                let s = self.fresh();
+                self.slot_of[i.index()] = s;
+                s
+            }
+            Some(s) => s,
+            None => self.zero(),
+        }
+    }
+
+    fn zero(&mut self) -> Slot {
+        match self.zero {
+            Some(s) => s,
+            None => {
+                let s = self.fresh();
+                *self.zero.insert(s)
+            }
+        }
+    }
+
+    fn slot(&mut self, v: Val) -> Slot {
+        match v {
+            Val::Inst(i) => self.result(i),
+            Val::Param(p) if p < self.params => p,
+            Val::Param(_) => self.zero(),
+            Val::Const(c) => match self.consts.binary_search(&c) {
+                Ok(k) => self.params + k as u32,
+                Err(_) => self.zero(),
+            },
+        }
+    }
+
+    fn fail(&mut self, e: InterpError) -> Op {
+        Op::Fail { err: self.code.error(e) }
+    }
+
+    fn site(&mut self, args: &[Val], i: InstId) -> u32 {
+        let lo = self.code.args.len() as u32;
+        for &a in args {
+            let s = self.slot(a);
+            self.code.args.push(s);
+        }
+        let site = Site { lo, hi: self.code.args.len() as u32, dst: self.result(i) };
+        self.code.sites.push(site);
+        self.code.sites.len() as u32 - 1
+    }
+
+    fn inst(&mut self, i: InstId) -> Op {
+        let Some(kind) = self.f.insts.get(i.index()) else {
+            return self.fail(InterpError::BadIndex("instruction", i.0));
+        };
+        match *kind {
+            InstKind::Bin { op, a, b } => {
+                Op::Bin { op, a: self.slot(a), b: self.slot(b), dst: self.result(i), inst: i }
+            }
+            InstKind::Cmp { op, a, b } => {
+                Op::Cmp { op, a: self.slot(a), b: self.slot(b), dst: self.result(i), inst: i }
+            }
+            InstKind::Ext { signed, from, v } => {
+                Op::Ext { signed, from, v: self.slot(v), dst: self.result(i) }
+            }
+            InstKind::Load { ty, addr } => {
+                Op::Load { ty, addr: self.slot(addr), dst: self.result(i), inst: i }
+            }
+            InstKind::Store { ty, addr, val } => {
+                Op::Store { ty, addr: self.slot(addr), val: self.slot(val), inst: i }
+            }
+            InstKind::Alloca { size, align, .. } => {
+                Op::Alloca { size: size.max(1), mask: !(align.max(4) - 1), dst: self.result(i) }
+            }
+            InstKind::GlobalAddr { g } => match self.global_addrs.get(g.index()) {
+                Some(&value) => Op::Const { value, dst: self.result(i) },
+                None => self.fail(InterpError::BadIndex("global", g.0)),
+            },
+            InstKind::FuncAddr { f } => match self.module.funcs.get(f.index()) {
+                Some(func) => Op::Const { value: func.orig_addr.unwrap_or(0), dst: self.result(i) },
+                None => self.fail(InterpError::BadIndex("function", f.0)),
+            },
+            InstKind::Call { f, ref args } => {
+                Op::Call { callee: f, site: self.site(args, i), inst: i }
+            }
+            InstKind::CallInd { target, ref args } => {
+                Op::CallInd { target: self.slot(target), site: self.site(args, i), inst: i }
+            }
+            InstKind::CallExtRaw { ext, sp } => match self.ext(ext) {
+                Some(ext) => {
+                    Op::CallExtRaw { ext, sp: self.slot(sp), dst: self.result(i), inst: i }
+                }
+                None => self.fail(InterpError::UnknownExtern(ext)),
+            },
+            InstKind::CallExt { ext, ref args } => match self.ext(ext) {
+                Some(ext) => Op::CallExt { ext, site: self.site(args, i), inst: i },
+                None => self.fail(InterpError::UnknownExtern(ext)),
+            },
+            InstKind::Select { c, a, b } => Op::Select {
+                c: self.slot(c),
+                a: self.slot(a),
+                b: self.slot(b),
+                dst: self.result(i),
+            },
+            InstKind::Phi { .. } => Op::Nop,
+            InstKind::Copy { v } => Op::Copy { v: self.slot(v), dst: self.result(i) },
+        }
+    }
+
+    fn ext(&self, ext: u16) -> Option<ExtId> {
+        self.ext_ids.get(ext as usize).copied().flatten()
+    }
+
+    /// The phi moves of every edge into a block that starts with phis, in
+    /// one pass over the phis' incomings. A phi takes its first incoming
+    /// for the branching block; an edge carries one move per leading phi,
+    /// in phi order, or none of them if some phi lacks an incoming for it.
+    fn lower_phi_edges(&mut self) {
+        let f = self.f;
+        for (ti, tb) in f.blocks.iter().enumerate() {
+            let mut by_pred: BTreeMap<BlockId, Vec<(Slot, Slot)>> = BTreeMap::new();
+            let mut phis = 0;
+            for &i in &tb.insts {
+                let Some(InstKind::Phi { incomings }) = f.insts.get(i.index()) else { break };
+                let dst = self.result(i);
+                for &(pred, v) in incomings {
+                    let moves = by_pred.entry(pred).or_default();
+                    // Only the first incoming per phi; a pred that missed
+                    // an earlier phi is already incomplete.
+                    if moves.len() == phis {
+                        moves.push((self.slot(v), dst));
+                    }
+                }
+                phis += 1;
+            }
+            if phis == 0 {
+                continue;
+            }
+            let target = BlockId(ti as u32);
+            for (pred, moves) in by_pred {
+                let range = (moves.len() == phis).then(|| {
+                    let lo = self.code.moves.len() as u32;
+                    self.code.moves.extend(moves);
+                    (lo, self.code.moves.len() as u32)
+                });
+                self.phi_edges.insert((pred, target), range);
+            }
+        }
+    }
+
+    /// The edge from `from` to `to`: `Ok(pc)` if a plain jump takes it.
+    fn edge(&mut self, from: BlockId, to: BlockId) -> Result<u32, Edge> {
+        let Some(&pc) = self.block_pc.get(to.index()) else {
+            return Err(Edge::Fail { err: self.code.error(InterpError::BadIndex("block", to.0)) });
+        };
+        let starts_with_phi = (self.f.blocks[to.index()].insts.first())
+            .and_then(|i| self.f.insts.get(i.index()))
+            .is_some_and(|k| matches!(k, InstKind::Phi { .. }));
+        if !starts_with_phi {
+            return Ok(pc);
+        }
+        match self.phi_edges.get(&(from, to)).copied().flatten() {
+            Some((lo, hi)) => Err(Edge::To { pc, lo, hi }),
+            None => {
+                let err = self.code.error(InterpError::MissingBlockArg(self.fid, to));
+                Err(Edge::Fail { err })
+            }
+        }
+    }
+
+    /// An [`Lower::edge`] as an index into `Code::edges`.
+    fn edge_index(&mut self, e: Result<u32, Edge>) -> u32 {
+        let e = e.map(|pc| Edge::To { pc, lo: 0, hi: 0 });
+        let e = e.unwrap_or_else(|e| e);
+        self.code.edge(e)
+    }
+
+    fn term(&mut self, from: BlockId, t: &Term) -> Op {
+        match *t {
+            Term::Br(b) => match self.edge(from, b) {
+                Ok(pc) => Op::Jump { pc },
+                Err(e) => Op::Br { edge: self.code.edge(e) },
+            },
+            Term::CondBr { c, t, f } => {
+                let c = self.slot(c);
+                match (self.edge(from, t), self.edge(from, f)) {
+                    (Ok(t), Ok(f)) => Op::JumpIf { c, t, f },
+                    (t, f) => Op::CondBr { c, t: self.edge_index(t), f: self.edge_index(f) },
+                }
+            }
+            Term::Switch { v, ref cases, default } => {
+                let v = self.slot(v);
+                let lo = self.code.cases.len() as u32;
+                for &(value, b) in cases {
+                    let e = self.edge(from, b);
+                    let e = self.edge_index(e);
+                    self.code.cases.push((value, e));
+                }
+                let hi = self.code.cases.len() as u32;
+                let default = self.edge(from, default);
+                let default = self.edge_index(default);
+                self.code.switches.push(SwitchTable { lo, hi, default });
+                Op::Switch { v, sw: self.code.switches.len() as u32 - 1 }
+            }
+            Term::Ret(v) => Op::Ret { v: v.map(|v| self.slot(v)) },
+            Term::Trap(code) => Op::Trap { code },
+            Term::Unreachable => Op::Unreachable { block: from },
+        }
+    }
+}
+
+/// The caller's state while a callee runs.
+#[derive(Debug, Clone, Copy)]
+struct Return {
     func: FuncId,
-    block: BlockId,
-    /// Block the previous transfer came from (for phis).
-    prev_block: Option<BlockId>,
-    idx: usize,
-    vals: Vec<u32>,
-    shadows: Vec<Option<Shadow>>,
-    args: Vec<u32>,
-    arg_shadows: Vec<Option<Shadow>>,
-    /// Instruction in the *caller* that receives the return value.
-    ret_dest: Option<InstId>,
+    /// The op after the call.
+    pc: usize,
+    /// The caller's window.
+    base: usize,
+    /// The caller's slot that receives the return value.
+    dst: Slot,
     /// Native stack pointer to restore on return.
-    nsp_save: u32,
+    nsp: u32,
 }
 
 /// The interpreter. Construct with [`Interp::new`], then [`Interp::run`].
@@ -240,8 +784,7 @@ pub struct Interp<'m, H: Hooks> {
     module: &'m Module,
     /// Resolved addresses of every global.
     pub global_addrs: Vec<u32>,
-    func_by_addr: HashMap<u32, FuncId>,
-    ext_ids: Vec<Option<ExtId>>,
+    code: Code,
     /// Memory (shared layout with the machine emulator).
     pub mem: Memory,
     /// I/O state.
@@ -255,6 +798,13 @@ pub struct Interp<'m, H: Hooks> {
     stores: u64,
     /// Attribution of the guard trap that ended the run, if one did.
     guard_hit: Option<GuardHit>,
+    /// The value stack: every live frame's window of `(value, shadow)`
+    /// slots, callers below callees.
+    slots: Vec<Tagged>,
+    /// Reusable buffers: the tagged arguments of the call in flight, and
+    /// an external call's argument values.
+    argbuf: Vec<Tagged>,
+    argv: Vec<u32>,
 }
 
 impl<'m, H: Hooks> Interp<'m, H> {
@@ -267,18 +817,11 @@ impl<'m, H: Hooks> Interp<'m, H> {
                 mem.write_bytes(addr, &g.init);
             }
         }
-        let mut func_by_addr = HashMap::new();
-        for (i, f) in module.funcs.iter().enumerate() {
-            if let Some(a) = f.orig_addr {
-                func_by_addr.insert(a, FuncId(i as u32));
-            }
-        }
-        let ext_ids = module.externs.iter().map(|n| ExtId::from_name(n)).collect();
+        let code = Code::new(module, &global_addrs);
         Interp {
             module,
             global_addrs,
-            func_by_addr,
-            ext_ids,
+            code,
             mem,
             io: ExtIo::new(input),
             hooks,
@@ -288,6 +831,9 @@ impl<'m, H: Hooks> Interp<'m, H> {
             loads: 0,
             stores: 0,
             guard_hit: None,
+            slots: Vec::new(),
+            argbuf: Vec::new(),
+            argv: Vec::new(),
         }
     }
 
@@ -296,47 +842,14 @@ impl<'m, H: Hooks> Interp<'m, H> {
         self.fuel = fuel;
     }
 
-    fn new_frame(
-        &self,
-        f: FuncId,
-        args: Vec<u32>,
-        arg_shadows: Vec<Option<Shadow>>,
-        ret_dest: Option<InstId>,
-    ) -> Result<Frame, InterpError> {
-        let func =
-            self.module.funcs.get(f.index()).ok_or(InterpError::BadIndex("function", f.0))?;
-        Ok(Frame {
-            func: f,
-            block: func.entry,
-            prev_block: None,
-            idx: 0,
-            vals: vec![0; func.insts.len()],
-            shadows: vec![None; func.insts.len()],
-            args,
-            arg_shadows,
-            ret_dest,
-            nsp_save: self.nsp,
-        })
+    /// Loads executed so far.
+    pub fn loads(&self) -> u64 {
+        self.loads
     }
 
-    fn eval(&self, fr: &Frame, v: Val) -> u32 {
-        match v {
-            Val::Inst(i) => fr.vals[i.index()],
-            Val::Param(p) => fr.args.get(p as usize).copied().unwrap_or(0),
-            Val::Const(c) => c as u32,
-        }
-    }
-
-    fn shadow(&self, fr: &Frame, v: Val) -> Option<Shadow> {
-        match v {
-            Val::Inst(i) => fr.shadows[i.index()],
-            Val::Param(p) => fr.arg_shadows.get(p as usize).copied().flatten(),
-            Val::Const(_) => None,
-        }
-    }
-
-    fn tagged(&self, fr: &Frame, v: Val) -> Tagged {
-        (self.eval(fr, v), self.shadow(fr, v))
+    /// Stores executed so far.
+    pub fn stores(&self) -> u64 {
+        self.stores
     }
 
     /// Run the module's entry function to completion.
@@ -405,322 +918,317 @@ impl<'m, H: Hooks> Interp<'m, H> {
         }
     }
 
+    /// The step loop. Its counters and the native stack pointer live in
+    /// locals and go back into `self` when the run ends.
     fn run_inner(&mut self, entry: FuncId, args: &[u32]) -> Result<i32, InterpError> {
-        let mut frames: Vec<Frame> = Vec::new();
-        let first = self.new_frame(entry, args.to_vec(), vec![None; args.len()], None)?;
-        let first_args: Vec<Tagged> = args.iter().map(|&a| (a, None)).collect();
-        self.hooks.fn_enter(entry, None, &first_args, &self.mem);
-        frames.push(first);
-        // Borrow instructions and terminators for `'m` rather than through
-        // `self`, so the hooks can take `&mut self` while one is matched.
-        let module: &'m Module = self.module;
+        let Interp { code, mem, io, hooks, slots, argbuf, argv, guard_hit, .. } = self;
+        let (fuel, mut steps, mut loads, mut stores) =
+            (self.fuel, self.steps, self.loads, self.stores);
+        let (mut nsp, entry_nsp) = (self.nsp, self.nsp);
+        argbuf.clear();
+        argbuf.extend(args.iter().map(|&a| (a, None)));
+        let mut pc = enter(code, hooks, mem, slots, argbuf, None, entry, 0)?;
+        let (mut cur, mut base) = (entry, 0usize);
+        let mut calls: Vec<Return> = Vec::new();
 
-        'outer: loop {
-            let Some(fr) = frames.last_mut() else {
-                return Err(InterpError::FrameUnderflow);
+        macro_rules! get {
+            ($s:expr) => {
+                slots[base + $s as usize].0
             };
-            let func = &module.funcs[fr.func.index()];
-            let Some(block) = func.blocks.get(fr.block.index()) else {
-                return Err(InterpError::BadIndex("block", fr.block.0));
+        }
+        macro_rules! tagged {
+            ($s:expr) => {
+                slots[base + $s as usize]
             };
-
-            if fr.idx >= block.insts.len() {
-                // Terminator.
-                self.steps += 1;
-                if self.steps > self.fuel {
-                    return Err(InterpError::Fuel);
+        }
+        macro_rules! set {
+            ($s:expr, $v:expr, $sh:expr) => {
+                slots[base + $s as usize] = ($v, $sh)
+            };
+        }
+        macro_rules! tri {
+            ($r:expr) => {
+                match $r {
+                    Ok(v) => v,
+                    Err(e) => break Err(e),
                 }
-                match block.term {
-                    Term::Br(b) => self.branch(frames.last_mut().unwrap(), b)?,
-                    Term::CondBr { c, t, f } => {
-                        let fr = frames.last_mut().unwrap();
-                        let cv = self.eval(fr, c);
-                        let target = if cv != 0 { t } else { f };
-                        self.branch(frames.last_mut().unwrap(), target)?;
-                    }
-                    Term::Switch { v, ref cases, default } => {
-                        let fr = frames.last_mut().unwrap();
-                        let val = self.eval(fr, v) as i32;
-                        let target = cases
-                            .iter()
-                            .find(|(c, _)| *c == val)
-                            .map(|(_, b)| *b)
-                            .unwrap_or(default);
-                        self.branch(frames.last_mut().unwrap(), target)?;
-                    }
-                    Term::Ret(v) => {
-                        let fr = frames.last().unwrap();
-                        let rv = v.map(|v| self.tagged(fr, v));
-                        self.hooks.fn_exit(fr.func, rv, &self.mem);
-                        let done = frames.pop().ok_or(InterpError::FrameUnderflow)?;
-                        self.nsp = done.nsp_save;
-                        match frames.last_mut() {
-                            None => return Ok(rv.map(|(v, _)| v as i32).unwrap_or(0)),
-                            Some(caller) => {
-                                if let Some(dest) = done.ret_dest {
-                                    let (v, s) = rv.unwrap_or((0, None));
-                                    caller.vals[dest.index()] = v;
-                                    caller.shadows[dest.index()] = self.hooks.transparent(s);
-                                }
-                                // Caller's idx was already advanced past the
-                                // call when the frame was pushed.
-                            }
-                        }
-                    }
-                    Term::Trap(c) => {
-                        let fr = frames.last().unwrap();
-                        if let Some(kind) = TrapCode::guard_kind(c) {
-                            self.guard_hit = Some(GuardHit { func: fr.func, kind });
-                        }
-                        return Err(InterpError::Trap(c));
-                    }
-                    Term::Unreachable => {
-                        let fr = frames.last().unwrap();
-                        return Err(InterpError::Unreachable(fr.func, fr.block));
-                    }
+            };
+        }
+        // Put the tagged arguments of call site `site` in `argbuf`.
+        macro_rules! args {
+            ($site:expr) => {{
+                let st = code.sites[$site as usize];
+                argbuf.clear();
+                for &s in &code.args[st.lo as usize..st.hi as usize] {
+                    argbuf.push(tagged!(s));
                 }
-                continue 'outer;
-            }
+                st.dst
+            }};
+        }
+        macro_rules! call {
+            ($callee:expr, $site:expr, $inst:expr) => {{
+                let (callee, inst) = ($callee, $inst);
+                let dst = args!($site);
+                hooks.call_pre(cur, inst, callee, mem);
+                let top = base + code.funcs[cur.index()].slots as usize;
+                let site = Some((cur, inst));
+                let entry_pc = tri!(enter(code, hooks, mem, slots, argbuf, site, callee, top));
+                calls.push(Return { func: cur, pc: pc + 1, base, dst, nsp });
+                (cur, base, pc) = (callee, top, entry_pc);
+            }};
+        }
+        macro_rules! take {
+            ($edge:expr) => {
+                pc = tri!(take_edge(code, $edge, &mut slots[base..], hooks, argbuf))
+            };
+        }
 
-            let inst_id = block.insts[fr.idx];
-            self.steps += 1;
-            if self.steps > self.fuel {
-                return Err(InterpError::Fuel);
+        let result = loop {
+            steps += 1;
+            if steps > fuel {
+                break Err(InterpError::Fuel);
             }
-            let cur_func = fr.func;
-
-            match *func.inst(inst_id) {
-                InstKind::Bin { op, a, b } => {
-                    let fr = frames.last_mut().unwrap();
-                    let ta = self.tagged(fr, a);
-                    let tb = self.tagged(fr, b);
+            match code.ops[pc] {
+                Op::Bin { op, a, b, dst, inst } => {
+                    let (ta, tb) = (tagged!(a), tagged!(b));
                     let Some(res) = op.eval(ta.0, tb.0) else {
-                        return Err(InterpError::DivideError(cur_func, inst_id));
+                        break Err(InterpError::DivideError(cur, inst));
                     };
-                    let s = self.hooks.bin(cur_func, inst_id, op, ta, tb, res);
-                    let fr = frames.last_mut().unwrap();
-                    fr.vals[inst_id.index()] = res;
-                    fr.shadows[inst_id.index()] = s;
-                    fr.idx += 1;
+                    let s = hooks.bin(cur, inst, op, ta, tb, res);
+                    set!(dst, res, s);
+                    pc += 1;
                 }
-                InstKind::Cmp { op, a, b } => {
-                    let fr = frames.last_mut().unwrap();
-                    let ta = self.tagged(fr, a);
-                    let tb = self.tagged(fr, b);
+                Op::Cmp { op, a, b, dst, inst } => {
+                    let (ta, tb) = (tagged!(a), tagged!(b));
                     let res = op.eval(ta.0, tb.0) as u32;
-                    self.hooks.cmp(cur_func, inst_id, op, ta, tb);
-                    let fr = frames.last_mut().unwrap();
-                    fr.vals[inst_id.index()] = res;
-                    fr.shadows[inst_id.index()] = None;
-                    fr.idx += 1;
+                    hooks.cmp(cur, inst, op, ta, tb);
+                    set!(dst, res, None);
+                    pc += 1;
                 }
-                InstKind::Ext { signed, from, v } => {
-                    let fr = frames.last_mut().unwrap();
-                    let x = self.eval(fr, v) & from.mask();
+                Op::Ext { signed, from, v, dst } => {
+                    let x = get!(v) & from.mask();
                     let res = if signed {
                         let bits = from.bytes() * 8;
                         (((x as i32) << (32 - bits)) >> (32 - bits)) as u32
                     } else {
                         x
                     };
-                    fr.vals[inst_id.index()] = res;
-                    fr.shadows[inst_id.index()] = None;
-                    fr.idx += 1;
+                    set!(dst, res, None);
+                    pc += 1;
                 }
-                InstKind::Load { ty, addr } => {
-                    let fr = frames.last_mut().unwrap();
-                    let ta = self.tagged(fr, addr);
-                    self.loads += 1;
-                    let val = self.mem.read_sized(ta.0, to_isa_size(ty));
-                    let s = self.hooks.load(cur_func, inst_id, ty, ta, val);
-                    let fr = frames.last_mut().unwrap();
-                    fr.vals[inst_id.index()] = val;
-                    fr.shadows[inst_id.index()] = s;
-                    fr.idx += 1;
+                Op::Load { ty, addr, dst, inst } => {
+                    let ta = tagged!(addr);
+                    loads += 1;
+                    let val = mem.read_sized(ta.0, to_isa_size(ty));
+                    let s = hooks.load(cur, inst, ty, ta, val);
+                    set!(dst, val, s);
+                    pc += 1;
                 }
-                InstKind::Store { ty, addr, val } => {
-                    let fr = frames.last_mut().unwrap();
-                    let ta = self.tagged(fr, addr);
-                    let tv = self.tagged(fr, val);
-                    self.stores += 1;
-                    self.mem.write_sized(ta.0, tv.0, to_isa_size(ty));
-                    self.hooks.store(cur_func, inst_id, ty, ta, tv);
-                    frames.last_mut().unwrap().idx += 1;
+                Op::Store { ty, addr, val, inst } => {
+                    let (ta, tv) = (tagged!(addr), tagged!(val));
+                    stores += 1;
+                    mem.write_sized(ta.0, tv.0, to_isa_size(ty));
+                    hooks.store(cur, inst, ty, ta, tv);
+                    pc += 1;
                 }
-                InstKind::Alloca { size, align, .. } => {
-                    let a = align.max(4);
-                    self.nsp = (self.nsp - size.max(1)) & !(a - 1);
-                    let fr = frames.last_mut().unwrap();
-                    fr.vals[inst_id.index()] = self.nsp;
-                    fr.shadows[inst_id.index()] = None;
-                    fr.idx += 1;
+                Op::Alloca { size, mask, dst } => {
+                    nsp = (nsp - size) & mask;
+                    set!(dst, nsp, None);
+                    pc += 1;
                 }
-                InstKind::GlobalAddr { g } => {
-                    let addr = self
-                        .global_addrs
-                        .get(g.index())
-                        .copied()
-                        .ok_or(InterpError::BadIndex("global", g.0))?;
-                    let fr = frames.last_mut().unwrap();
-                    fr.vals[inst_id.index()] = addr;
-                    fr.shadows[inst_id.index()] = None;
-                    fr.idx += 1;
+                Op::Const { value, dst } => {
+                    set!(dst, value, None);
+                    pc += 1;
                 }
-                InstKind::FuncAddr { f } => {
-                    let addr = self
-                        .module
-                        .funcs
-                        .get(f.index())
-                        .ok_or(InterpError::BadIndex("function", f.0))?
-                        .orig_addr
-                        .unwrap_or(0);
-                    let fr = frames.last_mut().unwrap();
-                    fr.vals[inst_id.index()] = addr;
-                    fr.shadows[inst_id.index()] = None;
-                    fr.idx += 1;
+                Op::Select { c, a, b, dst } => {
+                    let (v, s) = if get!(c) != 0 { tagged!(a) } else { tagged!(b) };
+                    let s = hooks.transparent(s);
+                    set!(dst, v, s);
+                    pc += 1;
                 }
-                InstKind::Call { f, ref args } => {
-                    self.do_call(&mut frames, cur_func, inst_id, f, args)?;
+                Op::Copy { v, dst } => {
+                    let (v, s) = tagged!(v);
+                    let s = hooks.transparent(s);
+                    set!(dst, v, s);
+                    pc += 1;
                 }
-                InstKind::CallInd { target, ref args } => {
-                    let fr = frames.last().unwrap();
-                    let t = self.eval(fr, target);
-                    let Some(&f) = self.func_by_addr.get(&t) else {
+                Op::Nop => pc += 1,
+                Op::Call { callee, site, inst } => call!(callee, site, inst),
+                Op::CallInd { target, site, inst } => {
+                    let t = get!(target);
+                    let Ok(k) = code.by_addr.binary_search_by_key(&t, |e| e.0) else {
                         // An indirect call to an unlifted address is the
                         // IR-level form of the backend's dispatch-miss
                         // guard: attribute it the same way.
-                        self.guard_hit =
-                            Some(GuardHit { func: cur_func, kind: GuardKind::UntracedIndirect });
-                        return Err(InterpError::BadIndirect(t));
+                        *guard_hit =
+                            Some(GuardHit { func: cur, kind: GuardKind::UntracedIndirect });
+                        break Err(InterpError::BadIndirect(t));
                     };
-                    self.do_call(&mut frames, cur_func, inst_id, f, args)?;
+                    call!(code.by_addr[k].1, site, inst);
                 }
-                InstKind::CallExtRaw { ext, sp } => {
-                    let fr = frames.last().unwrap();
-                    let tsp = self.tagged(fr, sp);
-                    let ext_id = self.resolve_ext(ext)?;
-                    let ea = ExtArgs::Raw { sp: tsp.0, sp_shadow: tsp.1 };
-                    self.hooks.ext_call(cur_func, inst_id, ext_id, &ea, &self.mem);
-                    let mut staged = [0u32; 16];
-                    for (i, slot) in staged.iter_mut().enumerate() {
-                        *slot = self.mem.read_u32(tsp.0.wrapping_add(4 * i as u32));
+                Op::CallExtRaw { ext, sp, dst, inst } => {
+                    let tsp = tagged!(sp);
+                    let (ret, s) = tri!(ext_raw(hooks, mem, io, cur, inst, ext, tsp));
+                    set!(dst, ret, s);
+                    pc += 1;
+                }
+                Op::CallExt { ext, site, inst } => {
+                    let dst = args!(site);
+                    let (ret, s) = tri!(ext_explicit(hooks, mem, io, argbuf, argv, cur, inst, ext));
+                    set!(dst, ret, s);
+                    pc += 1;
+                }
+                Op::Fail { err } => break Err(code.errors[err as usize].clone()),
+                Op::Jump { pc: to } => pc = to as usize,
+                Op::Br { edge } => take!(edge),
+                Op::JumpIf { c, t, f } => pc = if get!(c) != 0 { t } else { f } as usize,
+                Op::CondBr { c, t, f } => take!(if get!(c) != 0 { t } else { f }),
+                Op::Switch { v, sw } => {
+                    let val = get!(v) as i32;
+                    let sw = code.switches[sw as usize];
+                    let cases = &code.cases[sw.lo as usize..sw.hi as usize];
+                    take!(cases.iter().find(|c| c.0 == val).map_or(sw.default, |c| c.1));
+                }
+                Op::Ret { v } => {
+                    let rv = v.map(|v| tagged!(v));
+                    hooks.fn_exit(cur, rv, mem);
+                    let Some(r) = calls.pop() else {
+                        nsp = entry_nsp;
+                        break Ok(rv.map_or(0, |(v, _)| v as i32));
+                    };
+                    (cur, pc, base, nsp) = (r.func, r.pc, r.base, r.nsp);
+                    let (v, s) = rv.unwrap_or((0, None));
+                    let s = hooks.transparent(s);
+                    set!(r.dst, v, s);
+                }
+                Op::Trap { code: c } => {
+                    if let Some(kind) = TrapCode::guard_kind(c) {
+                        *guard_hit = Some(GuardHit { func: cur, kind });
                     }
-                    let ret = self.do_ext(ext_id, &staged)?;
-                    let s = self.hooks.ext_ret(cur_func, inst_id, ext_id, &ea, ret, &self.mem);
-                    let fr = frames.last_mut().unwrap();
-                    fr.vals[inst_id.index()] = ret;
-                    fr.shadows[inst_id.index()] = s;
-                    fr.idx += 1;
+                    break Err(InterpError::Trap(c));
                 }
-                InstKind::CallExt { ext, ref args } => {
-                    let fr = frames.last().unwrap();
-                    let targs: Vec<Tagged> = args.iter().map(|a| self.tagged(fr, *a)).collect();
-                    let ext_id = self.resolve_ext(ext)?;
-                    let ea = ExtArgs::Explicit(&targs);
-                    self.hooks.ext_call(cur_func, inst_id, ext_id, &ea, &self.mem);
-                    let argv: Vec<u32> = targs.iter().map(|(v, _)| *v).collect();
-                    let ret = self.do_ext(ext_id, &argv)?;
-                    let s = self.hooks.ext_ret(cur_func, inst_id, ext_id, &ea, ret, &self.mem);
-                    let fr = frames.last_mut().unwrap();
-                    fr.vals[inst_id.index()] = ret;
-                    fr.shadows[inst_id.index()] = s;
-                    fr.idx += 1;
-                }
-                InstKind::Select { c, a, b } => {
-                    let fr = frames.last_mut().unwrap();
-                    let cv = self.eval(fr, c);
-                    let chosen = if cv != 0 { a } else { b };
-                    let (v, s) = self.tagged(fr, chosen);
-                    let s = self.hooks.transparent(s);
-                    let fr = frames.last_mut().unwrap();
-                    fr.vals[inst_id.index()] = v;
-                    fr.shadows[inst_id.index()] = s;
-                    fr.idx += 1;
-                }
-                InstKind::Phi { .. } => {
-                    // Phis are evaluated en bloc at branch time; reaching one
-                    // here means it already holds its value.
-                    frames.last_mut().unwrap().idx += 1;
-                }
-                InstKind::Copy { v } => {
-                    let fr = frames.last_mut().unwrap();
-                    let (val, s) = self.tagged(fr, v);
-                    let s = self.hooks.transparent(s);
-                    let fr = frames.last_mut().unwrap();
-                    fr.vals[inst_id.index()] = val;
-                    fr.shadows[inst_id.index()] = s;
-                    fr.idx += 1;
-                }
+                Op::Unreachable { block } => break Err(InterpError::Unreachable(cur, block)),
             }
-        }
+        };
+        (self.steps, self.loads, self.stores, self.nsp) = (steps, loads, stores, nsp);
+        result
     }
+}
 
-    fn resolve_ext(&self, ext: u16) -> Result<ExtId, InterpError> {
-        self.ext_ids.get(ext as usize).copied().flatten().ok_or(InterpError::UnknownExtern(ext))
+/// Enter `callee` with the tagged arguments `args`: open its window at
+/// `base` and tell the hooks. `callsite` is `None` for the entry
+/// function. Returns the callee's first op.
+#[allow(clippy::too_many_arguments)]
+fn enter<H: Hooks>(
+    code: &Code,
+    hooks: &mut H,
+    mem: &Memory,
+    slots: &mut Vec<Tagged>,
+    args: &[Tagged],
+    callsite: Option<(FuncId, InstId)>,
+    callee: FuncId,
+    base: usize,
+) -> Result<usize, InterpError> {
+    let fc = *code.funcs.get(callee.index()).ok_or(InterpError::BadIndex("function", callee.0))?;
+    let end = base + fc.slots as usize;
+    if slots.len() < end {
+        slots.resize(end, (0, None));
     }
-
-    fn do_ext(&mut self, ext: ExtId, argv: &[u32]) -> Result<u32, InterpError> {
-        let mut src: &[u32] = argv;
-        match dispatch(ext, &mut self.mem, &mut self.io, &mut src) {
-            ExtOutcome::Ret { value, .. } => Ok(value),
-            // exit() unwinds the whole frame stack; run()/run_from() turn
-            // it into a clean exit with the given code.
-            ExtOutcome::Exit(code) => Err(InterpError::Exit(code)),
-            ExtOutcome::Abort => Err(InterpError::Aborted),
-        }
+    // Parameters the caller did not pass read as 0, constants take their
+    // pooled values, and results start at 0 until written.
+    let w = &mut slots[base..end];
+    let p = fc.params as usize;
+    for (k, slot) in w[..p].iter_mut().enumerate() {
+        *slot = args.get(k).copied().unwrap_or((0, None));
     }
-
-    fn do_call(
-        &mut self,
-        frames: &mut Vec<Frame>,
-        caller: FuncId,
-        inst_id: InstId,
-        callee: FuncId,
-        args: &[Val],
-    ) -> Result<(), InterpError> {
-        let fr = frames.last_mut().unwrap();
-        let targs: Vec<Tagged> = args.iter().map(|a| self.tagged(fr, *a)).collect();
-        // Advance the caller past the call before pushing the callee.
-        frames.last_mut().unwrap().idx += 1;
-        self.hooks.call_pre(caller, inst_id, callee, &self.mem);
-        let vals: Vec<u32> = targs.iter().map(|(v, _)| *v).collect();
-        let shadows: Vec<Option<Shadow>> = targs.iter().map(|(_, s)| *s).collect();
-        let frame = self.new_frame(callee, vals, shadows, Some(inst_id))?;
-        self.hooks.fn_enter(callee, Some((caller, inst_id)), &targs, &self.mem);
-        frames.push(frame);
-        Ok(())
+    let pool = &code.pool[fc.pool.0 as usize..fc.pool.1 as usize];
+    for (slot, &c) in w[p..].iter_mut().zip(pool) {
+        *slot = (c, None);
     }
+    w[p + pool.len()..].fill((0, None));
+    hooks.fn_enter(callee, callsite, args, mem);
+    let pc = fc.entry_pc.ok_or(InterpError::BadIndex("block", fc.entry.0))?;
+    Ok(pc as usize)
+}
 
-    /// Transfer control within the current frame, evaluating phi nodes of
-    /// the target block (two-phase: read all, then write all). A phi with
-    /// no incoming for the source block is malformed IR and errors rather
-    /// than silently keeping a stale value.
-    fn branch(&mut self, fr: &mut Frame, target: BlockId) -> Result<(), InterpError> {
-        let func = &self.module.funcs[fr.func.index()];
-        let from = fr.block;
-        let tb = func.blocks.get(target.index()).ok_or(InterpError::BadIndex("block", target.0))?;
-        let mut updates: Vec<(InstId, u32, Option<Shadow>)> = Vec::new();
-        for &i in &tb.insts {
-            match func.inst(i) {
-                InstKind::Phi { incomings } => {
-                    let Some((_, v)) = incomings.iter().find(|(p, _)| *p == from) else {
-                        return Err(InterpError::MissingBlockArg(fr.func, target));
-                    };
-                    let val = self.eval(fr, *v);
-                    let s = self.shadow(fr, *v);
-                    updates.push((i, val, s));
-                }
-                _ => break,
+/// Take `Code::edges[edge]` from the frame whose window starts `slots`:
+/// read every phi move's source, then write every destination (`moved`
+/// is scratch). Returns the op to continue at.
+#[cold]
+fn take_edge<H: Hooks>(
+    code: &Code,
+    edge: u32,
+    slots: &mut [Tagged],
+    hooks: &mut H,
+    moved: &mut Vec<Tagged>,
+) -> Result<usize, InterpError> {
+    match code.edges[edge as usize] {
+        Edge::Fail { err } => Err(code.errors[err as usize].clone()),
+        Edge::To { pc, lo, hi } => {
+            let moves = &code.moves[lo as usize..hi as usize];
+            moved.clear();
+            moved.extend(moves.iter().map(|&(from, _)| slots[from as usize]));
+            for (&(_, to), &(v, s)) in moves.iter().zip(moved.iter()) {
+                slots[to as usize] = (v, hooks.transparent(s));
             }
+            Ok(pc as usize)
         }
-        for (i, v, s) in updates {
-            fr.vals[i.index()] = v;
-            fr.shadows[i.index()] = self.hooks.transparent(s);
-        }
-        fr.prev_block = Some(from);
-        fr.block = target;
-        fr.idx = 0;
-        Ok(())
+    }
+}
+
+/// An external call with unrecovered arguments: the callee reads sixteen
+/// words from `sp`.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn ext_raw<H: Hooks>(
+    hooks: &mut H,
+    mem: &mut Memory,
+    io: &mut ExtIo,
+    f: FuncId,
+    inst: InstId,
+    ext: ExtId,
+    (sp, sp_shadow): Tagged,
+) -> Result<(u32, Option<Shadow>), InterpError> {
+    let ea = ExtArgs::Raw { sp, sp_shadow };
+    hooks.ext_call(f, inst, ext, &ea, mem);
+    let mut staged = [0u32; 16];
+    for (i, slot) in staged.iter_mut().enumerate() {
+        *slot = mem.read_u32(sp.wrapping_add(4 * i as u32));
+    }
+    let ret = do_ext(ext, mem, io, &staged)?;
+    Ok((ret, hooks.ext_ret(f, inst, ext, &ea, ret, mem)))
+}
+
+/// An external call with the explicit arguments `args` (`argv` is
+/// scratch for their values).
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn ext_explicit<H: Hooks>(
+    hooks: &mut H,
+    mem: &mut Memory,
+    io: &mut ExtIo,
+    args: &[Tagged],
+    argv: &mut Vec<u32>,
+    f: FuncId,
+    inst: InstId,
+    ext: ExtId,
+) -> Result<(u32, Option<Shadow>), InterpError> {
+    let ea = ExtArgs::Explicit(args);
+    hooks.ext_call(f, inst, ext, &ea, mem);
+    argv.clear();
+    argv.extend(args.iter().map(|(v, _)| *v));
+    let ret = do_ext(ext, mem, io, argv)?;
+    Ok((ret, hooks.ext_ret(f, inst, ext, &ea, ret, mem)))
+}
+
+fn do_ext(ext: ExtId, mem: &mut Memory, io: &mut ExtIo, argv: &[u32]) -> Result<u32, InterpError> {
+    let mut src: &[u32] = argv;
+    match dispatch(ext, mem, io, &mut src) {
+        ExtOutcome::Ret { value, .. } => Ok(value),
+        // exit() unwinds the whole frame stack; run()/run_from() turn
+        // it into a clean exit with the given code.
+        ExtOutcome::Exit(code) => Err(InterpError::Exit(code)),
+        ExtOutcome::Abort => Err(InterpError::Aborted),
     }
 }
 
@@ -1079,6 +1587,206 @@ mod tests {
             f.blocks[0].term = Term::Ret(Some(Val::Inst(c)));
         });
         assert_eq!(run_entry(&m).error, Some(InterpError::BadIndex("function", 9)));
+    }
+
+    /// `main` calls `callee` (one add, then `term`) and returns its result.
+    fn call_module(term: impl FnOnce(&mut Function) -> Term) -> Module {
+        let mut m = Module::new();
+        let mut callee = Function::new("callee");
+        callee.push_inst(
+            callee.entry,
+            InstKind::Bin { op: BinOp::Add, a: Val::Const(1), b: Val::Const(2) },
+        );
+        callee.blocks[0].term = term(&mut callee);
+        let callee_id = m.add_func(callee);
+        let mut main = Function::new("main");
+        let c = main.push_inst(main.entry, InstKind::Call { f: callee_id, args: vec![] });
+        main.blocks[0].term = Term::Ret(Some(Val::Inst(c)));
+        let id = m.add_func(main);
+        m.entry = Some(id);
+        m
+    }
+
+    #[test]
+    fn swapping_phis_copy_in_parallel() {
+        // a, b = 1, 2; three times: a, b = b, a. Sequential moves would
+        // leave both equal.
+        let m = simple_module(|f| {
+            let header = f.add_block();
+            let body = f.add_block();
+            let exit = f.add_block();
+            f.blocks[0].term = Term::Br(header);
+            let a = f.push_inst(header, InstKind::Phi { incomings: vec![] });
+            let b = f.push_inst(header, InstKind::Phi { incomings: vec![] });
+            let i = f.push_inst(header, InstKind::Phi { incomings: vec![] });
+            let done =
+                f.push_inst(header, InstKind::Cmp { op: CmpOp::Eq, a: Val::Inst(i), b: 3.into() });
+            f.blocks[header.index()].term = Term::CondBr { c: Val::Inst(done), t: exit, f: body };
+            let i2 =
+                f.push_inst(body, InstKind::Bin { op: BinOp::Add, a: Val::Inst(i), b: 1.into() });
+            f.blocks[body.index()].term = Term::Br(header);
+            let entry = BlockId(0);
+            *f.inst_mut(a) =
+                InstKind::Phi { incomings: vec![(entry, 1.into()), (body, Val::Inst(b))] };
+            *f.inst_mut(b) =
+                InstKind::Phi { incomings: vec![(entry, 2.into()), (body, Val::Inst(a))] };
+            *f.inst_mut(i) =
+                InstKind::Phi { incomings: vec![(entry, 0.into()), (body, Val::Inst(i2))] };
+            let a10 =
+                f.push_inst(exit, InstKind::Bin { op: BinOp::Mul, a: Val::Inst(a), b: 10.into() });
+            let r = f.push_inst(
+                exit,
+                InstKind::Bin { op: BinOp::Add, a: Val::Inst(a10), b: Val::Inst(b) },
+            );
+            f.blocks[exit.index()].term = Term::Ret(Some(Val::Inst(r)));
+        });
+        crate::verify::verify_module(&m).unwrap();
+        let out = run_entry(&m);
+        assert_eq!((out.error, out.exit_code), (None, 21));
+    }
+
+    #[test]
+    fn malformed_edges_fail_only_when_taken() {
+        // A branch to a missing block, and one into a phi with no incoming
+        // for it, both on the untaken side: the run completes.
+        let m = simple_module(|f| {
+            let ok = f.add_block();
+            let phis = f.add_block();
+            let done = f.add_block();
+            f.blocks[0].term = Term::CondBr { c: 1.into(), t: ok, f: BlockId(99) };
+            f.blocks[ok.index()].term = Term::CondBr { c: 0.into(), t: phis, f: done };
+            let p = f.push_inst(phis, InstKind::Phi { incomings: vec![(BlockId(0), 4.into())] });
+            f.blocks[phis.index()].term = Term::Ret(Some(Val::Inst(p)));
+            f.blocks[done.index()].term = Term::Ret(Some(5.into()));
+        });
+        let out = run_entry(&m);
+        assert_eq!((out.error, out.exit_code, out.steps), (None, 5, 3));
+
+        let m = simple_module(|f| {
+            let ok = f.add_block();
+            let phis = f.add_block();
+            f.blocks[0].term = Term::Switch {
+                v: 2.into(),
+                cases: vec![(1, BlockId(99)), (2, ok), (3, phis)],
+                default: BlockId(98),
+            };
+            f.push_inst(phis, InstKind::Phi { incomings: vec![(ok, 4.into())] });
+            f.blocks[phis.index()].term = Term::Ret(Some(5.into()));
+            f.blocks[ok.index()].term = Term::Ret(Some(7.into()));
+        });
+        let out = run_entry(&m);
+        assert_eq!((out.error, out.exit_code, out.steps), (None, 7, 2));
+
+        // Taken, the same edges fail at the branch's own step.
+        let m = simple_module(|f| {
+            let phis = f.add_block();
+            f.blocks[0].term =
+                Term::Switch { v: 3.into(), cases: vec![(3, phis)], default: BlockId(98) };
+            f.push_inst(phis, InstKind::Phi { incomings: vec![(phis, 4.into())] });
+            f.blocks[phis.index()].term = Term::Ret(None);
+        });
+        let out = run_entry(&m);
+        assert_eq!(
+            (out.error, out.steps),
+            (Some(InterpError::MissingBlockArg(FuncId(0), BlockId(1))), 1)
+        );
+    }
+
+    #[test]
+    fn missing_entry_block_fails_only_when_called() {
+        #[derive(Default)]
+        struct Entered(Vec<FuncId>);
+        impl Hooks for Entered {
+            fn fn_enter(
+                &mut self,
+                f: FuncId,
+                _: Option<(FuncId, InstId)>,
+                _: &[Tagged],
+                _: &Memory,
+            ) {
+                self.0.push(f);
+            }
+        }
+        // `main` calls `broken`, whose entry block does not exist, if `call`.
+        let module = |call: bool| {
+            let mut m = Module::new();
+            let mut broken = Function::new("broken");
+            broken.entry = BlockId(9);
+            let broken = m.add_func(broken);
+            let mut main = Function::new("main");
+            if call {
+                main.push_inst(main.entry, InstKind::Call { f: broken, args: vec![] });
+            }
+            main.blocks[0].term = Term::Ret(None);
+            m.entry = Some(m.add_func(main));
+            m
+        };
+        assert_eq!(run_entry(&module(false)).error, None);
+
+        // The error follows the callee's `fn_enter`, with no step of its own.
+        let m = module(true);
+        let mut it = Interp::new(&m, Vec::new(), Entered::default());
+        let out = it.run();
+        assert_eq!((out.error, out.steps), (Some(InterpError::BadIndex("block", 9)), 1));
+        assert_eq!(it.hooks.0, vec![FuncId(1), FuncId(0)]);
+    }
+
+    #[test]
+    fn fuel_boundary_is_exact_across_calls_returns_and_phi_edges() {
+        // main: call callee (add; ret), br into a block whose phi takes
+        // the call's result, add, ret: 7 steps.
+        let mut m = call_module(|_| Term::Ret(Some(Val::Inst(InstId(0)))));
+        let main = m.entry.unwrap();
+        let f = &mut m.funcs[main.index()];
+        let join = f.add_block();
+        f.blocks[0].term = Term::Br(join);
+        let p = f
+            .push_inst(join, InstKind::Phi { incomings: vec![(BlockId(0), Val::Inst(InstId(0)))] });
+        let r = f.push_inst(join, InstKind::Bin { op: BinOp::Add, a: Val::Inst(p), b: 10.into() });
+        f.blocks[join.index()].term = Term::Ret(Some(Val::Inst(r)));
+        crate::verify::verify_module(&m).unwrap();
+        let full = run_entry(&m);
+        assert_eq!((full.error, full.exit_code, full.steps), (None, 13, 7));
+        for fuel in 0..=full.steps + 1 {
+            let mut it = Interp::new(&m, Vec::new(), NoHooks);
+            it.set_fuel(fuel);
+            let out = it.run();
+            if fuel >= full.steps {
+                assert_eq!((out.error, out.steps), (None, full.steps), "fuel {fuel}");
+            } else {
+                assert_eq!(
+                    (out.error, out.steps),
+                    (Some(InterpError::Fuel), fuel + 1),
+                    "fuel {fuel}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn guard_hits_name_the_trapping_function() {
+        let branch = TrapCode::UntracedBranch.code();
+        let m = call_module(|_| Term::Trap(branch));
+        let out = run_entry(&m);
+        assert_eq!(out.error, Some(InterpError::Trap(branch)));
+        assert_eq!(out.guard, Some(GuardHit { func: FuncId(0), kind: GuardKind::UntracedBranch }));
+
+        // A non-guard trap carries no attribution.
+        let m = call_module(|_| Term::Trap(7));
+        assert_eq!(run_entry(&m).guard, None);
+
+        // An indirect call to an unlifted address, from the callee.
+        let m = call_module(|f| {
+            let c =
+                f.push_inst(f.entry, InstKind::CallInd { target: Val::Const(0xbad), args: vec![] });
+            Term::Ret(Some(Val::Inst(c)))
+        });
+        let out = run_entry(&m);
+        assert_eq!(out.error, Some(InterpError::BadIndirect(0xbad)));
+        assert_eq!(
+            out.guard,
+            Some(GuardHit { func: FuncId(0), kind: GuardKind::UntracedIndirect })
+        );
     }
 
     #[test]

@@ -159,9 +159,10 @@ if [ "$CFGS" -ne "$CFG_BUDGET" ]; then
 fi
 
 echo "==> hot-path map budget (HashMap<u32 / BTreeSet<u32> in the non-test code of"
-echo "    wyt-emu's Memory and the regsave and bounds hooks — see DESIGN.md §3)"
+echo "    wyt-emu's Memory, the IR interpreter and the regsave and bounds hooks — see DESIGN.md §3)"
 MAP_BUDGET=0
-MAPS=$(for f in crates/emu/src/memory.rs crates/core/src/runtime.rs crates/core/src/regsave.rs; do
+MAPS=$(for f in crates/emu/src/memory.rs crates/ir/src/interp.rs crates/core/src/runtime.rs \
+    crates/core/src/regsave.rs; do
     awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print}' "$f"
 done | grep -cE 'HashMap<u32|BTreeSet<u32>' || true)
 if [ "$MAPS" -ne "$MAP_BUDGET" ]; then
