@@ -8,7 +8,7 @@
 //! `error` outcome row, never a crashed worker (the fuzz campaign in
 //! `wyt-fuzz` drives arbitrary bytes through exactly these functions).
 
-use crate::artifact::{image_from_json, inputs_from_json, trace_from_json};
+use crate::artifact::{image_from_json, trace_from_json};
 use std::fmt;
 use wyt_emu::{Machine, RunResult};
 use wyt_isa::image::Image;
@@ -110,18 +110,6 @@ pub fn trace_json(text: &str) -> Result<Trace, IngestError> {
         wyt_obs::json::parse_limited(text, &JsonLimits::default())
             .map_err(IngestError::Json)
             .and_then(|j| trace_from_json(&j).map_err(IngestError::Decode)),
-    )
-}
-
-/// Decode an input set from arbitrary JSON text.
-///
-/// # Errors
-/// Returns [`IngestError::Json`] or [`IngestError::Decode`].
-pub fn inputs_json(text: &str) -> Result<Vec<Vec<u8>>, IngestError> {
-    note(
-        wyt_obs::json::parse_limited(text, &JsonLimits::default())
-            .map_err(IngestError::Json)
-            .and_then(|j| inputs_from_json(&j).map_err(IngestError::Decode)),
     )
 }
 

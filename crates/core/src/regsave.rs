@@ -10,12 +10,12 @@
 //! constraint "if it is an argument anywhere downstream, it is an argument
 //! here" — exactly the paper's deferred constraint scheme.
 
-use crate::flat::FlatIndex;
+use crate::flat::{replay, FlatIndex};
 use crate::shadowmem::ShadowMem;
 use std::collections::{BTreeSet, HashMap};
 use wyt_emu::{ExtId, Memory};
-use wyt_ir::interp::{ExtArgs, Hooks, Interp, InterpError, Shadow, Tagged};
-use wyt_ir::{BinOp, CmpOp, FuncId, InstId, Module, Ty};
+use wyt_ir::interp::{ExtArgs, Hooks, InterpError, Shadow, Tagged};
+use wyt_ir::{BinOp, FuncId, InstId, Module, Ty};
 use wyt_lifter::{vcpu_reg_addr, LiftedMeta, VCPU_BASE};
 
 /// Number of tracked register cells (8 GPRs + 2 vector halves).
@@ -101,31 +101,34 @@ struct CallSeen {
     forwarded: u16,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Token {
-    /// The [`fact_slot`] of the function and cell the token was minted for.
-    slot: u32,
-    serial: u32,
+/// [`RegSaveHook::bases`] entry of a frame that has returned.
+const DEAD: u32 = u32::MAX;
+
+/// The token `fn_enter` mints for `cell` of the frame with `serial`. A
+/// call takes at least two steps, so the interpreter's default fuel
+/// (500 M steps) keeps every token below `u32::MAX`.
+#[inline]
+fn token(serial: u32, cell: usize) -> Shadow {
+    serial * NUM_CELLS as u32 + cell as u32
 }
 
 struct Frame {
     func: FuncId,
     serial: u32,
     sp0: u32,
-    entry_tokens: [Shadow; NUM_CELLS],
     caller_shadows: [Option<Shadow>; NUM_CELLS],
 }
 
-/// The analysis hook.
+/// The analysis hook. A shadow is a token: `fn_enter` mints one per cell
+/// of each frame it opens, see [`token`].
 pub struct RegSaveHook<'a> {
     index: &'a FlatIndex,
-    tokens: Vec<Token>,
     /// Per [`fact_slot`].
     facts: Vec<CellFacts>,
     frames: Vec<Frame>,
-    /// Per frame serial: still on the stack. Serials are handed out in
-    /// order by `fn_enter`.
-    active: Vec<bool>,
+    /// Per frame serial: the frame's [`fact_slot`] base while it is on the
+    /// stack, then [`DEAD`]. Serials are handed out in order by `fn_enter`.
+    bases: Vec<u32>,
     /// Shadow currently stored in each vcpu cell.
     cell_shadows: [Option<Shadow>; NUM_CELLS],
     /// Address → shadow for spilled tokens (4-byte entries).
@@ -142,10 +145,9 @@ impl<'a> RegSaveHook<'a> {
     fn new(index: &'a FlatIndex) -> RegSaveHook<'a> {
         RegSaveHook {
             index,
-            tokens: Vec::new(),
             facts: vec![CellFacts::default(); index.funcs() * NUM_CELLS],
             frames: Vec::new(),
-            active: Vec::new(),
+            bases: Vec::new(),
             cell_shadows: [None; NUM_CELLS],
             addr_map: ShadowMem::new(),
             cur_esp: 0,
@@ -170,21 +172,17 @@ impl<'a> RegSaveHook<'a> {
         (self.facts, targets)
     }
 
-    #[inline]
-    fn token(&self, s: Shadow) -> Token {
-        self.tokens[s as usize]
-    }
-
     /// A shadow is meaningful only while its owning frame is live.
     #[inline]
     fn live(&self, s: Shadow) -> bool {
-        self.active[self.token(s).serial as usize]
+        self.bases[s as usize / NUM_CELLS] != DEAD
     }
 
+    /// The facts of the function and cell a live token was minted for.
     #[inline]
     fn fact(&mut self, s: Shadow) -> &mut CellFacts {
-        let slot = self.token(s).slot as usize;
-        &mut self.facts[slot]
+        let base = self.bases[s as usize / NUM_CELLS] as usize;
+        &mut self.facts[base + s as usize % NUM_CELLS]
     }
 
     #[inline]
@@ -198,57 +196,56 @@ impl<'a> RegSaveHook<'a> {
 }
 
 impl Hooks for RegSaveHook<'_> {
-    fn fn_enter(
-        &mut self,
-        f: FuncId,
-        callsite: Option<(FuncId, InstId)>,
-        _args: &[Tagged],
-        mem: &Memory,
-    ) {
-        // Forwarding edges: cells of the (still current) parent frame that
-        // hold its entry token pass it untouched to this callee. An edge
-        // from this call site to its first callee is inserted only once.
-        if let (Some((cf, ci)), Some(parent)) = (callsite, self.frames.last()) {
-            let mut cells = 0u16;
-            for cell in 0..NUM_CELLS {
-                if self.cell_shadows[cell] == Some(parent.entry_tokens[cell]) {
-                    cells |= 1 << cell;
+    fn fn_enter(&mut self, f: FuncId, callsite: Option<(FuncId, InstId)>, mem: &Memory) {
+        if let Some((cf, ci)) = callsite {
+            // Record the observed callee of the call site (used for
+            // indirect calls), then the forwarding edges: cells of the
+            // (still current) parent frame that hold its entry token pass
+            // it untouched to this callee. An edge from this call site to
+            // its first callee is inserted only once.
+            let at = self.index.flat(cf, ci);
+            let seen = &mut self.calls[at];
+            if seen.first == u32::MAX {
+                seen.first = f.0;
+            } else if seen.first != f.0 {
+                self.more_callees.insert((at as u32, f));
+            }
+            if let Some(parent) = self.frames.last() {
+                let mut cells = 0u16;
+                for cell in 0..NUM_CELLS {
+                    if self.cell_shadows[cell] == Some(token(parent.serial, cell)) {
+                        cells |= 1 << cell;
+                    }
+                }
+                let (parent, seen) = (parent.func, &mut self.calls[at]);
+                if seen.first == f.0 {
+                    cells &= !seen.forwarded;
+                    seen.forwarded |= cells;
+                }
+                for cell in (0..NUM_CELLS).filter(|c| cells & (1 << c) != 0) {
+                    self.facts[fact_slot(parent, cell)].forwarded_to.insert((f, cell));
                 }
             }
-            let (parent, at) = (parent.func, self.index.flat(cf, ci));
-            let seen = &mut self.calls[at];
-            if seen.first == f.0 {
-                cells &= !seen.forwarded;
-                seen.forwarded |= cells;
-            }
-            for cell in (0..NUM_CELLS).filter(|c| cells & (1 << c) != 0) {
-                self.facts[fact_slot(parent, cell)].forwarded_to.insert((f, cell));
-            }
         }
-        let serial = self.active.len() as u32;
-        self.active.push(true);
+        let serial = self.bases.len() as u32;
+        self.bases.push(fact_slot(f, 0) as u32);
         let sp0 = mem.read_u32(vcpu_reg_addr(wyt_isa::Reg::Esp));
         self.cur_esp = sp0;
-        let mut entry_tokens = [0; NUM_CELLS];
         let mut caller_shadows = [None; NUM_CELLS];
         for cell in 0..NUM_CELLS {
-            let tok = self.tokens.len() as Shadow;
-            let slot = fact_slot(f, cell);
-            self.tokens.push(Token { slot: slot as u32, serial });
             caller_shadows[cell] = self.cell_shadows[cell];
-            self.cell_shadows[cell] = Some(tok);
-            entry_tokens[cell] = tok;
-            self.facts[slot].entered = true;
+            self.cell_shadows[cell] = Some(token(serial, cell));
+            self.facts[fact_slot(f, cell)].entered = true;
         }
-        self.frames.push(Frame { func: f, serial, sp0, entry_tokens, caller_shadows });
+        self.frames.push(Frame { func: f, serial, sp0, caller_shadows });
     }
 
-    fn fn_exit(&mut self, f: FuncId, _ret: Option<Tagged>, _mem: &Memory) {
+    fn fn_exit(&mut self, f: FuncId) {
         let Some(frame) = self.frames.pop() else { return };
         debug_assert_eq!(frame.func, f);
-        self.active[frame.serial as usize] = false;
+        self.bases[frame.serial as usize] = DEAD;
         for cell in 0..NUM_CELLS {
-            let restored = self.cell_shadows[cell] == Some(frame.entry_tokens[cell]);
+            let restored = self.cell_shadows[cell] == Some(token(frame.serial, cell));
             if restored {
                 // The caller's tracking resumes seamlessly.
                 self.cell_shadows[cell] = frame.caller_shadows[cell];
@@ -261,20 +258,6 @@ impl Hooks for RegSaveHook<'_> {
         if let Some(parent) = self.frames.last() {
             self.cur_esp = parent.sp0;
         }
-    }
-
-    fn call_pre(&mut self, caller: FuncId, inst: InstId, callee: FuncId, _mem: &Memory) {
-        // Record observed targets per call site (used for indirect calls).
-        let at = self.index.flat(caller, inst);
-        let seen = &mut self.calls[at];
-        if seen.first == u32::MAX {
-            seen.first = callee.0;
-        } else if seen.first != callee.0 {
-            self.more_callees.insert((at as u32, callee));
-        }
-        // Forwarding edges (cells still holding the caller's entry token)
-        // are recorded at the callee's fn_enter, where the callee's
-        // identity and the parent frame are both at hand.
     }
 
     #[inline]
@@ -293,13 +276,13 @@ impl Hooks for RegSaveHook<'_> {
     }
 
     #[inline]
-    fn cmp(&mut self, _f: FuncId, _i: InstId, _op: CmpOp, a: Tagged, b: Tagged) {
+    fn cmp(&mut self, a: Tagged, b: Tagged) {
         self.mark_op_use(a.1);
         self.mark_op_use(b.1);
     }
 
     #[inline]
-    fn load(&mut self, _f: FuncId, _i: InstId, ty: Ty, addr: Tagged, _val: u32) -> Option<Shadow> {
+    fn load(&mut self, _f: FuncId, _i: InstId, ty: Ty, addr: Tagged) -> Option<Shadow> {
         self.mark_op_use(addr.1);
         if let Some(cell) = cell_of_addr(addr.0) {
             return self.cell_shadows[cell].filter(|s| self.live(*s));
@@ -311,7 +294,7 @@ impl Hooks for RegSaveHook<'_> {
     }
 
     #[inline]
-    fn store(&mut self, _f: FuncId, _i: InstId, ty: Ty, addr: Tagged, val: Tagged) {
+    fn store(&mut self, ty: Ty, addr: Tagged, val: Tagged) {
         self.mark_op_use(addr.1);
         if let Some(cell) = cell_of_addr(addr.0) {
             if cell == ESP_CELL {
@@ -339,7 +322,7 @@ impl Hooks for RegSaveHook<'_> {
         s.filter(|s| self.live(*s))
     }
 
-    fn ext_call(&mut self, _f: FuncId, _i: InstId, _e: ExtId, args: &ExtArgs<'_>, _mem: &Memory) {
+    fn ext_call(&mut self, _e: ExtId, args: &ExtArgs<'_>, _mem: &Memory) {
         // Explicit argument values carrying tokens are operand uses.
         if let ExtArgs::Explicit(vals) = args {
             for (_, s) in vals.iter() {
@@ -358,22 +341,14 @@ pub fn analyze(
     meta: &LiftedMeta,
     inputs: &[Vec<u8>],
 ) -> Result<RegSaveInfo, InterpError> {
-    // Per-input replays are independent: run them on the pool and merge
-    // facts in input order (the merge is a monotone union per
-    // (FuncId, cell), so the result equals a serial sweep).
-    let funcs = module.funcs.len();
+    // Per-input replays are independent; their facts merge in input
+    // order (the merge is a monotone union per (FuncId, cell), so the
+    // result equals a serial sweep).
     let index = FlatIndex::new(module);
-    let runs = wyt_par::par_map(inputs, |_, input| {
-        let mut interp = Interp::new(module, input.clone(), RegSaveHook::new(&index));
-        let out = interp.run();
-        (out.error, interp.hooks.finish())
-    });
-    let mut facts = vec![CellFacts::default(); funcs * NUM_CELLS];
+    let runs = replay(module, inputs, || RegSaveHook::new(&index), RegSaveHook::finish)?;
+    let mut facts = vec![CellFacts::default(); index.funcs() * NUM_CELLS];
     let mut indirect = CallTargets::new();
-    for (error, (hook_facts, targets)) in runs {
-        if let Some(e) = error {
-            return Err(e);
-        }
+    for (hook_facts, targets) in runs {
         for (e, v) in facts.iter_mut().zip(hook_facts) {
             e.entered |= v.entered;
             e.used_in_op |= v.used_in_op;

@@ -16,13 +16,13 @@
 //!   call-site descriptor, not as callee variables (§4.2.5);
 //! - linked variables merge only when both have defined bounds (§4.2.4).
 
-use crate::flat::FlatIndex;
+use crate::flat::{replay, FlatIndex};
 use crate::shadowmem::ShadowMem;
 use crate::spfold::FoldInfo;
 use std::collections::{BTreeSet, HashMap};
 use wyt_emu::{ExtId, Memory};
-use wyt_ir::interp::{ExtArgs, Hooks, Interp, InterpError, Shadow, Tagged};
-use wyt_ir::{BinOp, CmpOp, FuncId, InstId, Module, Ty};
+use wyt_ir::interp::{ExtArgs, Hooks, InterpError, Shadow, Tagged};
+use wyt_ir::{BinOp, FuncId, InstId, Module, Ty};
 use wyt_lifter::{ext_sig, ExtEffect, SizeSpec};
 
 /// Identity of a stack variable candidate: the static base pointer.
@@ -300,13 +300,7 @@ impl<'a> BoundsHook<'a> {
 }
 
 impl Hooks for BoundsHook<'_> {
-    fn fn_enter(
-        &mut self,
-        f: FuncId,
-        callsite: Option<(FuncId, InstId)>,
-        _args: &[Tagged],
-        _mem: &Memory,
-    ) {
+    fn fn_enter(&mut self, f: FuncId, callsite: Option<(FuncId, InstId)>, _mem: &Memory) {
         let serial = self.active.len() as u32;
         self.active.push(true);
         self.entered[f.index()] = true;
@@ -314,7 +308,7 @@ impl Hooks for BoundsHook<'_> {
         self.frames.push(Frame { serial, callsite });
     }
 
-    fn fn_exit(&mut self, _f: FuncId, _ret: Option<Tagged>, _mem: &Memory) {
+    fn fn_exit(&mut self, _f: FuncId) {
         if let Some(fr) = self.frames.pop() {
             self.active[fr.serial as usize] = false;
         }
@@ -391,14 +385,14 @@ impl Hooks for BoundsHook<'_> {
     }
 
     #[inline]
-    fn cmp(&mut self, _f: FuncId, _i: InstId, _op: CmpOp, a: Tagged, b: Tagged) {
+    fn cmp(&mut self, a: Tagged, b: Tagged) {
         if let (Some(p), Some(q)) = (self.live_pi(a.1), self.live_pi(b.1)) {
             self.link(p, q);
         }
     }
 
     #[inline]
-    fn load(&mut self, f: FuncId, inst: InstId, ty: Ty, addr: Tagged, _val: u32) -> Option<Shadow> {
+    fn load(&mut self, f: FuncId, inst: InstId, ty: Ty, addr: Tagged) -> Option<Shadow> {
         // The entry sp0 load re-reads the stack pointer: as the frame's
         // own pointer it is never dereferenced, so it is not tracked.
         if self.tables.sp0[f.index()] == Some(inst) {
@@ -414,7 +408,7 @@ impl Hooks for BoundsHook<'_> {
     }
 
     #[inline]
-    fn store(&mut self, _f: FuncId, _i: InstId, ty: Ty, addr: Tagged, val: Tagged) {
+    fn store(&mut self, ty: Ty, addr: Tagged, val: Tagged) {
         if let Some(pi) = self.live_pi(addr.1) {
             self.deref(pi, ty.bytes());
         }
@@ -427,11 +421,11 @@ impl Hooks for BoundsHook<'_> {
         s.filter(|s| self.live(*s))
     }
 
-    fn ext_call(&mut self, _f: FuncId, _i: InstId, ext: ExtId, args: &ExtArgs<'_>, mem: &Memory) {
+    fn ext_call(&mut self, ext: ExtId, args: &ExtArgs<'_>, mem: &Memory) {
         let raw;
         let argv = match args {
             ExtArgs::Explicit(vals) => vals,
-            ExtArgs::Raw { sp, .. } => {
+            ExtArgs::Raw { sp } => {
                 raw = self.raw_args(*sp, mem);
                 &raw[..]
             }
@@ -441,8 +435,6 @@ impl Hooks for BoundsHook<'_> {
 
     fn ext_ret(
         &mut self,
-        _f: FuncId,
-        _i: InstId,
         ext: ExtId,
         args: &ExtArgs<'_>,
         ret: u32,
@@ -453,7 +445,7 @@ impl Hooks for BoundsHook<'_> {
             if let ExtEffect::DeriveRet { base } = *eff {
                 let arg = match args {
                     ExtArgs::Explicit(vals) => vals.get(base).copied(),
-                    ExtArgs::Raw { sp, .. } => self.raw_args(*sp, mem).get(base).copied(),
+                    ExtArgs::Raw { sp } => self.raw_args(*sp, mem).get(base).copied(),
                 };
                 let Some((base_val, shadow)) = arg else { continue };
                 if let Some(pi) = self.live_pi(shadow) {
@@ -480,28 +472,18 @@ pub fn trace_bounds(
     inputs: &[Vec<u8>],
 ) -> Result<BoundsInfo, InterpError> {
     let tables = Tables::new(module, fold);
-    // Independent per-input replays run concurrently; observations merge
-    // **in input order** below, because parts of the merge (`sp0_off`,
-    // `align` overwrites) are order-sensitive and the result must be
-    // byte-identical to the serial sweep.
-    let runs = wyt_par::par_map(inputs, |_, input| {
-        let mut interp = Interp::new(module, input.clone(), BoundsHook::new(&tables));
-        let out = interp.run();
-        (out.error, interp.hooks.into_info())
-    });
+    // Independent per-input replays; observations merge **in input
+    // order**, because parts of the merge (`sp0_off`, `align` overwrites)
+    // are order-sensitive and the result must be byte-identical to the
+    // serial sweep.
+    let runs = replay(module, inputs, || BoundsHook::new(&tables), BoundsHook::into_info)?;
     let mut merged = BoundsInfo::default();
-    for (error, info) in runs {
-        if let Some(e) = error {
-            return Err(e);
-        }
+    for info in runs {
         for (k, v) in info.vars {
             let e = merged.vars.entry(k).or_default();
             e.sp0_off = v.sp0_off;
             if let (Some(l), Some(h)) = (v.low, v.high) {
-                e.access(l, 0);
-                e.access(h, 0);
-                e.low = Some(e.low.unwrap().min(l));
-                e.high = Some(e.high.unwrap().max(h));
+                e.access(l, (h - l) as u32);
             }
             if v.align.is_some() {
                 e.align = v.align;
@@ -511,9 +493,7 @@ pub fn trace_bounds(
         for (k, v) in info.callsite_args {
             let e = merged.callsite_args.entry(k).or_default();
             if let (Some(l), Some(h)) = (v.lo, v.hi) {
-                e.access(l, 0);
-                e.lo = Some(e.lo.unwrap().min(l));
-                e.hi = Some(e.hi.unwrap().max(h));
+                e.access(l, (h - l) as u32);
             }
         }
         merged.entered.extend(info.entered);

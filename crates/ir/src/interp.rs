@@ -59,8 +59,6 @@ pub enum ExtArgs<'a> {
     Raw {
         /// Stack pointer value at the call.
         sp: u32,
-        /// Shadow of the stack pointer value.
-        sp_shadow: Option<Shadow>,
     },
     /// Recovered: explicit argument values.
     Explicit(&'a [Tagged]),
@@ -70,17 +68,12 @@ pub enum ExtArgs<'a> {
 /// analysis implements the subset it needs.
 #[allow(unused_variables)]
 pub trait Hooks {
-    /// A function is entered. `callsite` is `None` for the program entry.
-    fn fn_enter(
-        &mut self,
-        f: FuncId,
-        callsite: Option<(FuncId, InstId)>,
-        args: &[Tagged],
-        mem: &Memory,
-    ) {
-    }
+    /// A function is entered. `callsite` is `None` for the program entry,
+    /// and otherwise the calling function and call instruction, direct or
+    /// indirect.
+    fn fn_enter(&mut self, f: FuncId, callsite: Option<(FuncId, InstId)>, mem: &Memory) {}
     /// A function returns.
-    fn fn_exit(&mut self, f: FuncId, ret: Option<Tagged>, mem: &Memory) {}
+    fn fn_exit(&mut self, f: FuncId) {}
     /// A binary operation produced `res`. Return the result's shadow.
     fn bin(
         &mut self,
@@ -94,27 +87,23 @@ pub trait Hooks {
         None
     }
     /// A comparison executed (pointer comparisons `link` variables, §4.2.2).
-    fn cmp(&mut self, f: FuncId, inst: InstId, op: CmpOp, a: Tagged, b: Tagged) {}
-    /// A load produced `val`. Return the loaded value's shadow.
-    fn load(&mut self, f: FuncId, inst: InstId, ty: Ty, addr: Tagged, val: u32) -> Option<Shadow> {
+    fn cmp(&mut self, a: Tagged, b: Tagged) {}
+    /// A load executed. Return the loaded value's shadow.
+    fn load(&mut self, f: FuncId, inst: InstId, ty: Ty, addr: Tagged) -> Option<Shadow> {
         None
     }
     /// A store executed.
-    fn store(&mut self, f: FuncId, inst: InstId, ty: Ty, addr: Tagged, val: Tagged) {}
+    fn store(&mut self, ty: Ty, addr: Tagged, val: Tagged) {}
     /// A value is copied verbatim (phi, select, copy). Maps the chosen
     /// input's shadow to the result's shadow (the paper's `copy` op).
     fn transparent(&mut self, s: Option<Shadow>) -> Option<Shadow> {
         s
     }
-    /// About to transfer control to a callee (before `fn_enter`).
-    fn call_pre(&mut self, caller: FuncId, inst: InstId, callee: FuncId, mem: &Memory) {}
     /// An external call is about to run.
-    fn ext_call(&mut self, f: FuncId, inst: InstId, ext: ExtId, args: &ExtArgs<'_>, mem: &Memory) {}
+    fn ext_call(&mut self, ext: ExtId, args: &ExtArgs<'_>, mem: &Memory) {}
     /// An external call returned `ret`. Return the result's shadow.
     fn ext_ret(
         &mut self,
-        f: FuncId,
-        inst: InstId,
         ext: ExtId,
         args: &ExtArgs<'_>,
         ret: u32,
@@ -259,7 +248,6 @@ enum Op {
         a: Slot,
         b: Slot,
         dst: Slot,
-        inst: InstId,
     },
     Ext {
         signed: bool,
@@ -277,7 +265,6 @@ enum Op {
         ty: Ty,
         addr: Slot,
         val: Slot,
-        inst: InstId,
     },
     /// `size` is already at least 1; `mask` clears the alignment bits.
     Alloca {
@@ -316,12 +303,10 @@ enum Op {
         ext: ExtId,
         sp: Slot,
         dst: Slot,
-        inst: InstId,
     },
     CallExt {
         ext: ExtId,
         site: u32,
-        inst: InstId,
     },
     /// Malformed IR: raises `Code::errors[err]`.
     Fail {
@@ -614,7 +599,7 @@ impl Lower<'_> {
                 Op::Bin { op, a: self.slot(a), b: self.slot(b), dst: self.result(i), inst: i }
             }
             InstKind::Cmp { op, a, b } => {
-                Op::Cmp { op, a: self.slot(a), b: self.slot(b), dst: self.result(i), inst: i }
+                Op::Cmp { op, a: self.slot(a), b: self.slot(b), dst: self.result(i) }
             }
             InstKind::Ext { signed, from, v } => {
                 Op::Ext { signed, from, v: self.slot(v), dst: self.result(i) }
@@ -623,7 +608,7 @@ impl Lower<'_> {
                 Op::Load { ty, addr: self.slot(addr), dst: self.result(i), inst: i }
             }
             InstKind::Store { ty, addr, val } => {
-                Op::Store { ty, addr: self.slot(addr), val: self.slot(val), inst: i }
+                Op::Store { ty, addr: self.slot(addr), val: self.slot(val) }
             }
             InstKind::Alloca { size, align, .. } => {
                 Op::Alloca { size: size.max(1), mask: !(align.max(4) - 1), dst: self.result(i) }
@@ -643,13 +628,11 @@ impl Lower<'_> {
                 Op::CallInd { target: self.slot(target), site: self.site(args, i), inst: i }
             }
             InstKind::CallExtRaw { ext, sp } => match self.ext(ext) {
-                Some(ext) => {
-                    Op::CallExtRaw { ext, sp: self.slot(sp), dst: self.result(i), inst: i }
-                }
+                Some(ext) => Op::CallExtRaw { ext, sp: self.slot(sp), dst: self.result(i) },
                 None => self.fail(InterpError::UnknownExtern(ext)),
             },
             InstKind::CallExt { ext, ref args } => match self.ext(ext) {
-                Some(ext) => Op::CallExt { ext, site: self.site(args, i), inst: i },
+                Some(ext) => Op::CallExt { ext, site: self.site(args, i) },
                 None => self.fail(InterpError::UnknownExtern(ext)),
             },
             InstKind::Select { c, a, b } => Op::Select {
@@ -969,7 +952,6 @@ impl<'m, H: Hooks> Interp<'m, H> {
             ($callee:expr, $site:expr, $inst:expr) => {{
                 let (callee, inst) = ($callee, $inst);
                 let dst = args!($site);
-                hooks.call_pre(cur, inst, callee, mem);
                 let top = base + code.funcs[cur.index()].slots as usize;
                 let site = Some((cur, inst));
                 let entry_pc = tri!(enter(code, hooks, mem, slots, argbuf, site, callee, top));
@@ -984,10 +966,10 @@ impl<'m, H: Hooks> Interp<'m, H> {
         }
 
         let result = loop {
-            steps += 1;
-            if steps > fuel {
+            if steps >= fuel {
                 break Err(InterpError::Fuel);
             }
+            steps += 1;
             match code.ops[pc] {
                 Op::Bin { op, a, b, dst, inst } => {
                     let (ta, tb) = (tagged!(a), tagged!(b));
@@ -998,10 +980,10 @@ impl<'m, H: Hooks> Interp<'m, H> {
                     set!(dst, res, s);
                     pc += 1;
                 }
-                Op::Cmp { op, a, b, dst, inst } => {
+                Op::Cmp { op, a, b, dst } => {
                     let (ta, tb) = (tagged!(a), tagged!(b));
                     let res = op.eval(ta.0, tb.0) as u32;
-                    hooks.cmp(cur, inst, op, ta, tb);
+                    hooks.cmp(ta, tb);
                     set!(dst, res, None);
                     pc += 1;
                 }
@@ -1020,15 +1002,15 @@ impl<'m, H: Hooks> Interp<'m, H> {
                     let ta = tagged!(addr);
                     loads += 1;
                     let val = mem.read_sized(ta.0, to_isa_size(ty));
-                    let s = hooks.load(cur, inst, ty, ta, val);
+                    let s = hooks.load(cur, inst, ty, ta);
                     set!(dst, val, s);
                     pc += 1;
                 }
-                Op::Store { ty, addr, val, inst } => {
+                Op::Store { ty, addr, val } => {
                     let (ta, tv) = (tagged!(addr), tagged!(val));
                     stores += 1;
                     mem.write_sized(ta.0, tv.0, to_isa_size(ty));
-                    hooks.store(cur, inst, ty, ta, tv);
+                    hooks.store(ty, ta, tv);
                     pc += 1;
                 }
                 Op::Alloca { size, mask, dst } => {
@@ -1066,15 +1048,14 @@ impl<'m, H: Hooks> Interp<'m, H> {
                     };
                     call!(code.by_addr[k].1, site, inst);
                 }
-                Op::CallExtRaw { ext, sp, dst, inst } => {
-                    let tsp = tagged!(sp);
-                    let (ret, s) = tri!(ext_raw(hooks, mem, io, cur, inst, ext, tsp));
+                Op::CallExtRaw { ext, sp, dst } => {
+                    let (ret, s) = tri!(ext_raw(hooks, mem, io, ext, get!(sp)));
                     set!(dst, ret, s);
                     pc += 1;
                 }
-                Op::CallExt { ext, site, inst } => {
+                Op::CallExt { ext, site } => {
                     let dst = args!(site);
-                    let (ret, s) = tri!(ext_explicit(hooks, mem, io, argbuf, argv, cur, inst, ext));
+                    let (ret, s) = tri!(ext_explicit(hooks, mem, io, argbuf, argv, ext));
                     set!(dst, ret, s);
                     pc += 1;
                 }
@@ -1091,7 +1072,7 @@ impl<'m, H: Hooks> Interp<'m, H> {
                 }
                 Op::Ret { v } => {
                     let rv = v.map(|v| tagged!(v));
-                    hooks.fn_exit(cur, rv, mem);
+                    hooks.fn_exit(cur);
                     let Some(r) = calls.pop() else {
                         nsp = entry_nsp;
                         break Ok(rv.map_or(0, |(v, _)| v as i32));
@@ -1146,7 +1127,7 @@ fn enter<H: Hooks>(
         *slot = (c, None);
     }
     w[p + pool.len()..].fill((0, None));
-    hooks.fn_enter(callee, callsite, args, mem);
+    hooks.fn_enter(callee, callsite, mem);
     let pc = fc.entry_pc.ok_or(InterpError::BadIndex("block", fc.entry.0))?;
     Ok(pc as usize)
 }
@@ -1178,30 +1159,26 @@ fn take_edge<H: Hooks>(
 
 /// An external call with unrecovered arguments: the callee reads sixteen
 /// words from `sp`.
-#[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn ext_raw<H: Hooks>(
     hooks: &mut H,
     mem: &mut Memory,
     io: &mut ExtIo,
-    f: FuncId,
-    inst: InstId,
     ext: ExtId,
-    (sp, sp_shadow): Tagged,
+    sp: u32,
 ) -> Result<(u32, Option<Shadow>), InterpError> {
-    let ea = ExtArgs::Raw { sp, sp_shadow };
-    hooks.ext_call(f, inst, ext, &ea, mem);
+    let ea = ExtArgs::Raw { sp };
+    hooks.ext_call(ext, &ea, mem);
     let mut staged = [0u32; 16];
     for (i, slot) in staged.iter_mut().enumerate() {
         *slot = mem.read_u32(sp.wrapping_add(4 * i as u32));
     }
     let ret = do_ext(ext, mem, io, &staged)?;
-    Ok((ret, hooks.ext_ret(f, inst, ext, &ea, ret, mem)))
+    Ok((ret, hooks.ext_ret(ext, &ea, ret, mem)))
 }
 
 /// An external call with the explicit arguments `args` (`argv` is
 /// scratch for their values).
-#[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn ext_explicit<H: Hooks>(
     hooks: &mut H,
@@ -1209,16 +1186,14 @@ fn ext_explicit<H: Hooks>(
     io: &mut ExtIo,
     args: &[Tagged],
     argv: &mut Vec<u32>,
-    f: FuncId,
-    inst: InstId,
     ext: ExtId,
 ) -> Result<(u32, Option<Shadow>), InterpError> {
     let ea = ExtArgs::Explicit(args);
-    hooks.ext_call(f, inst, ext, &ea, mem);
+    hooks.ext_call(ext, &ea, mem);
     argv.clear();
     argv.extend(args.iter().map(|(v, _)| *v));
     let ret = do_ext(ext, mem, io, argv)?;
-    Ok((ret, hooks.ext_ret(f, inst, ext, &ea, ret, mem)))
+    Ok((ret, hooks.ext_ret(ext, &ea, ret, mem)))
 }
 
 fn do_ext(ext: ExtId, mem: &mut Memory, io: &mut ExtIo, argv: &[u32]) -> Result<u32, InterpError> {
@@ -1515,7 +1490,7 @@ mod tests {
                     None
                 }
             }
-            fn store(&mut self, _f: FuncId, _i: InstId, _ty: Ty, _addr: Tagged, val: Tagged) {
+            fn store(&mut self, _ty: Ty, _addr: Tagged, val: Tagged) {
                 if val.1 == Some(77) {
                     self.tagged_store_seen = true;
                 }
@@ -1697,13 +1672,7 @@ mod tests {
         #[derive(Default)]
         struct Entered(Vec<FuncId>);
         impl Hooks for Entered {
-            fn fn_enter(
-                &mut self,
-                f: FuncId,
-                _: Option<(FuncId, InstId)>,
-                _: &[Tagged],
-                _: &Memory,
-            ) {
+            fn fn_enter(&mut self, f: FuncId, _: Option<(FuncId, InstId)>, _: &Memory) {
                 self.0.push(f);
             }
         }
@@ -1754,11 +1723,7 @@ mod tests {
             if fuel >= full.steps {
                 assert_eq!((out.error, out.steps), (None, full.steps), "fuel {fuel}");
             } else {
-                assert_eq!(
-                    (out.error, out.steps),
-                    (Some(InterpError::Fuel), fuel + 1),
-                    "fuel {fuel}"
-                );
+                assert_eq!((out.error, out.steps), (Some(InterpError::Fuel), fuel), "fuel {fuel}");
             }
         }
     }
@@ -1786,6 +1751,38 @@ mod tests {
         assert_eq!(
             out.guard,
             Some(GuardHit { func: FuncId(0), kind: GuardKind::UntracedIndirect })
+        );
+    }
+
+    #[test]
+    fn fn_enter_names_each_call_site_in_call_order() {
+        // The entry, a direct call and an indirect call: `fn_enter` is the
+        // one hook that tells an analysis which call site entered a frame.
+        #[derive(Default)]
+        struct Calls(Vec<(FuncId, Option<(FuncId, InstId)>)>);
+        impl Hooks for Calls {
+            fn fn_enter(&mut self, f: FuncId, callsite: Option<(FuncId, InstId)>, _: &Memory) {
+                self.0.push((f, callsite));
+            }
+        }
+        let mut m = Module::new();
+        let mut target = Function::new("target");
+        target.orig_addr = Some(0x1234);
+        target.blocks[0].term = Term::Ret(Some(Val::Const(5)));
+        let target = m.add_func(target);
+        let mut f = Function::new("main");
+        let direct = f.push_inst(f.entry, InstKind::Call { f: target, args: vec![] });
+        let fa = f.push_inst(f.entry, InstKind::FuncAddr { f: target });
+        let ind = f.push_inst(f.entry, InstKind::CallInd { target: Val::Inst(fa), args: vec![] });
+        f.blocks[0].term = Term::Ret(Some(Val::Inst(ind)));
+        let main = m.add_func(f);
+        m.entry = Some(main);
+        let mut it = Interp::new(&m, Vec::new(), Calls::default());
+        let out = it.run();
+        assert_eq!((out.error, out.exit_code), (None, 5));
+        assert_eq!(
+            it.hooks.0,
+            vec![(main, None), (target, Some((main, direct))), (target, Some((main, ind)))]
         );
     }
 

@@ -165,29 +165,6 @@ impl Image {
         img.frame_layouts.clear();
         img
     }
-
-    /// Disassemble the whole text segment (debugging aid).
-    pub fn disassemble(&self) -> String {
-        let mut out = String::new();
-        let mut addr = self.text_base;
-        use std::fmt::Write as _;
-        while addr < self.text_end() {
-            match self.decode_at(addr) {
-                Ok((inst, len)) => {
-                    if let Some(name) = self.symbol_name_at(addr) {
-                        let _ = writeln!(out, "{name}:");
-                    }
-                    let _ = writeln!(out, "  {addr:#08x}: {inst}");
-                    addr += len as u32;
-                }
-                Err(_) => {
-                    let _ = writeln!(out, "  {addr:#08x}: <bad>");
-                    break;
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Errors raised by image inspection.
@@ -254,14 +231,5 @@ mod tests {
         assert!(img.symbols.is_empty());
         assert!(img.frame_layouts.is_empty());
         assert_eq!(img.text.len(), 2 + 0); // nop + halt are 1 byte each
-    }
-
-    #[test]
-    fn disassemble_lists_all() {
-        let img = tiny_image();
-        let dis = img.disassemble();
-        assert!(dis.contains("main:"));
-        assert!(dis.contains("nop"));
-        assert!(dis.contains("halt"));
     }
 }

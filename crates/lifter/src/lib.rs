@@ -28,8 +28,8 @@ pub use extdb::{ext_sig, ExtEffect, ExtSig, SizeSpec};
 pub use funcrec::{recover_functions_limited, FuncMap, FuncRecError, MachFunc};
 pub use trace::{trace_image, ExtCall, MergeDelta, Trace};
 pub use translate::{
-    is_emustack_addr, is_vcpu_addr, translate, vcpu_reg_addr, vcpu_vreg_addr, LiftError,
-    LiftedMeta, EMU_STACK_BASE, EMU_STACK_SIZE, EMU_STACK_TOP, VCPU_BASE,
+    is_emustack_addr, translate, vcpu_reg_addr, vcpu_vreg_addr, LiftError, LiftedMeta,
+    EMU_STACK_BASE, EMU_STACK_SIZE, EMU_STACK_TOP, VCPU_BASE,
 };
 
 use std::fmt;

@@ -52,11 +52,6 @@ pub fn vcpu_vreg_addr(i: u32) -> u32 {
     VCPU_BASE + 32 + 4 * i
 }
 
-/// `true` if `addr` is one of the virtual CPU register cells.
-pub fn is_vcpu_addr(addr: u32) -> bool {
-    (VCPU_BASE..VCPU_BASE + 40).contains(&addr)
-}
-
 /// `true` if `addr` falls inside the emulated stack.
 pub fn is_emustack_addr(addr: u32) -> bool {
     (EMU_STACK_BASE..EMU_STACK_BASE + EMU_STACK_SIZE).contains(&addr)

@@ -3,7 +3,7 @@
 //! blocks.
 
 use std::collections::VecDeque;
-use wyt_ir::{Function, InstKind, Module, Val};
+use wyt_ir::{Function, Module, Val};
 
 /// Remove dead instructions from one function. Returns `true` on change.
 pub fn run_function(f: &mut Function) -> bool {
@@ -49,17 +49,10 @@ pub fn run(m: &mut Module) -> bool {
     crate::for_each_func(m, run_function)
 }
 
-/// Remove call results that are unused but keep the calls (used when a
-/// call's value is dead but the call has effects) — calls are side effects
-/// and already roots; this is a no-op marker for documentation.
-pub fn retains_calls(kind: &InstKind) -> bool {
-    kind.is_call()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wyt_ir::{BinOp, BlockId, Term, Ty};
+    use wyt_ir::{BinOp, BlockId, InstKind, Term, Ty};
 
     #[test]
     fn removes_unused_pure_insts_keeps_stores() {
@@ -118,6 +111,5 @@ mod tests {
         assert!(run(&mut m));
         let f = &m.funcs[1];
         assert_eq!(f.blocks[0].insts.len(), 1);
-        assert!(retains_calls(f.inst(f.blocks[0].insts[0])));
     }
 }

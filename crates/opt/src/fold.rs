@@ -1,6 +1,6 @@
 //! Constant folding, algebraic simplification and terminator folding.
 
-use wyt_ir::{BinOp, BlockId, Function, InstId, InstKind, Module, Subst, Term, Ty, Val};
+use wyt_ir::{BinOp, BlockId, Function, InstId, InstKind, Module, Subst, Term, Val};
 
 /// Fold constants in one function. Returns `true` if anything changed,
 /// counting every use a propagated copy rewrote.
@@ -236,15 +236,10 @@ pub fn run(m: &mut Module) -> bool {
     crate::for_each_func(m, |f| run_function(f) | reassociate(f) | simplify_ext(f))
 }
 
-/// Width helper re-export for tests.
-pub fn ty_bits(ty: Ty) -> u32 {
-    ty.bytes() * 8
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wyt_ir::{CmpOp, Function};
+    use wyt_ir::{CmpOp, Function, Ty};
 
     /// The sequential substitution `run_function` used before [`Subst`]:
     /// rewrite every use of `from` in the whole arena and in every
@@ -533,6 +528,5 @@ mod tests {
         });
         assert!(simplify_ext(&mut f));
         assert!(matches!(f.inst(wyt_ir::InstId(1)), InstKind::Copy { .. }));
-        assert_eq!(ty_bits(Ty::I16), 16);
     }
 }

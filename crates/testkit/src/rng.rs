@@ -113,11 +113,6 @@ impl Rng {
     pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         &xs[self.range_usize(0, xs.len())]
     }
-
-    /// An independent child generator (forked stream).
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -163,12 +158,5 @@ mod tests {
         let mut r = Rng::new(11);
         let hits = (0..10_000).filter(|_| r.chance(0.3)).count();
         assert!((2500..3500).contains(&hits), "p=0.3 gave {hits}/10000");
-    }
-
-    #[test]
-    fn fork_diverges_from_parent() {
-        let mut a = Rng::new(5);
-        let mut child = a.fork();
-        assert_ne!(a.next_u64(), child.next_u64());
     }
 }

@@ -104,8 +104,8 @@ if [ "$ENTRIES" -ne "$ENTRY_BUDGET" ]; then
 fi
 
 echo "==> interpreter-replay budget (Interp::new sites in wyt-core non-test code:"
-echo "    the regsave and bounds replays)"
-REPLAY_BUDGET=2
+echo "    flat::replay, the one driver of the regsave and bounds replays)"
+REPLAY_BUDGET=1
 REPLAYS=$(for f in crates/core/src/*.rs; do
     awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print}' "$f"
 done | grep -c 'Interp::new')
@@ -116,9 +116,9 @@ if [ "$REPLAYS" -ne "$REPLAY_BUDGET" ]; then
 fi
 
 echo "==> fan-out budget (wyt_par::par_* call sites in the non-test code of crates/*/src"
-echo "    outside wyt-par: the regsave and bounds per-input replays, the batch jobs,"
-echo "    the bench grid, the property harness and the fuzz campaign)"
-FANOUT_BUDGET=6
+echo "    outside wyt-par: the per-input refinement replays (flat::replay), the batch"
+echo "    jobs, the bench grid, the property harness and the fuzz campaign)"
+FANOUT_BUDGET=5
 FANOUTS=$(for f in $(find crates/*/src -name '*.rs' | sort); do
     case "$f" in crates/par/*) continue ;; esac
     awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print}' "$f"
