@@ -10,7 +10,7 @@
 //! constraint "if it is an argument anywhere downstream, it is an argument
 //! here" — exactly the paper's deferred constraint scheme.
 
-use crate::flat::{replay, FlatIndex};
+use crate::flat::{replay, unpromoted_load, unpromoted_store, FlatIndex};
 use crate::shadowmem::ShadowMem;
 use std::collections::{BTreeSet, HashMap};
 use wyt_emu::{ExtId, Memory};
@@ -142,7 +142,7 @@ pub struct RegSaveHook<'a> {
 }
 
 impl<'a> RegSaveHook<'a> {
-    fn new(index: &'a FlatIndex) -> RegSaveHook<'a> {
+    pub(crate) fn new(index: &'a FlatIndex) -> RegSaveHook<'a> {
         RegSaveHook {
             index,
             facts: vec![CellFacts::default(); index.funcs() * NUM_CELLS],
@@ -192,6 +192,21 @@ impl<'a> RegSaveHook<'a> {
                 self.fact(s).used_in_op = true;
             }
         }
+    }
+
+    /// A load of `cell`, at any width: the token it holds.
+    #[inline]
+    fn load_cell(&self, cell: usize) -> Option<Shadow> {
+        self.cell_shadows[cell].filter(|s| self.live(*s))
+    }
+
+    /// A store of `val` to `cell`, at any width.
+    #[inline]
+    fn store_cell(&mut self, cell: usize, val: Tagged) {
+        if cell == ESP_CELL {
+            self.cur_esp = val.0;
+        }
+        self.cell_shadows[cell] = val.1.filter(|s| self.live(*s));
     }
 }
 
@@ -285,7 +300,7 @@ impl Hooks for RegSaveHook<'_> {
     fn load(&mut self, _f: FuncId, _i: InstId, ty: Ty, addr: Tagged) -> Option<Shadow> {
         self.mark_op_use(addr.1);
         if let Some(cell) = cell_of_addr(addr.0) {
-            return self.cell_shadows[cell].filter(|s| self.live(*s));
+            return self.load_cell(cell);
         }
         if ty == Ty::I32 {
             return self.addr_map.get(addr.0).filter(|s| self.live(*s));
@@ -297,10 +312,7 @@ impl Hooks for RegSaveHook<'_> {
     fn store(&mut self, ty: Ty, addr: Tagged, val: Tagged) {
         self.mark_op_use(addr.1);
         if let Some(cell) = cell_of_addr(addr.0) {
-            if cell == ESP_CELL {
-                self.cur_esp = val.0;
-            }
-            self.cell_shadows[cell] = val.1.filter(|s| self.live(*s));
+            self.store_cell(cell, val);
             return;
         }
         let spill = val.1.filter(|s| self.live(*s)).and_then(|s| {
@@ -315,6 +327,22 @@ impl Hooks for RegSaveHook<'_> {
             None
         });
         self.addr_map.store(addr.0, ty.bytes(), spill);
+    }
+
+    #[inline]
+    fn cell_load(&mut self, f: FuncId, inst: InstId, addr: u32) -> Option<Shadow> {
+        match cell_of_addr(addr) {
+            Some(cell) => self.load_cell(cell),
+            None => unpromoted_load(self, f, inst, addr),
+        }
+    }
+
+    #[inline]
+    fn cell_store(&mut self, addr: u32, val: Tagged) {
+        match cell_of_addr(addr) {
+            Some(cell) => self.store_cell(cell, val),
+            None => unpromoted_store(self, addr, val),
+        }
     }
 
     #[inline]

@@ -4,39 +4,23 @@
 //! the bounds runtime (§4.2, pointers that round-trip through memory)
 //! attach a shadow to 32-bit words in guest memory. `ShadowMem` keeps
 //! them in a [`Pages`] table on the same grid as [`wyt_emu::Memory`], so
-//! a lookup is two array indexes. The page of the virtual register cells,
-//! which lifted code touches on nearly every step, is kept outside the
-//! table, always resident. An entry holds `shadow + 1`; 0 means "none",
-//! so a fresh page is all-absent.
+//! a lookup is two array indexes. An entry holds `shadow + 1`; 0 means
+//! "none", so a fresh page is all-absent.
+//!
+//! The virtual register cells, which lifted code touches on nearly every
+//! step, do not come through here on that path: the interpreter replays
+//! them as a cell file with their own hook events. The regsave hook keeps
+//! a cell's token in an array, and the bounds hook keeps the shadows keyed
+//! at the cell words in one and spills them into its `ShadowMem` only for
+//! a generic effect that reaches them.
 
-use wyt_emu::pages::Page;
 use wyt_emu::{pages, Pages, PAGE_SIZE};
 use wyt_ir::interp::Shadow;
-use wyt_lifter::VCPU_BASE;
-
-/// First address of the page holding the lifter's virtual register
-/// cells. Nearly every lifted instruction reads or writes a cell, so this
-/// page is kept out of the table: a probe is a compare and one index.
-const HOT: u32 = VCPU_BASE & !(PAGE_SIZE - 1);
 
 /// A sparse map from guest byte addresses to shadows.
+#[derive(Default)]
 pub struct ShadowMem {
-    /// Every page but the [`HOT`] one.
     pages: Pages<u32>,
-    /// The [`HOT`] page, always resident.
-    hot: Box<Page<u32>>,
-}
-
-impl Default for ShadowMem {
-    fn default() -> ShadowMem {
-        ShadowMem { pages: Pages::default(), hot: Box::new([0; PAGE_SIZE as usize]) }
-    }
-}
-
-/// `addr`'s index in the [`HOT`] page, if it lies there.
-#[inline]
-fn hot_offset(addr: u32) -> Option<usize> {
-    (addr & !(PAGE_SIZE - 1) == HOT).then(|| pages::offset(addr))
 }
 
 impl ShadowMem {
@@ -48,11 +32,7 @@ impl ShadowMem {
     /// The shadow stored at `addr`, if any.
     #[inline]
     pub fn get(&self, addr: u32) -> Option<Shadow> {
-        match hot_offset(addr) {
-            Some(off) => self.hot[off],
-            None => self.pages.get(addr)?,
-        }
-        .checked_sub(1)
+        self.pages.get(addr)?.checked_sub(1)
     }
 
     /// Attach `s` to `addr`, replacing any previous shadow.
@@ -64,18 +44,15 @@ impl ShadowMem {
         self.set(addr, s.wrapping_add(1));
     }
 
-    fn set(&mut self, addr: u32, v: u32) {
-        if let Some(page) = self.page_mut(addr, true) {
-            page[pages::offset(addr)] = v;
-        }
+    /// Remove the shadow at `addr`, and return it.
+    pub fn take(&mut self, addr: u32) -> Option<Shadow> {
+        let page = self.pages.page_mut(addr, false)?;
+        std::mem::take(&mut page[pages::offset(addr)]).checked_sub(1)
     }
 
-    /// The page holding `addr`; an absent one is allocated if `alloc`.
-    #[inline]
-    fn page_mut(&mut self, addr: u32, alloc: bool) -> Option<&mut Page<u32>> {
-        match hot_offset(addr) {
-            Some(_) => Some(&mut self.hot),
-            None => self.pages.page_mut(addr, alloc),
+    fn set(&mut self, addr: u32, v: u32) {
+        if let Some(page) = self.pages.page_mut(addr, true) {
+            page[pages::offset(addr)] = v;
         }
     }
 
@@ -86,10 +63,6 @@ impl ShadowMem {
         let (lo, hi) = (addr.saturating_sub(3), addr.wrapping_add(size));
         if hi > lo {
             self.pages.for_each_resident(lo, hi - lo, |_, entries| entries.fill(0));
-            let (lo, hi) = (lo.max(HOT), (hi as u64).min(HOT as u64 + PAGE_SIZE as u64) as u32);
-            if hi > lo {
-                self.hot[(lo - HOT) as usize..(hi - HOT) as usize].fill(0);
-            }
         }
     }
 
@@ -110,7 +83,7 @@ impl ShadowMem {
             return;
         }
         debug_assert!(s != Some(Shadow::MAX));
-        if let Some(page) = self.page_mut(addr, s.is_some()) {
+        if let Some(page) = self.pages.page_mut(addr, s.is_some()) {
             page[off - 3..off + size as usize].fill(0);
             if let Some(s) = s {
                 page[off] = s.wrapping_add(1);
@@ -131,12 +104,6 @@ impl ShadowMem {
                 }
             }
         });
-        for (i, &v) in self.hot.iter().enumerate() {
-            let k = (HOT + i as u32).wrapping_sub(src);
-            if v != 0 && k < len {
-                moved.push((k, v));
-            }
-        }
         self.invalidate_range(dst, len);
         for (k, v) in moved {
             self.set(dst.wrapping_add(k), v);
@@ -187,11 +154,15 @@ mod tests {
         }
     }
 
+    /// The page of the lifter's virtual register cells, which the map
+    /// once kept out of its table.
+    const VCPU_PAGE: u32 = wyt_lifter::VCPU_BASE & !(PAGE_SIZE - 1);
+
     /// Addresses clustered where the key arithmetic has edges: near 0
     /// (saturating), near `u32::MAX` (wrapping), and across a page and a
     /// directory-slot boundary.
     fn addr(rng: &mut Rng) -> u32 {
-        let bases = [0u32, 0x1000, 0x40_0000, HOT, HOT + PAGE_SIZE, u32::MAX - 15];
+        let bases = [0u32, 0x1000, 0x40_0000, VCPU_PAGE, VCPU_PAGE + PAGE_SIZE, u32::MAX - 15];
         bases[rng.below(bases.len() as u64) as usize].wrapping_add(rng.below(24)).wrapping_sub(4)
     }
 

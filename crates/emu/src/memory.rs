@@ -78,6 +78,13 @@ impl Memory {
         self.pages.resident()
     }
 
+    /// Whether the page holding `addr` is resident, so a write there
+    /// lands whatever the page cap.
+    #[inline]
+    pub fn is_resident(&self, addr: u32) -> bool {
+        self.pages.page(addr).is_some()
+    }
+
     /// Bytes beyond which any bulk operation is guaranteed to blow the
     /// page cap; callers clamp their loops to this to bound time as
     /// well as space.

@@ -24,7 +24,23 @@
 //! - `GlobalAddr` and `FuncAddr` fold to their addresses, branch targets
 //!   are op indexes, and an edge into a block with phis carries its phi
 //!   moves, run as one parallel copy;
-//! - indirect calls resolve through a table sorted by address.
+//! - indirect calls resolve through a table sorted by address;
+//! - an I32 load or store whose address operand is the constant address
+//!   of a [`GlobalKind::VcpuReg`] global becomes a `LoadCell` or
+//!   `StoreCell` on the run's *cell file*, one word per such cell.
+//!
+//! The cell file stands for its words of [`Memory`]. It is reloaded from
+//! memory when a run starts, after a generic store that overlaps a cell
+//! word and after every external call. Its stores reach memory before
+//! anything else reads it: before a generic access that overlaps a cell
+//! word, a call (`fn_enter` sees memory), an external call, and the end
+//! of the run. A word whose page is not resident is written through, so
+//! a write the page cap drops is dropped at once. So a cell reads the
+//! same through either path, and the counts and hook events of a run do
+//! not depend on which accesses were promoted: a cell access counts as
+//! the load or store it replaces, and its hook events,
+//! [`Hooks::cell_load`] and [`Hooks::cell_store`], default to that
+//! access's [`Hooks::load`] and [`Hooks::store`].
 //!
 //! Lowering never fails. Malformed IR — an out-of-range global, function,
 //! block or extern, a phi with no incoming for an edge — lowers to an op
@@ -32,11 +48,11 @@
 //! step is counted and after every hook call the operation makes before
 //! it fails.
 
-use crate::module::{Function, Global, InstKind, Module, Term};
+use crate::module::{Function, Global, GlobalKind, InstKind, Module, Term};
 use crate::types::{BinOp, BlockId, CmpOp, FuncId, InstId, Ty, Val};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use wyt_emu::{dispatch, ExtId, ExtIo, ExtOutcome, Memory};
+use wyt_emu::{dispatch, ExtId, ExtIo, ExtOutcome, Memory, PAGE_SIZE};
 use wyt_isa::{GuardKind, TrapCode};
 
 /// Opaque per-value metadata id, owned by the [`Hooks`] implementation.
@@ -94,6 +110,21 @@ pub trait Hooks {
     }
     /// A store executed.
     fn store(&mut self, ty: Ty, addr: Tagged, val: Tagged) {}
+    /// An I32 load of the register cell at `addr` through that constant
+    /// address executed (see the module docs). Return the loaded value's
+    /// shadow. The default is the [`Hooks::load`] of the same access: a
+    /// constant address carries no shadow.
+    #[inline]
+    fn cell_load(&mut self, f: FuncId, inst: InstId, addr: u32) -> Option<Shadow> {
+        self.load(f, inst, Ty::I32, (addr, None))
+    }
+    /// An I32 store to the register cell at `addr` through that constant
+    /// address executed. The default is the [`Hooks::store`] of the same
+    /// access.
+    #[inline]
+    fn cell_store(&mut self, addr: u32, val: Tagged) {
+        self.store(Ty::I32, (addr, None), val)
+    }
     /// A value is copied verbatim (phi, select, copy). Maps the chosen
     /// input's shadow to the result's shadow (the paper's `copy` op).
     fn transparent(&mut self, s: Option<Shadow>) -> Option<Shadow> {
@@ -266,6 +297,19 @@ enum Op {
         addr: Slot,
         val: Slot,
     },
+    /// An I32 load of cell-file word `cell`, whose address is `addr`.
+    LoadCell {
+        cell: u32,
+        addr: u32,
+        dst: Slot,
+        inst: InstId,
+    },
+    /// An I32 store to cell-file word `cell`, whose address is `addr`.
+    StoreCell {
+        cell: u32,
+        addr: u32,
+        val: Slot,
+    },
     /// `size` is already at least 1; `mask` clears the alignment bits.
     Alloca {
         size: u32,
@@ -413,8 +457,9 @@ struct Code {
 }
 
 impl Code {
-    /// Lower `module` in one pass over its functions.
-    fn new(module: &Module, global_addrs: &[u32]) -> Code {
+    /// Lower `module` in one pass over its functions, with the cell-file
+    /// words at `cells`.
+    fn new(module: &Module, global_addrs: &[u32], cells: &[u32]) -> Code {
         let mut code = Code::default();
         let ext_ids: Vec<Option<ExtId>> =
             module.externs.iter().map(|n| ExtId::from_name(n)).collect();
@@ -423,6 +468,7 @@ impl Code {
                 code: &mut code,
                 module,
                 global_addrs,
+                cells,
                 ext_ids: &ext_ids,
                 fid: FuncId(i as u32),
                 f,
@@ -463,11 +509,120 @@ impl Code {
     }
 }
 
+/// Most cell-file words; further cells stay memory accesses.
+const MAX_CELLS: usize = 64;
+
+/// The addresses of `module`'s [`GlobalKind::VcpuReg`] globals that become
+/// cell-file words, sorted: the first [`MAX_CELLS`] whose word lies in one
+/// page and overlaps no other's, so each stands for one `u32` of
+/// [`Memory`] that no other cell shares.
+fn cell_addrs(module: &Module, global_addrs: &[u32]) -> Vec<u32> {
+    let mut addrs: Vec<u32> = (module.globals.iter().zip(global_addrs))
+        .filter(|(g, _)| matches!(g.kind, GlobalKind::VcpuReg(_)))
+        .map(|(_, &a)| a)
+        .collect();
+    addrs.sort_unstable();
+    addrs.dedup();
+    let alone = |k: usize| {
+        addrs[k] % PAGE_SIZE <= PAGE_SIZE - 4
+            && (k == 0 || addrs[k] - addrs[k - 1] >= 4)
+            && addrs.get(k + 1).is_none_or(|&next| next - addrs[k] >= 4)
+    };
+    (0..addrs.len()).filter(|&k| alone(k)).map(|k| addrs[k]).take(MAX_CELLS).collect()
+}
+
+/// The run's cell file (see the module docs).
+#[derive(Debug)]
+struct CellFile {
+    /// Each word's address, sorted.
+    addrs: Vec<u32>,
+    /// Every word lies in `[lo, lo + span)`.
+    lo: u32,
+    span: u32,
+    vals: Vec<u32>,
+    /// Bit `k`: word `k`'s page is resident, so its stores can wait.
+    resident: u64,
+    /// Bit `k`: memory has not seen word `k`'s last store.
+    dirty: u64,
+}
+
+impl CellFile {
+    fn new(addrs: Vec<u32>) -> CellFile {
+        let (lo, span) = match (addrs.first(), addrs.last()) {
+            (Some(&lo), Some(&hi)) => (lo, hi - lo + 4),
+            _ => (0, 0),
+        };
+        let vals = vec![0; addrs.len()];
+        CellFile { addrs, lo, span, vals, resident: 0, dirty: 0 }
+    }
+
+    /// Whether an access of `size` bytes at `addr` (wrapping) may touch a
+    /// byte of a word.
+    #[inline]
+    fn overlaps(&self, addr: u32, size: u32) -> bool {
+        let d = addr.wrapping_sub(self.lo);
+        d < self.span || d > u32::MAX - (size - 1)
+    }
+
+    /// Start a run on `mem`, which may have changed since the last one.
+    fn start(&mut self, mem: &Memory) {
+        self.resident = 0;
+        self.reload(mem);
+    }
+
+    /// Read every word from `mem`. A run allocates pages but frees none,
+    /// so only a word that was not resident needs its page looked up.
+    fn reload(&mut self, mem: &Memory) {
+        for (k, (v, &a)) in self.vals.iter_mut().zip(&self.addrs).enumerate() {
+            *v = mem.read_u32(a);
+            if self.resident & 1 << k == 0 && mem.is_resident(a) {
+                self.resident |= 1 << k;
+            }
+        }
+        self.dirty = 0;
+    }
+
+    /// Write the words memory has not seen.
+    #[inline]
+    fn flush(&mut self, mem: &mut Memory) {
+        while self.dirty != 0 {
+            let k = self.dirty.trailing_zeros() as usize;
+            mem.write_u32(self.addrs[k], self.vals[k]);
+            self.dirty &= self.dirty - 1;
+        }
+    }
+
+    #[inline]
+    fn store(&mut self, k: u32, v: u32, mem: &mut Memory) {
+        if self.resident & 1 << k != 0 {
+            self.vals[k as usize] = v;
+            self.dirty |= 1 << k;
+        } else {
+            self.store_through(k, v, mem);
+        }
+    }
+
+    /// A store to a word whose page was not resident: write it through,
+    /// and keep what memory kept, which is nothing if the page cap
+    /// dropped the write.
+    #[cold]
+    fn store_through(&mut self, k: u32, v: u32, mem: &mut Memory) {
+        let addr = self.addrs[k as usize];
+        mem.write_u32(addr, v);
+        self.vals[k as usize] = mem.read_u32(addr);
+        if mem.is_resident(addr) {
+            self.resident |= 1 << k;
+        }
+    }
+}
+
 /// Lowering state for one function.
 struct Lower<'a> {
     code: &'a mut Code,
     module: &'a Module,
     global_addrs: &'a [u32],
+    /// The cell-file words' addresses, sorted.
+    cells: &'a [u32],
     ext_ids: &'a [Option<ExtId>],
     fid: FuncId,
     f: &'a Function,
@@ -575,6 +730,13 @@ impl Lower<'_> {
         }
     }
 
+    /// The cell-file word an I32 access through `addr` reaches, if any.
+    fn cell(&self, ty: Ty, addr: Val) -> Option<(u32, u32)> {
+        let (Ty::I32, Val::Const(a)) = (ty, addr) else { return None };
+        let k = self.cells.binary_search(&(a as u32)).ok()?;
+        Some((k as u32, a as u32))
+    }
+
     fn fail(&mut self, e: InterpError) -> Op {
         Op::Fail { err: self.code.error(e) }
     }
@@ -604,12 +766,14 @@ impl Lower<'_> {
             InstKind::Ext { signed, from, v } => {
                 Op::Ext { signed, from, v: self.slot(v), dst: self.result(i) }
             }
-            InstKind::Load { ty, addr } => {
-                Op::Load { ty, addr: self.slot(addr), dst: self.result(i), inst: i }
-            }
-            InstKind::Store { ty, addr, val } => {
-                Op::Store { ty, addr: self.slot(addr), val: self.slot(val) }
-            }
+            InstKind::Load { ty, addr } => match self.cell(ty, addr) {
+                Some((cell, addr)) => Op::LoadCell { cell, addr, dst: self.result(i), inst: i },
+                None => Op::Load { ty, addr: self.slot(addr), dst: self.result(i), inst: i },
+            },
+            InstKind::Store { ty, addr, val } => match self.cell(ty, addr) {
+                Some((cell, addr)) => Op::StoreCell { cell, addr, val: self.slot(val) },
+                None => Op::Store { ty, addr: self.slot(addr), val: self.slot(val) },
+            },
             InstKind::Alloca { size, align, .. } => {
                 Op::Alloca { size: size.max(1), mask: !(align.max(4) - 1), dst: self.result(i) }
             }
@@ -784,6 +948,8 @@ pub struct Interp<'m, H: Hooks> {
     /// The value stack: every live frame's window of `(value, shadow)`
     /// slots, callers below callees.
     slots: Vec<Tagged>,
+    /// The register cells, as interpreter registers.
+    cells: CellFile,
     /// Reusable buffers: the tagged arguments of the call in flight, and
     /// an external call's argument values.
     argbuf: Vec<Tagged>,
@@ -800,7 +966,8 @@ impl<'m, H: Hooks> Interp<'m, H> {
                 mem.write_bytes(addr, &g.init);
             }
         }
-        let code = Code::new(module, &global_addrs);
+        let cells = CellFile::new(cell_addrs(module, &global_addrs));
+        let code = Code::new(module, &global_addrs, &cells.addrs);
         Interp {
             module,
             global_addrs,
@@ -815,6 +982,7 @@ impl<'m, H: Hooks> Interp<'m, H> {
             stores: 0,
             guard_hit: None,
             slots: Vec::new(),
+            cells,
             argbuf: Vec::new(),
             argv: Vec::new(),
         }
@@ -904,9 +1072,10 @@ impl<'m, H: Hooks> Interp<'m, H> {
     /// The step loop. Its counters and the native stack pointer live in
     /// locals and go back into `self` when the run ends.
     fn run_inner(&mut self, entry: FuncId, args: &[u32]) -> Result<i32, InterpError> {
-        let Interp { code, mem, io, hooks, slots, argbuf, argv, guard_hit, .. } = self;
+        let Interp { code, mem, io, hooks, slots, cells, argbuf, argv, guard_hit, .. } = self;
         let (fuel, mut steps, mut loads, mut stores) =
             (self.fuel, self.steps, self.loads, self.stores);
+        cells.start(mem);
         let (mut nsp, entry_nsp) = (self.nsp, self.nsp);
         argbuf.clear();
         argbuf.extend(args.iter().map(|&a| (a, None)));
@@ -954,6 +1123,7 @@ impl<'m, H: Hooks> Interp<'m, H> {
                 let dst = args!($site);
                 let top = base + code.funcs[cur.index()].slots as usize;
                 let site = Some((cur, inst));
+                cells.flush(mem);
                 let entry_pc = tri!(enter(code, hooks, mem, slots, argbuf, site, callee, top));
                 calls.push(Return { func: cur, pc: pc + 1, base, dst, nsp });
                 (cur, base, pc) = (callee, top, entry_pc);
@@ -1001,6 +1171,9 @@ impl<'m, H: Hooks> Interp<'m, H> {
                 Op::Load { ty, addr, dst, inst } => {
                     let ta = tagged!(addr);
                     loads += 1;
+                    if cells.overlaps(ta.0, ty.bytes()) {
+                        cells.flush(mem);
+                    }
                     let val = mem.read_sized(ta.0, to_isa_size(ty));
                     let s = hooks.load(cur, inst, ty, ta);
                     set!(dst, val, s);
@@ -1009,8 +1182,28 @@ impl<'m, H: Hooks> Interp<'m, H> {
                 Op::Store { ty, addr, val } => {
                     let (ta, tv) = (tagged!(addr), tagged!(val));
                     stores += 1;
-                    mem.write_sized(ta.0, tv.0, to_isa_size(ty));
+                    if cells.overlaps(ta.0, ty.bytes()) {
+                        cells.flush(mem);
+                        mem.write_sized(ta.0, tv.0, to_isa_size(ty));
+                        cells.reload(mem);
+                    } else {
+                        mem.write_sized(ta.0, tv.0, to_isa_size(ty));
+                    }
                     hooks.store(ty, ta, tv);
+                    pc += 1;
+                }
+                Op::LoadCell { cell, addr, dst, inst } => {
+                    loads += 1;
+                    let val = cells.vals[cell as usize];
+                    let s = hooks.cell_load(cur, inst, addr);
+                    set!(dst, val, s);
+                    pc += 1;
+                }
+                Op::StoreCell { cell, addr, val } => {
+                    let tv = tagged!(val);
+                    stores += 1;
+                    cells.store(cell, tv.0, mem);
+                    hooks.cell_store(addr, tv);
                     pc += 1;
                 }
                 Op::Alloca { size, mask, dst } => {
@@ -1049,13 +1242,17 @@ impl<'m, H: Hooks> Interp<'m, H> {
                     call!(code.by_addr[k].1, site, inst);
                 }
                 Op::CallExtRaw { ext, sp, dst } => {
+                    cells.flush(mem);
                     let (ret, s) = tri!(ext_raw(hooks, mem, io, ext, get!(sp)));
+                    cells.reload(mem);
                     set!(dst, ret, s);
                     pc += 1;
                 }
                 Op::CallExt { ext, site } => {
                     let dst = args!(site);
+                    cells.flush(mem);
                     let (ret, s) = tri!(ext_explicit(hooks, mem, io, argbuf, argv, ext));
+                    cells.reload(mem);
                     set!(dst, ret, s);
                     pc += 1;
                 }
@@ -1091,6 +1288,7 @@ impl<'m, H: Hooks> Interp<'m, H> {
                 Op::Unreachable { block } => break Err(InterpError::Unreachable(cur, block)),
             }
         };
+        cells.flush(mem);
         (self.steps, self.loads, self.stores, self.nsp) = (steps, loads, stores, nsp);
         result
     }
@@ -1784,6 +1982,244 @@ mod tests {
             it.hooks.0,
             vec![(main, None), (target, Some((main, direct))), (target, Some((main, ind)))]
         );
+    }
+
+    /// The cells of [`cell_module`].
+    const CELLS: [u32; 3] = [0x2000, 0x2004, 0x2008];
+
+    /// `main(c0, c1, c2, c1 + 1)` over three 4-byte globals of `kind` at
+    /// [`CELLS`]: every I32 access to a cell goes through its constant
+    /// address, or, if `computed`, through the parameter that holds it.
+    /// Either way `main` stores a byte into `c1` and loads `c2` through
+    /// computed addresses, has `read_bytes` write into `c2` right after a
+    /// store to it, calls `bump(c0)` twice right after a store to `c1`,
+    /// prints `c0`, has an unrecovered `read_bytes` write into `c0` right
+    /// after a store to it, and ends with a store to `c0`.
+    fn cell_module(kind: impl Fn(u8) -> GlobalKind, computed: bool) -> Module {
+        let mut m = Module::new();
+        for (k, &addr) in CELLS.iter().enumerate() {
+            m.add_global(Global {
+                name: format!("c{k}"),
+                size: 4,
+                init: vec![],
+                fixed_addr: Some(addr),
+                kind: kind(k as u8),
+            });
+        }
+        let cell =
+            |k: usize| if computed { Val::Param(k as u32) } else { Val::Const(CELLS[k] as i32) };
+        let read_bytes = m.extern_index("read_bytes");
+        let putchar = m.extern_index("putchar");
+
+        // bump(c0): c0 += 1; return c0.
+        let mut bump = Function::new("bump");
+        bump.num_params = 1;
+        let e = bump.entry;
+        let v = bump.push_inst(e, InstKind::Load { ty: Ty::I32, addr: cell(0) });
+        let v1 = bump.push_inst(e, InstKind::Bin { op: BinOp::Add, a: Val::Inst(v), b: 1.into() });
+        bump.push_inst(e, InstKind::Store { ty: Ty::I32, addr: cell(0), val: Val::Inst(v1) });
+        bump.blocks[0].term = Term::Ret(Some(Val::Inst(v1)));
+        let bump = m.add_func(bump);
+
+        let mut f = Function::new("main");
+        f.num_params = 4;
+        let e = f.entry;
+        let mut push = |k| Val::Inst(f.push_inst(e, k));
+        let x = push(InstKind::Load { ty: Ty::I32, addr: cell(0) });
+        let y = push(InstKind::Bin { op: BinOp::Add, a: x, b: 2.into() });
+        push(InstKind::Store { ty: Ty::I32, addr: cell(1), val: y });
+        push(InstKind::Store { ty: Ty::I8, addr: Val::Param(3), val: 0x7f.into() });
+        let z = push(InstKind::Load { ty: Ty::I32, addr: cell(1) });
+        push(InstKind::Store { ty: Ty::I32, addr: cell(2), val: z });
+        let args = vec![Val::Const(CELLS[2] as i32 + 1), 2.into()];
+        push(InstKind::CallExt { ext: read_bytes, args });
+        let w = push(InstKind::Load { ty: Ty::I32, addr: cell(2) });
+        push(InstKind::Store { ty: Ty::I32, addr: cell(1), val: w });
+        for _ in 0..2 {
+            push(InstKind::Call { f: bump, args: vec![Val::Param(0)] });
+        }
+        let v = push(InstKind::Load { ty: Ty::I32, addr: cell(0) });
+        push(InstKind::CallExt { ext: putchar, args: vec![v] });
+        push(InstKind::Store { ty: Ty::I32, addr: cell(2), val: z });
+        let z2 = push(InstKind::Load { ty: Ty::I32, addr: Val::Param(2) });
+        // An unrecovered `read_bytes(c0 + 1, 1)` right after a store to c0.
+        let sp = Val::Const(0x3000);
+        push(InstKind::Store { ty: Ty::I32, addr: sp, val: Val::Const(CELLS[0] as i32 + 1) });
+        push(InstKind::Store { ty: Ty::I32, addr: Val::Const(0x3004), val: 1.into() });
+        push(InstKind::Store { ty: Ty::I32, addr: cell(0), val: z });
+        push(InstKind::CallExtRaw { ext: read_bytes, sp });
+        let u = push(InstKind::Load { ty: Ty::I32, addr: cell(0) });
+        let mut r = z;
+        for b in [w, v, z2, u] {
+            r = push(InstKind::Bin { op: BinOp::Add, a: r, b });
+        }
+        push(InstKind::Store { ty: Ty::I32, addr: cell(0), val: r });
+        f.blocks[0].term = Term::Ret(Some(r));
+        m.entry = Some(m.add_func(f));
+        crate::verify::verify_module(&m).unwrap();
+        m
+    }
+
+    /// [`cell_module`]'s arguments.
+    const CELL_ARGS: [u32; 4] = [CELLS[0], CELLS[1], CELLS[2], CELLS[1] + 1];
+
+    /// Every hook event, in order. It shadows every load and bin result,
+    /// so shadows flow through the cells too.
+    #[derive(Default)]
+    struct Recorder(Vec<String>);
+
+    impl Hooks for Recorder {
+        fn fn_enter(&mut self, f: FuncId, callsite: Option<(FuncId, InstId)>, mem: &Memory) {
+            let cells = CELLS.map(|c| mem.read_u32(c));
+            self.0.push(format!("enter {f} {callsite:?} {cells:?}"));
+        }
+        fn fn_exit(&mut self, f: FuncId) {
+            self.0.push(format!("exit {f}"));
+        }
+        fn bin(
+            &mut self,
+            f: FuncId,
+            inst: InstId,
+            op: BinOp,
+            a: Tagged,
+            b: Tagged,
+            res: u32,
+        ) -> Option<Shadow> {
+            self.0.push(format!("bin {f} {inst} {op:?} {a:?} {b:?} {res}"));
+            Some(res)
+        }
+        fn cmp(&mut self, a: Tagged, b: Tagged) {
+            self.0.push(format!("cmp {a:?} {b:?}"));
+        }
+        fn load(&mut self, f: FuncId, inst: InstId, ty: Ty, addr: Tagged) -> Option<Shadow> {
+            self.0.push(format!("load {f} {inst} {ty:?} {addr:?}"));
+            Some(addr.0 + 1)
+        }
+        fn store(&mut self, ty: Ty, addr: Tagged, val: Tagged) {
+            self.0.push(format!("store {ty:?} {addr:?} {val:?}"));
+        }
+        fn transparent(&mut self, s: Option<Shadow>) -> Option<Shadow> {
+            self.0.push(format!("transparent {s:?}"));
+            s
+        }
+        fn ext_call(&mut self, ext: ExtId, args: &ExtArgs<'_>, mem: &Memory) {
+            let cells = CELLS.map(|c| mem.read_u32(c));
+            self.0.push(format!("ext {ext:?} {args:?} {cells:?}"));
+        }
+        fn ext_ret(
+            &mut self,
+            ext: ExtId,
+            args: &ExtArgs<'_>,
+            ret: u32,
+            mem: &Memory,
+        ) -> Option<Shadow> {
+            let cells = CELLS.map(|c| mem.read_u32(c));
+            self.0.push(format!("ret {ext:?} {args:?} {ret} {cells:?}"));
+            None
+        }
+    }
+
+    /// Counts the cell events.
+    #[derive(Default)]
+    struct CellEvents(u32);
+
+    impl Hooks for CellEvents {
+        fn cell_load(&mut self, _: FuncId, _: InstId, _: u32) -> Option<Shadow> {
+            self.0 += 1;
+            None
+        }
+        fn cell_store(&mut self, _: u32, _: Tagged) {
+            self.0 += 1;
+        }
+    }
+
+    #[test]
+    fn promoted_cells_replay_exactly_like_memory_accesses() {
+        type Replay = (Result<i32, InterpError>, Result<i32, InterpError>, u64, u64, u64);
+        let replay = |m: &Module| -> (Replay, [u32; 3], Vec<u8>, Vec<String>) {
+            let main = m.entry.unwrap();
+            let input = vec![0x11, 0x22, 0x33, 0x44, 0x55, 0x66];
+            let mut it = Interp::new(m, input, Recorder::default());
+            // Memory written before each run: the run starts from it.
+            it.mem.write_u32(CELLS[0], 40);
+            let first = it.run_from(main, &CELL_ARGS);
+            it.mem.write_u32(CELLS[0], 100);
+            let second = it.run_from(main, &CELL_ARGS);
+            let counts = (first, second, it.steps, it.loads(), it.stores());
+            let cells = CELLS.map(|c| it.mem.read_u32(c));
+            (counts, cells, it.io.output.clone(), it.hooks.0.clone())
+        };
+        let promoted = cell_module(GlobalKind::VcpuReg, false);
+        let expected = replay(&promoted);
+        // z = c1 = 42 | 0x7f << 8, w = z with 0x11, 0x22 read into its
+        // middle bytes, v = c0 = 42 after two bumps, z again from c2, and
+        // u = z with 0x33 read into its second byte; then the same from
+        // c0 = 100, reading on from 0x44.
+        let first = 2 * 0x7f2a + 0x0022_112a + 42 + 0x332a;
+        let (w, second) = (0x0055_4466, 2 * 0x7f66 + 0x0055_4466 + 102 + 0x6666);
+        assert_eq!((expected.0 .0.clone(), expected.0 .1.clone()), (Ok(first), Ok(second)));
+        assert_eq!((expected.1, &expected.2[..]), ([second as u32, w, 0x7f66], &b"*f"[..]));
+        assert_eq!(replay(&cell_module(GlobalKind::VcpuReg, true)), expected, "computed");
+        assert_eq!(replay(&cell_module(|_| GlobalKind::Data, false)), expected, "data");
+
+        // Only the promoted module has cell ops: five loads and six
+        // stores in `main`, a load and a store per `bump`.
+        for (m, events) in [
+            (promoted, 15),
+            (cell_module(GlobalKind::VcpuReg, true), 0),
+            (cell_module(|_| GlobalKind::Data, false), 0),
+        ] {
+            let mut it = Interp::new(&m, vec![0; 6], CellEvents::default());
+            it.run_from(m.entry.unwrap(), &CELL_ARGS).unwrap();
+            assert_eq!(it.hooks.0, events);
+        }
+    }
+
+    #[test]
+    fn cell_stores_past_the_page_cap_read_back_what_memory_kept() {
+        // No page can be allocated, so every write is dropped and every
+        // cell reads 0, promoted or not. The second run gets a fresh
+        // memory after a first run made the cells' page resident.
+        let run = |m: &Module| {
+            let mut it = Interp::new(m, vec![0x11, 0x22], NoHooks);
+            it.mem.set_page_cap(0);
+            let first = it.run_from(m.entry.unwrap(), &CELL_ARGS);
+            let capped = it.mem.cap_hit();
+            it.mem = Memory::new();
+            it.run_from(m.entry.unwrap(), &CELL_ARGS).unwrap();
+            it.mem = Memory::new();
+            it.mem.set_page_cap(0);
+            let second = it.run_from(m.entry.unwrap(), &CELL_ARGS);
+            (first, second, capped, it.steps, it.io.output.clone())
+        };
+        let promoted = run(&cell_module(GlobalKind::VcpuReg, false));
+        assert_eq!(promoted, run(&cell_module(|_| GlobalKind::Data, false)));
+        assert_eq!((promoted.0, promoted.1, promoted.2), (Ok(0), Ok(0), true));
+    }
+
+    #[test]
+    fn only_disjoint_cell_words_are_promoted() {
+        let promoted = |globals: &[(u32, GlobalKind)]| {
+            let mut m = Module::new();
+            for &(addr, kind) in globals {
+                let init = vec![];
+                let fixed_addr = Some(addr);
+                m.add_global(Global { name: String::new(), size: 4, init, fixed_addr, kind });
+            }
+            cell_addrs(&m, &layout_globals(&m.globals))
+        };
+        let cell = GlobalKind::VcpuReg;
+        // 0x14 and 0x16 overlap; 0x20 is named twice; 0x30 is not a cell;
+        // the word at 0x1ffe straddles two pages.
+        let globals = [(0x10, cell(0)), (0x14, cell(1)), (0x16, cell(2)), (0x20, cell(3))];
+        let more = [(0x20, cell(4)), (0x30, GlobalKind::Data), (0x1ffe, cell(5))];
+        assert_eq!(promoted(&[&globals[..], &more[..]].concat()), vec![0x10, 0x20]);
+        // The last word before the top of memory, and one that wraps.
+        assert_eq!(promoted(&[(u32::MAX - 3, cell(0))]), vec![u32::MAX - 3]);
+        assert_eq!(promoted(&[(u32::MAX - 2, cell(0))]), vec![]);
+        // At most MAX_CELLS words.
+        let many: Vec<_> = (0..MAX_CELLS as u32 + 1).map(|k| (4 * k, cell(0))).collect();
+        assert_eq!(promoted(&many), (0..MAX_CELLS as u32).map(|k| 4 * k).collect::<Vec<_>>());
     }
 
     #[test]

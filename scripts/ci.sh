@@ -171,6 +171,19 @@ if [ "$MAPS" -ne "$MAP_BUDGET" ]; then
     exit 1
 fi
 
+echo "==> lifter-address budget (0x0280 / VCPU_BASE in the non-test code of crates/ir/src:"
+echo "    none; the interpreter finds the register cells only through GlobalKind::VcpuReg)"
+LIFTER_ADDR_BUDGET=0
+LIFTER_ADDRS=$(for f in crates/ir/src/*.rs; do
+    awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print}' "$f"
+done | grep -cE '0x0280|VCPU_BASE' || true)
+if [ "$LIFTER_ADDRS" -ne "$LIFTER_ADDR_BUDGET" ]; then
+    echo "FAIL: $LIFTER_ADDRS lifter addresses in wyt-ir (budget: $LIFTER_ADDR_BUDGET)." >&2
+    echo "The IR knows no lifter layout: find a register cell by its global's" >&2
+    echo "GlobalKind::VcpuReg, not by its address." >&2
+    exit 1
+fi
+
 echo "==> substitution budget (replace_all_uses / format!( in the non-test code of"
 echo "    wyt-opt and wyt-ir's module.rs: none — see DESIGN.md §3)"
 SUBST_BUDGET=0

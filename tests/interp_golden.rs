@@ -3,7 +3,10 @@
 //! any change to the interpreter's step loop or to the regsave and bounds
 //! hooks must leave them identical: exit code, steps, loads, stores and
 //! output of the lifted cold-suite programs on every trace input, and a
-//! digest of each program's `RegSaveInfo` and `BoundsInfo`.
+//! digest of each program's `RegSaveInfo` and `BoundsInfo`. A second pin
+//! digests the same over a fixed corpus of generated programs under all
+//! four compiler profiles, plus a struct copy that goes through `vmov`'s
+//! two vector-half cells.
 //!
 //! On a mismatch the assertion prints the whole table as computed, in the
 //! form of the constants below.
@@ -13,6 +16,8 @@ use wyt_core::{regsave, runtime, spfold, vararg};
 use wyt_ir::interp::{Interp, NoHooks};
 use wyt_lifter::lift_image;
 use wyt_minicc::{compile, Profile};
+use wyt_testkit::progen::{gen_prog, profile, render, PROFILE_COUNT};
+use wyt_testkit::rng::{mix, Rng};
 
 /// The cold-suite programs of the benchmark.
 const SUITE: [&str; 5] = ["mcf", "gobmk", "bzip2", "xalancbmk", "gcc"];
@@ -52,6 +57,35 @@ const FACTS: &[FactRow] = &[
     ("gcc", 2147553855301950062, 18109259834606172627),
 ];
 
+/// Generated programs in the corpus pin.
+const CORPUS: u64 = 64;
+
+/// Corpus seed (distinct from every other pinned seed).
+const CORPUS_SEED: u64 = 0x1e7e_c0de;
+
+/// A struct copy: under the profiles that copy with `vmov`, lifted code
+/// moves the words through the `v0lo`/`v0hi` cells.
+const STRUCT_COPY: &str = r#"
+    struct blob { int w[6]; };
+    struct blob g;
+    int main() {
+        struct blob a;
+        struct blob b;
+        int i;
+        for (i = 0; i < 6; i++) a.w[i] = i * i + getchar();
+        g = a;
+        b = g;
+        printf("%d %d\n", b.w[5], b.w[1]);
+        return b.w[5] + b.w[1];
+    }
+"#;
+
+/// `(FNV-1a of every run's counts and output, of every RegSaveInfo, of
+/// every BoundsInfo)` over the corpus: [`CORPUS`] generated programs, the
+/// `i`-th under profile `i % 4`, then [`STRUCT_COPY`] under each profile.
+const CORPUS_DIGESTS: (u64, u64, u64) =
+    (13569978127633293259, 14090669026850674382, 2867885948309930477);
+
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
 }
@@ -74,6 +108,53 @@ fn bounds_digest(info: &runtime::BoundsInfo) -> u64 {
     calls.sort_by_key(|(k, _)| **k);
     let text = format!("{vars:?}{:?}{calls:?}{:?}", info.links, info.entered);
     fnv1a(FNV_OFFSET, text.as_bytes())
+}
+
+/// The pipeline's refinement stages, undemoted: the regsave facts, then
+/// the bounds facts of the folded module, or the fold's errors.
+fn refine(lifted: wyt_lifter::Lifted, inputs: &[Vec<u8>]) -> (regsave::RegSaveInfo, String) {
+    let mut module = lifted.module;
+    vararg::apply(&mut module, &vararg::from_trace(&lifted.trace, &lifted.meta));
+    let reginfo = regsave::analyze(&module, &lifted.meta, inputs).expect("regsave replay");
+    let none = BTreeSet::new();
+    spfold::insert_save_restore(&mut module, &lifted.meta, &reginfo, &none);
+    let (fold, errs) = spfold::fold(&mut module, &lifted.meta, &reginfo, &none);
+    if !errs.is_empty() {
+        return (reginfo, format!("{errs:?}"));
+    }
+    let bounds = runtime::trace_bounds(&module, &fold, inputs).expect("bounds replay");
+    (reginfo, format!("{:x}", bounds_digest(&bounds)))
+}
+
+#[test]
+fn corpus_replays_match_pinned_digests() {
+    let mut sources: Vec<(String, Profile, Vec<u8>)> = (0..CORPUS)
+        .map(|i| {
+            let mut prog = gen_prog(&mut Rng::new(mix(CORPUS_SEED, i)));
+            prog.profile = i as usize % PROFILE_COUNT;
+            (render(&prog), profile(prog.profile), prog.input)
+        })
+        .collect();
+    sources
+        .extend((0..PROFILE_COUNT).map(|p| (STRUCT_COPY.to_string(), profile(p), b"ab".to_vec())));
+    let (mut runs, mut regs, mut bounds) = (FNV_OFFSET, FNV_OFFSET, FNV_OFFSET);
+    for (k, (src, prof, input)) in sources.iter().enumerate() {
+        let img = compile(src, prof).unwrap_or_else(|e| panic!("corpus program {k}: {e:?}"));
+        let inputs = vec![input.clone()];
+        let lifted = lift_image(&img.stripped(), &inputs).expect("corpus program lifts");
+        let mut interp = Interp::new(&lifted.module, input.clone(), NoHooks);
+        let out = interp.run();
+        let row = (out.exit_code, out.steps, interp.loads(), interp.stores(), &out.error);
+        runs = fnv1a(fnv1a(runs, format!("{row:?}").as_bytes()), &out.output);
+        let (reginfo, facts) = refine(lifted, &inputs);
+        regs = fnv1a(regs, format!("{:x}", regsave_digest(&reginfo)).as_bytes());
+        bounds = fnv1a(bounds, facts.as_bytes());
+    }
+    assert!(
+        (runs, regs, bounds) == CORPUS_DIGESTS,
+        "corpus counts or refinement facts drifted; computed: {:?}",
+        (runs, regs, bounds)
+    );
 }
 
 #[test]
