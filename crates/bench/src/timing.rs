@@ -110,9 +110,13 @@ mod tests {
     fn measure_is_sane() {
         let b = Bencher { samples: 3, warmup: 1, sample_target: Duration::from_micros(200) };
         let mut n = 0u64;
+        // A thousand dependent adds: one call takes far more than the
+        // nanosecond that `elapsed / iters` truncates to, in any profile.
         let s = b.measure("spin", || {
-            n = n.wrapping_add(1);
-            std::hint::black_box(n)
+            for _ in 0..1000 {
+                n = black_box(n.wrapping_add(1));
+            }
+            n
         });
         assert!(s.min <= s.median, "min must not exceed median");
         assert!(s.min > Duration::ZERO);

@@ -2,9 +2,12 @@
 //! over a module for the hooks' tables (instruction `i` of function `f`
 //! has flat index `off[f] + i`, so flat order is `(FuncId, InstId)`
 //! order), the per-input replay driver, and the out-of-line path of the
-//! hooks' cell events.
+//! hooks' cell stores. A cell load needs none: [`ShadowMem::get`]
+//! answers any address, a register cell's or not.
+//!
+//! [`ShadowMem::get`]: crate::shadowmem::ShadowMem::get
 
-use wyt_ir::interp::{Hooks, Interp, InterpError, Shadow, Tagged};
+use wyt_ir::interp::{Hooks, Interp, InterpError, Tagged};
 use wyt_ir::{FuncId, InstId, Module, Ty};
 
 /// The first flat index of each function, then the total.
@@ -61,21 +64,10 @@ pub(crate) fn replay<H: Hooks, R: Send>(
     runs.into_iter().collect()
 }
 
-/// A cell load as the generic load it replaces: what [`Hooks::cell_load`]
-/// does by default. The hooks take this path only for a cell outside the
-/// lifter's register cells, so it stays out of their inlined fast path.
-#[cold]
-#[inline(never)]
-pub(crate) fn unpromoted_load<H: Hooks>(
-    hooks: &mut H,
-    f: FuncId,
-    inst: InstId,
-    addr: u32,
-) -> Option<Shadow> {
-    hooks.load(f, inst, Ty::I32, (addr, None))
-}
-
-/// A cell store as the generic store it replaces; see [`unpromoted_load`].
+/// A cell store as the generic store it replaces: what
+/// [`Hooks::cell_store`] does by default. The hooks take this path only
+/// for a cell outside the lifter's register cells, so it stays out of
+/// their inlined fast path.
 #[cold]
 #[inline(never)]
 pub(crate) fn unpromoted_store<H: Hooks>(hooks: &mut H, addr: u32, val: Tagged) {

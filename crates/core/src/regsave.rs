@@ -10,13 +10,13 @@
 //! constraint "if it is an argument anywhere downstream, it is an argument
 //! here" — exactly the paper's deferred constraint scheme.
 
-use crate::flat::{replay, unpromoted_load, unpromoted_store, FlatIndex};
+use crate::flat::{replay, unpromoted_store, FlatIndex};
 use crate::shadowmem::ShadowMem;
 use std::collections::{BTreeSet, HashMap};
 use wyt_emu::{ExtId, Memory};
 use wyt_ir::interp::{ExtArgs, Hooks, InterpError, Shadow, Tagged};
 use wyt_ir::{BinOp, FuncId, InstId, Module, Ty};
-use wyt_lifter::{vcpu_reg_addr, LiftedMeta, VCPU_BASE};
+use wyt_lifter::{vcpu_reg_addr, LiftedMeta, EMU_STACK_SIZE, VCPU_BASE};
 
 /// Number of tracked register cells (8 GPRs + 2 vector halves).
 pub const NUM_CELLS: usize = 10;
@@ -129,11 +129,9 @@ pub struct RegSaveHook<'a> {
     /// Per frame serial: the frame's [`fact_slot`] base while it is on the
     /// stack, then [`DEAD`]. Serials are handed out in order by `fn_enter`.
     bases: Vec<u32>,
-    /// Shadow currently stored in each vcpu cell.
-    cell_shadows: [Option<Shadow>; NUM_CELLS],
-    /// Address → shadow for spilled tokens (4-byte entries).
+    /// Address → shadow: the token in each vcpu cell, and spilled tokens
+    /// (4-byte entries).
     addr_map: ShadowMem,
-    cur_esp: u32,
     /// Per call instruction (flat index).
     calls: Vec<CallSeen>,
     /// `(flat call instruction, callee)` for every callee after a call
@@ -148,9 +146,7 @@ impl<'a> RegSaveHook<'a> {
             facts: vec![CellFacts::default(); index.funcs() * NUM_CELLS],
             frames: Vec::new(),
             bases: Vec::new(),
-            cell_shadows: [None; NUM_CELLS],
             addr_map: ShadowMem::new(),
-            cur_esp: 0,
             calls: vec![CallSeen { first: u32::MAX, forwarded: 0 }; index.insts()],
             more_callees: BTreeSet::new(),
         }
@@ -194,19 +190,12 @@ impl<'a> RegSaveHook<'a> {
         }
     }
 
-    /// A load of `cell`, at any width: the token it holds.
-    #[inline]
-    fn load_cell(&self, cell: usize) -> Option<Shadow> {
-        self.cell_shadows[cell].filter(|s| self.live(*s))
-    }
-
-    /// A store of `val` to `cell`, at any width.
+    /// An I32 store of `val` to `cell`: the token moves into that
+    /// register, which is no spill.
     #[inline]
     fn store_cell(&mut self, cell: usize, val: Tagged) {
-        if cell == ESP_CELL {
-            self.cur_esp = val.0;
-        }
-        self.cell_shadows[cell] = val.1.filter(|s| self.live(*s));
+        let s = val.1.filter(|s| self.live(*s));
+        self.addr_map.store_cell(cell, s);
     }
 }
 
@@ -228,7 +217,7 @@ impl Hooks for RegSaveHook<'_> {
             if let Some(parent) = self.frames.last() {
                 let mut cells = 0u16;
                 for cell in 0..NUM_CELLS {
-                    if self.cell_shadows[cell] == Some(token(parent.serial, cell)) {
+                    if self.addr_map.cell(cell) == Some(token(parent.serial, cell)) {
                         cells |= 1 << cell;
                     }
                 }
@@ -245,11 +234,10 @@ impl Hooks for RegSaveHook<'_> {
         let serial = self.bases.len() as u32;
         self.bases.push(fact_slot(f, 0) as u32);
         let sp0 = mem.read_u32(vcpu_reg_addr(wyt_isa::Reg::Esp));
-        self.cur_esp = sp0;
         let mut caller_shadows = [None; NUM_CELLS];
         for cell in 0..NUM_CELLS {
-            caller_shadows[cell] = self.cell_shadows[cell];
-            self.cell_shadows[cell] = Some(token(serial, cell));
+            caller_shadows[cell] = self.addr_map.cell(cell);
+            self.addr_map.store_cell(cell, Some(token(serial, cell)));
             self.facts[fact_slot(f, cell)].entered = true;
         }
         self.frames.push(Frame { func: f, serial, sp0, caller_shadows });
@@ -260,18 +248,14 @@ impl Hooks for RegSaveHook<'_> {
         debug_assert_eq!(frame.func, f);
         self.bases[frame.serial as usize] = DEAD;
         for cell in 0..NUM_CELLS {
-            let restored = self.cell_shadows[cell] == Some(token(frame.serial, cell));
+            let restored = self.addr_map.cell(cell) == Some(token(frame.serial, cell));
             if restored {
                 // The caller's tracking resumes seamlessly.
-                self.cell_shadows[cell] = frame.caller_shadows[cell];
+                self.addr_map.store_cell(cell, frame.caller_shadows[cell]);
             } else {
                 self.facts[fact_slot(f, cell)].not_restored = true;
-                self.cell_shadows[cell] = None;
+                self.addr_map.store_cell(cell, None);
             }
-        }
-        // Restore the caller's stack-pointer view.
-        if let Some(parent) = self.frames.last() {
-            self.cur_esp = parent.sp0;
         }
     }
 
@@ -299,9 +283,6 @@ impl Hooks for RegSaveHook<'_> {
     #[inline]
     fn load(&mut self, _f: FuncId, _i: InstId, ty: Ty, addr: Tagged) -> Option<Shadow> {
         self.mark_op_use(addr.1);
-        if let Some(cell) = cell_of_addr(addr.0) {
-            return self.load_cell(cell);
-        }
         if ty == Ty::I32 {
             return self.addr_map.get(addr.0).filter(|s| self.live(*s));
         }
@@ -311,14 +292,15 @@ impl Hooks for RegSaveHook<'_> {
     #[inline]
     fn store(&mut self, ty: Ty, addr: Tagged, val: Tagged) {
         self.mark_op_use(addr.1);
-        if let Some(cell) = cell_of_addr(addr.0) {
+        if let Some(cell) = cell_of_addr(addr.0).filter(|_| ty == Ty::I32) {
             self.store_cell(cell, val);
             return;
         }
         let spill = val.1.filter(|s| self.live(*s)).and_then(|s| {
-            // Is the destination inside the current frame?
+            // Is the destination inside the current frame? The emulated
+            // stack bounds how far below `sp0` it can reach.
             let in_frame = self.frames.last().is_some_and(|fr| {
-                addr.0 < fr.sp0 && addr.0 >= self.cur_esp.min(fr.sp0.saturating_sub(1 << 20))
+                (fr.sp0.saturating_sub(EMU_STACK_SIZE)..fr.sp0).contains(&addr.0)
             });
             if in_frame && ty == Ty::I32 {
                 return Some(s);
@@ -330,11 +312,8 @@ impl Hooks for RegSaveHook<'_> {
     }
 
     #[inline]
-    fn cell_load(&mut self, f: FuncId, inst: InstId, addr: u32) -> Option<Shadow> {
-        match cell_of_addr(addr) {
-            Some(cell) => self.load_cell(cell),
-            None => unpromoted_load(self, f, inst, addr),
-        }
+    fn cell_load(&mut self, _f: FuncId, _inst: InstId, addr: u32) -> Option<Shadow> {
+        self.addr_map.get(addr).filter(|s| self.live(*s))
     }
 
     #[inline]

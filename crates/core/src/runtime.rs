@@ -16,15 +16,15 @@
 //!   call-site descriptor, not as callee variables (§4.2.5);
 //! - linked variables merge only when both have defined bounds (§4.2.4).
 
-use crate::flat::{replay, unpromoted_load, unpromoted_store, FlatIndex};
-use crate::regsave::{cell_of_addr, NUM_CELLS};
+use crate::flat::{replay, unpromoted_store, FlatIndex};
+use crate::regsave::cell_of_addr;
 use crate::shadowmem::ShadowMem;
 use crate::spfold::FoldInfo;
 use std::collections::{BTreeSet, HashMap};
 use wyt_emu::{ExtId, Memory};
 use wyt_ir::interp::{ExtArgs, Hooks, InterpError, Shadow, Tagged};
 use wyt_ir::{BinOp, FuncId, InstId, Module, Ty};
-use wyt_lifter::{ext_sig, ExtEffect, SizeSpec, VCPU_BASE};
+use wyt_lifter::{ext_sig, ExtEffect, SizeSpec};
 
 /// Identity of a stack variable candidate: the static base pointer.
 pub type VarKey = (FuncId, InstId);
@@ -140,96 +140,6 @@ impl Tables {
     }
 }
 
-/// The keys a generic shadow effect must spill the cells for: the cell
-/// words, and the three bytes below them that a store to the first cell
-/// invalidates.
-const CELL_ZONE: (u64, u64) = (VCPU_BASE as u64 - 3, VCPU_BASE as u64 + 4 * NUM_CELLS as u64);
-
-/// Whether the `len` keys from `addr` (wrapping) may reach [`CELL_ZONE`].
-#[inline]
-fn near_cells(addr: u32, len: u64) -> bool {
-    let end = addr as u64 + len;
-    end > 1 << 32 || (end > CELL_ZONE.0 && (addr as u64) < CELL_ZONE.1)
-}
-
-/// The bounds hook's address → shadow map. It holds what one
-/// [`ShadowMem`] would, but keeps the shadows keyed at the vCPU cell
-/// words in an array, which the cell events reach with one index. A
-/// generic effect that reaches [`CELL_ZONE`] runs on the `ShadowMem` with
-/// the cells spilled into it, and takes them back out after.
-#[derive(Default)]
-struct Shadows {
-    /// The shadow keyed at each cell word (see [`cell_of_addr`]).
-    cells: [Option<Shadow>; NUM_CELLS],
-    /// Every other key.
-    rest: ShadowMem,
-    /// A generic effect reached the cells, so `rest` may hold a key that a
-    /// cell store invalidates.
-    stray: bool,
-}
-
-impl Shadows {
-    #[inline]
-    fn get(&self, addr: u32) -> Option<Shadow> {
-        match cell_of_addr(addr) {
-            Some(cell) => self.cells[cell],
-            None => self.rest.get(addr),
-        }
-    }
-
-    /// [`ShadowMem::store`].
-    #[inline]
-    fn store(&mut self, addr: u32, size: u32, s: Option<Shadow>) {
-        if near_cells(addr.saturating_sub(3), size as u64 + 3) {
-            self.spilled(|m| m.store(addr, size, s));
-        } else {
-            self.rest.store(addr, size, s);
-        }
-    }
-
-    /// An I32 store to `cell`: what [`Shadows::store`] does at its word.
-    #[inline]
-    fn store_cell(&mut self, cell: usize, s: Option<Shadow>) {
-        if self.stray {
-            self.rest.invalidate_range(VCPU_BASE + 4 * cell as u32, 4);
-        }
-        self.cells[cell] = s;
-    }
-
-    /// [`ShadowMem::invalidate_range`].
-    fn invalidate_range(&mut self, addr: u32, size: u32) {
-        if near_cells(addr.saturating_sub(3), size as u64 + 3) {
-            self.spilled(|m| m.invalidate_range(addr, size));
-        } else {
-            self.rest.invalidate_range(addr, size);
-        }
-    }
-
-    /// [`ShadowMem::copy`].
-    fn copy(&mut self, dst: u32, src: u32, len: u32) {
-        if near_cells(src, len as u64) || near_cells(dst.saturating_sub(3), len as u64 + 3) {
-            self.spilled(|m| m.copy(dst, src, len));
-        } else {
-            self.rest.copy(dst, src, len);
-        }
-    }
-
-    /// Run `effect` on the one `ShadowMem` this map stands for.
-    #[cold]
-    fn spilled(&mut self, effect: impl FnOnce(&mut ShadowMem)) {
-        for (cell, s) in self.cells.iter().enumerate() {
-            if let Some(s) = *s {
-                self.rest.insert(VCPU_BASE + 4 * cell as u32, s);
-            }
-        }
-        effect(&mut self.rest);
-        for (cell, s) in self.cells.iter_mut().enumerate() {
-            *s = self.rest.take(VCPU_BASE + 4 * cell as u32);
-        }
-        self.stray = true;
-    }
-}
-
 /// The tracing runtime hook.
 struct BoundsHook<'a> {
     tables: &'a Tables,
@@ -239,7 +149,7 @@ struct BoundsHook<'a> {
     /// Per frame serial: still on the stack. Serials are handed out in
     /// order by `fn_enter`.
     active: Vec<bool>,
-    addr_map: Shadows,
+    addr_map: ShadowMem,
     /// Per instruction (flat): the variable it is the base pointer of.
     vars: Vec<Option<VarData>>,
     /// Per call instruction (flat): argument accesses from the callee.
@@ -259,7 +169,7 @@ impl<'a> BoundsHook<'a> {
             pis: Vec::new(),
             frames: Vec::new(),
             active: Vec::new(),
-            addr_map: Shadows::default(),
+            addr_map: ShadowMem::new(),
             vars: vec![None; insts],
             callsite_args: vec![None; insts],
             links: BTreeSet::new(),
@@ -515,11 +425,10 @@ impl Hooks for BoundsHook<'_> {
 
     #[inline]
     fn cell_load(&mut self, f: FuncId, inst: InstId, addr: u32) -> Option<Shadow> {
-        match cell_of_addr(addr) {
-            Some(_) if self.is_sp0(f, inst) => None,
-            Some(cell) => self.addr_map.cells[cell].filter(|s| self.live(*s)),
-            None => unpromoted_load(self, f, inst, addr),
+        if self.is_sp0(f, inst) {
+            return None;
         }
+        self.addr_map.get(addr).filter(|s| self.live(*s))
     }
 
     #[inline]
@@ -618,12 +527,12 @@ pub fn trace_bounds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::regsave;
+    use crate::regsave::{self, NUM_CELLS};
     use crate::spfold::{self, FoldedFunc};
     use wyt_ir::interp::Interp;
     use wyt_ir::{Function, Global, GlobalKind, InstKind, Term, Val};
     use wyt_isa::Reg;
-    use wyt_lifter::lift_image;
+    use wyt_lifter::{lift_image, VCPU_BASE};
     use wyt_minicc::{compile, Profile};
 
     fn bounds_for(
@@ -793,57 +702,6 @@ mod tests {
         assert!(bounds.entered.contains(&main));
     }
 
-    #[test]
-    fn cell_shadows_hold_what_one_shadow_mem_holds() {
-        // splitmix64, for a deterministic stream of operations.
-        let mut state = 0x5eed_0003u64;
-        let mut below = |n: u32| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            ((z ^ (z >> 31)) % n as u64) as u32
-        };
-        // Keys around the cells, and in a far region that copies reach.
-        let regions = [VCPU_BASE - 8, 0x40_0000];
-        let addr = |below: &mut dyn FnMut(u32) -> u32| {
-            regions[below(2) as usize] + below(4 * NUM_CELLS as u32 + 16)
-        };
-        let (mut shadows, mut reference) = (Shadows::default(), ShadowMem::new());
-        for step in 0..6000 {
-            let a = addr(&mut below);
-            let s = (below(3) != 0).then(|| below(1000));
-            match below(5) {
-                0 | 1 => {
-                    let cell = below(NUM_CELLS as u32);
-                    shadows.store_cell(cell as usize, s);
-                    reference.store(VCPU_BASE + 4 * cell, 4, s);
-                }
-                2 => {
-                    let size = [1, 2, 4][below(3) as usize];
-                    shadows.store(a, size, s);
-                    reference.store(a, size, s);
-                }
-                3 => {
-                    let size = [1, 2, 4, 9, 64][below(5) as usize];
-                    shadows.invalidate_range(a, size);
-                    reference.invalidate_range(a, size);
-                }
-                _ => {
-                    let (src, len) = (addr(&mut below), below(48));
-                    shadows.copy(a, src, len);
-                    reference.copy(a, src, len);
-                }
-            }
-            if step % 50 == 0 {
-                for k in regions.iter().flat_map(|&r| r..r + 4 * NUM_CELLS as u32 + 72) {
-                    assert_eq!(shadows.get(k), reference.get(k), "step {step}, key {k:#x}");
-                }
-            }
-        }
-        assert!(shadows.stray, "the stream reached the spill path");
-    }
-
     /// A hook that passes every event on to `inner` and keeps the shadow
     /// of every I32 load of a register cell, promoted or not.
     struct Spy<H> {
@@ -939,11 +797,12 @@ mod tests {
     fn a_byte_store_into_a_cell_unshadows_it_in_both_hooks() {
         // main: the token of eax (regsave) goes into ecx, and a pointer
         // into a variable (bounds) into edx. Each cell is loaded back,
-        // has its low byte overwritten through a computed address, and is
-        // loaded again, and the value is dereferenced. The other cell
-        // accesses go through the cells' constant addresses, so they are
-        // promoted, or, if `computed`, through computed ones too.
-        let module = |computed: bool| {
+        // has byte `k` of its word overwritten through a computed
+        // address, and is loaded again, and the value is dereferenced.
+        // The other cell accesses go through the cells' constant
+        // addresses, so they are promoted, or, if `computed`, through
+        // computed ones too.
+        let module = |k: i32, computed: bool| {
             let mut m = cell_module();
             let mut f = Function::new("main");
             let addr = cell(&mut f, Reg::Eax, computed);
@@ -954,7 +813,8 @@ mod tests {
                 let addr = cell(&mut f, r, computed);
                 emit(&mut f, InstKind::Store { ty: Ty::I32, addr, val });
                 emit(&mut f, InstKind::Load { ty: Ty::I32, addr });
-                let byte = cell(&mut f, r, true);
+                let a = Val::Const(wyt_lifter::vcpu_reg_addr(r) as i32);
+                let byte = emit(&mut f, InstKind::Bin { op: BinOp::Add, a, b: Val::Const(k) });
                 emit(&mut f, InstKind::Store { ty: Ty::I8, addr: byte, val: Val::Const(0) });
                 let back = emit(&mut f, InstKind::Load { ty: Ty::I32, addr });
                 emit(&mut f, InstKind::Load { ty: Ty::I8, addr: back });
@@ -966,30 +826,32 @@ mod tests {
             let folded = FoldedFunc { sp0: None, base_ptrs, call_esp_off: Default::default() };
             (m, FoldInfo { funcs: [(main, folded)].into_iter().collect() }, (main, base))
         };
-        let mut seen = Vec::new();
-        for computed in [false, true] {
-            let (m, fold, var) = module(computed);
-            let index = FlatIndex::new(&m);
-            let spy = Spy { inner: regsave::RegSaveHook::new(&index), cell_loads: Vec::new() };
-            let mut it = Interp::new(&m, Vec::new(), spy);
-            assert_eq!(it.run().error, None);
-            let regs = it.hooks.cell_loads;
-            let tables = Tables::new(&m, &fold);
-            let spy = Spy { inner: BoundsHook::new(&tables), cell_loads: Vec::new() };
-            let mut it = Interp::new(&m, Vec::new(), spy);
-            assert_eq!(it.run().error, None);
-            let bounds = it.hooks.cell_loads;
-            let var = it.hooks.inner.into_info().vars[&var].clone();
-            // eax, then ecx before and after its byte store, then edx.
-            assert!(regs[0].is_some() && regs[1] == regs[0], "{regs:?}");
-            assert!(bounds[3].is_some(), "{bounds:?}");
-            assert_eq!([regs[2], regs[4], bounds[2], bounds[4]], [None; 4]);
-            // So the pointer loaded back after its byte store is no
-            // pointer: dereferencing it defines no bounds.
-            assert_eq!((var.low, var.high), (None, None), "{var:?}");
-            seen.push((regs, bounds));
+        for k in 0..4 {
+            let mut seen = Vec::new();
+            for computed in [false, true] {
+                let (m, fold, var) = module(k, computed);
+                let index = FlatIndex::new(&m);
+                let spy = Spy { inner: regsave::RegSaveHook::new(&index), cell_loads: Vec::new() };
+                let mut it = Interp::new(&m, Vec::new(), spy);
+                assert_eq!(it.run().error, None);
+                let regs = it.hooks.cell_loads;
+                let tables = Tables::new(&m, &fold);
+                let spy = Spy { inner: BoundsHook::new(&tables), cell_loads: Vec::new() };
+                let mut it = Interp::new(&m, Vec::new(), spy);
+                assert_eq!(it.run().error, None);
+                let bounds = it.hooks.cell_loads;
+                let var = it.hooks.inner.into_info().vars[&var].clone();
+                // eax, then ecx before and after its byte store, then edx.
+                assert!(regs[0].is_some() && regs[1] == regs[0], "byte {k}: {regs:?}");
+                assert!(bounds[3].is_some(), "byte {k}: {bounds:?}");
+                assert_eq!([regs[2], regs[4], bounds[2], bounds[4]], [None; 4], "byte {k}");
+                // So the pointer loaded back after its byte store is no
+                // pointer: dereferencing it defines no bounds.
+                assert_eq!((var.low, var.high), (None, None), "byte {k}: {var:?}");
+                seen.push((regs, bounds));
+            }
+            assert_eq!(seen[0], seen[1], "byte {k}");
         }
-        assert_eq!(seen[0], seen[1]);
     }
 
     #[test]

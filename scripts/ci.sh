@@ -159,15 +159,29 @@ if [ "$CFGS" -ne "$CFG_BUDGET" ]; then
 fi
 
 echo "==> hot-path map budget (HashMap<u32 / BTreeSet<u32> in the non-test code of"
-echo "    wyt-emu's Memory, the IR interpreter and the regsave and bounds hooks — see DESIGN.md §3)"
+echo "    wyt-emu's Memory, the IR interpreter, the regsave and bounds hooks, their shadow"
+echo "    map and their replay driver — see DESIGN.md §3)"
 MAP_BUDGET=0
 MAPS=$(for f in crates/emu/src/memory.rs crates/ir/src/interp.rs crates/core/src/runtime.rs \
-    crates/core/src/regsave.rs; do
+    crates/core/src/regsave.rs crates/core/src/shadowmem.rs crates/core/src/flat.rs; do
     awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print}' "$f"
 done | grep -cE 'HashMap<u32|BTreeSet<u32>' || true)
 if [ "$MAPS" -ne "$MAP_BUDGET" ]; then
     echo "FAIL: $MAPS address- or serial-keyed maps on the replay hot path (budget: $MAP_BUDGET)." >&2
     echo "Guest addresses go through the paged Memory/ShadowMem; frame serials index a Vec." >&2
+    exit 1
+fi
+
+echo "==> cell-shadow budget ([Option<Shadow>; NUM_CELLS] in wyt-core non-test code:"
+echo "    ShadowMem's cells and regsave's Frame.caller_shadows)"
+CELL_SHADOW_BUDGET=2
+CELL_SHADOWS=$(for f in crates/core/src/*.rs; do
+    awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//{print}' "$f"
+done | grep -cF '[Option<Shadow>; NUM_CELLS]' || true)
+if [ "$CELL_SHADOWS" -ne "$CELL_SHADOW_BUDGET" ]; then
+    echo "FAIL: $CELL_SHADOWS register-cell shadow arrays in wyt-core (budget: $CELL_SHADOW_BUDGET)." >&2
+    echo "A hook keeps the shadows at the register cells in its ShadowMem, which answers a" >&2
+    echo "cell event with one index (ShadowMem::cell / store_cell); it needs no array of its own." >&2
     exit 1
 fi
 
